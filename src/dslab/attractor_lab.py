@@ -28,9 +28,14 @@ from .spectral_core import (
     free_evolve,
     sobolev_norm,
     to_fourier,
-    to_physical,
 )
-from .ds_solver import SolverConfig, Trajectory, energy_functional, evolve
+from .ds_solver import (
+    SolverConfig,
+    Trajectory,
+    energy_functional,
+    evolve,
+    interaction_energy,
+)
 from .smoothing_diagnostics import RoughDataSpec, make_rough_data
 
 __all__ = [
@@ -141,18 +146,12 @@ class EnergyReport:
 
 def _balance_source(u: SpectralField, f_hat, c1: float, c2: float, delta: float) -> float:
     """F = -delta (c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2) + 2 delta Re int f conj(u)."""
-    grid = u.grid
-    phys = to_physical(u).values
-    density = np.abs(phys) ** 2
-    quartic = float(np.sum(density**2)) * grid.physical_step**2
-    rho_hat = np.fft.fft2(density) / grid.modes_per_axis**2
-    l_sq = grid.domain_length**2
-    k_term = l_sq * float(np.sum(grid.alpha_symbol * np.abs(rho_hat) ** 2))
     drive = 0.0
     if f_hat is not None:
         u_hat = to_fourier(u).values
+        l_sq = u.grid.domain_length**2
         drive = 2.0 * l_sq * float(np.real(np.sum(f_hat * np.conj(u_hat))))
-    return -delta * (c1 * quartic + c2 * k_term) + delta * drive
+    return -delta * interaction_energy(u, c1, c2) + delta * drive
 
 
 def energy_balance_residual(traj: Trajectory, cfg: SolverConfig) -> EnergyReport:

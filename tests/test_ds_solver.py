@@ -22,6 +22,7 @@ from dslab.ds_solver import (
     save_checkpoint,
     strang_step,
 )
+from dslab.smoothing_diagnostics import RoughDataSpec, make_rough_data
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,16 @@ class TestNonlinearPotential:
     def test_potential_is_real(self, grid, two_mode):
         v = nonlinear_potential(two_mode, cubic_config())
         assert np.max(np.abs(v.values.imag)) <= 1e-11
+
+    def test_matches_direct_complex_fft_formula(self, grid):
+        # rough field: every mode of |u|^2 is occupied, Nyquist rows included
+        u = to_physical(make_rough_data(RoughDataSpec(1.0, 0.05, 3), grid))
+        c1, c2 = 0.7, 1.9
+        rho = np.abs(u.values) ** 2
+        k_rho = np.fft.ifft2(grid.alpha_symbol * np.fft.fft2(rho)).real
+        expected = c1 * rho + c2 * k_rho
+        v = nonlinear_potential(u, cubic_config(c1=c1, c2=c2))
+        assert np.max(np.abs(v.values - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestStrangStep:
@@ -245,6 +256,27 @@ class TestEvolve:
             evolve(SpectralField(grid, vals), cubic_config(t_end=0.1))
         assert err.value.step == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_aborts_at_failing_step_not_next_sample(self, grid, two_mode):
+        # finite datum whose density |u|^2 overflows in the first step
+        huge = SpectralField(grid, 1e160 * two_mode.values)
+        with pytest.raises(IntegrationAbort) as err:
+            evolve(huge, cubic_config(t_end=0.1, sample_every=10))
+        assert err.value.step == 1
+
+    def test_merged_steps_match_chained_single_steps(self, grid):
+        forcing = make_rough_data(RoughDataSpec(2.0, 0.05, 9), grid)
+        cfg = cubic_config(
+            delta=0.2, forcing=forcing, dealias=True, t_end=0.21, sample_every=7
+        )
+        traj = evolve(make_rough_data(RoughDataSpec(1.0, 0.05, 1), grid), cfg)
+        u = traj.fields[0]
+        for sample in traj.fields[1:]:
+            for _ in range(7):
+                u = strang_step(u, cfg)
+            scale = np.max(np.abs(u.values))
+            assert np.max(np.abs(sample.values - u.values)) <= 1e-13 * scale
+
     def test_trajectory_times_must_increase(self, grid):
         with pytest.raises(ValueError):
             Trajectory(
@@ -254,6 +286,42 @@ class TestEvolve:
                 h1_norm=np.zeros(2),
                 energy=np.zeros(2),
             )
+
+
+class TestTransformCount:
+    """Transforms per step and per recorded sample, counted, not timed."""
+
+    NAMES = ("fft2", "ifft2", "rfft2", "irfft2")
+
+    def count(self, monkeypatch, fn) -> int:
+        calls = [0]
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in self.NAMES:
+                patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+            fn()
+        return calls[0]
+
+    def test_four_per_step_at_most_two_per_sample(self, monkeypatch, grid, two_mode):
+        f = SpectralField(grid, 0.1 * np.ones((64, 64), dtype=np.complex128))
+
+        def run(steps: int, every: int) -> int:
+            cfg = cubic_config(
+                delta=0.1, forcing=f, dealias=True, t_end=steps * 0.01, sample_every=every
+            )
+            return self.count(monkeypatch, lambda: evolve(two_mode, cfg))
+
+        # differences of runs cancel the fixed setup and end-sample cost
+        sparse10, sparse20, dense10 = run(10, 10), run(20, 20), run(10, 1)
+        assert (sparse20 - sparse10) == 4 * 10
+        assert dense10 - sparse10 <= 2 * 9
 
 
 class TestEnergy:
