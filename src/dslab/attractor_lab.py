@@ -34,7 +34,6 @@ from .ds_solver import (
     Trajectory,
     energy_functional,
     evolve,
-    interaction_energy,
 )
 from .smoothing_diagnostics import RoughDataSpec, make_rough_data
 
@@ -144,22 +143,15 @@ class EnergyReport:
             raise ValueError("fitted decay rate must be positive")
 
 
-def _balance_source(u: SpectralField, f_hat, c1: float, c2: float, delta: float) -> float:
-    """F = -delta (c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2) + 2 delta Re int f conj(u)."""
-    drive = 0.0
-    if f_hat is not None:
-        u_hat = to_fourier(u).values
-        l_sq = u.grid.domain_length**2
-        drive = 2.0 * l_sq * float(np.real(np.sum(f_hat * np.conj(u_hat))))
-    return -delta * interaction_energy(u, c1, c2) + delta * drive
-
-
 def energy_balance_residual(traj: Trajectory, cfg: SolverConfig) -> EnergyReport:
     """Audit dE/dt + 2 delta E = F along a sampled trajectory.
 
-    dE/dt is a centered difference, so the sample spacing must resolve the
-    energy: spacing above 10 * cfg.dt is refused rather than silently
-    producing an O(spacing^2) artifact.  Interior samples only.
+    F = -delta * interaction + delta * drive is built from the energy parts
+    evolve recorded per sample, so no field is transformed here; cfg must be
+    the config the trajectory was run with.  dE/dt is a centered difference,
+    so the sample spacing must resolve the energy: spacing above 10 * cfg.dt
+    is refused rather than silently producing an O(spacing^2) artifact.
+    Interior samples only.
     """
     t = np.asarray(traj.times, dtype=float)
     if len(t) < 3:
@@ -170,11 +162,8 @@ def energy_balance_residual(traj: Trajectory, cfg: SolverConfig) -> EnergyReport
             f"sample spacing {spacing:.6g} exceeds 10 * dt = {10.0 * cfg.dt:.6g}; "
             "record more often to audit the balance"
         )
-    f_hat = to_fourier(cfg.forcing).values if cfg.forcing is not None else None
     e = np.asarray(traj.energy, dtype=float)
-    source = np.array(
-        [_balance_source(u, f_hat, cfg.c1, cfg.c2, cfg.delta) for u in traj.fields]
-    )
+    source = -cfg.delta * traj.interaction + cfg.delta * traj.drive
     dedt = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
     residuals = dedt + 2.0 * cfg.delta * e[1:-1] - source[1:-1]
     return EnergyReport(

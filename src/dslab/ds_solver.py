@@ -24,6 +24,7 @@ coefficients (representation FOURIER); to_physical converts them on demand.
 """
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -98,6 +99,8 @@ class Trajectory:
     """Sampled solution history with per-sample scalar diagnostics.
 
     fields holds one Fourier-representation SpectralField per sample time.
+    Next to energy, interaction holds c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2
+    and drive holds 2 Re int f conj(u) (zero without forcing) per sample.
     """
 
     times: np.ndarray
@@ -105,6 +108,8 @@ class Trajectory:
     mass: np.ndarray
     h1_norm: np.ndarray
     energy: np.ndarray
+    interaction: np.ndarray
+    drive: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.times) and np.any(np.diff(self.times) <= 0):
@@ -157,10 +162,17 @@ def nonlinear_potential(u: SpectralField, cfg: SolverConfig) -> SpectralField:
     return SpectralField(u.grid, v.astype(np.complex128), PHYSICAL)
 
 
-def interaction_energy(u: SpectralField, c1: float, c2: float) -> float:
-    """c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2, from the half-spectrum density."""
-    kernel = _DensityKernel(u.grid, c1, c2)
-    return kernel.interaction(kernel.density_hat(to_physical(u).values))
+def _energy_parts(u: SpectralField, f_hat, density: _DensityKernel) -> tuple:
+    """(||grad u||^2, c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2, 2 Re int f conj(u)),
+    with the kernel's c1, c2 and forcing coefficients f_hat (None: drive 0.0)."""
+    hat = to_fourier(u).values
+    l_sq = density.grid.domain_length**2
+    grad = l_sq * float(np.sum(density.grid.xi_squared * np.abs(hat) ** 2))
+    inter = density.interaction(density.density_hat(to_physical(u).values))
+    drive = 0.0
+    if f_hat is not None:
+        drive = 2.0 * l_sq * float(np.real(np.sum(f_hat * np.conj(hat))))
+    return grad, inter, drive
 
 
 class _StepKernel:
@@ -245,17 +257,11 @@ def energy_functional(
     """E = ||grad u||^2 + (c1/2)||u||_{L4}^4 + (c2/2) int K(|u|^2)|u|^2 + 2 Re int f conj(u).
 
     Conserved by the conservative flow; the quartic and K terms together are
-    interaction_energy, L^2 * sum (c1 + c2 alpha) |rho_hat|^2 for rho = |u|^2.
+    the interaction part, L^2 * sum (c1 + c2 alpha) |rho_hat|^2 for rho = |u|^2.
     """
-    grid = u.grid
-    hat = to_fourier(u).values
-    l_sq = grid.domain_length**2
-    grad_term = l_sq * float(np.sum(grid.xi_squared * np.abs(hat) ** 2))
-    e = grad_term + 0.5 * interaction_energy(u, c1, c2)
-    if f is not None:
-        f_hat = to_fourier(f).values
-        e += 2.0 * l_sq * float(np.real(np.sum(f_hat * np.conj(hat))))
-    return e
+    f_hat = to_fourier(f).values if f is not None else None
+    grad, inter, drive = _energy_parts(u, f_hat, _DensityKernel(u.grid, c1, c2))
+    return grad + 0.5 * inter + drive
 
 
 def evolve(
@@ -268,8 +274,8 @@ def evolve(
     When cfg.dealias is set, the 2/3 mask is applied to the datum once before
     stepping and the masked field is the first sample, so sampled states and
     the recorded initial condition live on the same retained modes.  Samples
-    are stored, and passed to observers, as Fourier fields.  Non-finite
-    values abort with the failing step index.
+    are stored, and passed to observers, as Fourier fields; energy parts use
+    the step's density kernel.  Non-finite values abort with the failing step.
     """
     observers = tuple(observers)
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -279,9 +285,9 @@ def evolve(
     u_hat = to_fourier(u0).values.copy()
     if cfg.dealias:
         u_hat *= u0.grid.dealias_mask
-    f_four = to_fourier(cfg.forcing) if cfg.forcing is not None else None
+    f_hat = to_fourier(cfg.forcing).values if cfg.forcing is not None else None
 
-    times, fields, mass, h1, energy = [], [], [], [], []
+    times, fields, mass, h1, parts = [], [], [], [], []
 
     def record(step: int, t: float, u_hat_now: np.ndarray) -> None:
         if not np.all(np.isfinite(u_hat_now)):
@@ -292,7 +298,7 @@ def evolve(
         fields.append(snap)
         mass.append(sobolev_norm(snap, 0.0))
         h1.append(sobolev_norm(snap, 1.0))
-        energy.append(energy_functional(snap, f_four, cfg.c1, cfg.c2))
+        parts.append(_energy_parts(snap, f_hat, kernel.density))
         for obs in observers:
             obs(step, t, snap)
 
@@ -303,12 +309,15 @@ def evolve(
         u_hat = kernel.advance(u_hat, n, step + 1)
         step += n
         record(step, step * cfg.dt, u_hat)
+    grad, inter, drive = np.array(parts).T
     return Trajectory(
         times=np.array(times),
         fields=fields,
         mass=np.array(mass),
         h1_norm=np.array(h1),
-        energy=np.array(energy),
+        energy=grad + 0.5 * inter + drive,
+        interaction=inter,
+        drive=drive,
     )
 
 
@@ -329,6 +338,7 @@ def save_checkpoint(path, field: SpectralField, t: float) -> None:
 
 
 def load_checkpoint(path) -> tuple[SpectralField, float]:
+    """Inverse of save_checkpoint; a payload that is not M*M modes raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _CHECKPOINT_MAGIC:
@@ -340,7 +350,10 @@ def load_checkpoint(path) -> tuple[SpectralField, float]:
         (m,) = struct.unpack(f"{order}Q", fh.read(8))
         (length,) = struct.unpack(f"{order}d", fh.read(8))
         (t,) = struct.unpack(f"{order}d", fh.read(8))
-        raw = fh.read(int(m) * int(m) * 16)
-        values = np.frombuffer(raw, dtype=f"{order}c16").reshape(int(m), int(m))
-    grid = GridSpec(int(m), length)
+        expected = m * m * 16
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if expected != found:
+            raise ValueError(f"M = {m} needs {expected} payload bytes; the file holds {found}")
+        values = np.frombuffer(fh.read(found), dtype=f"{order}c16").reshape(m, m)
+    grid = GridSpec(m, length)
     return SpectralField(grid, values.astype(np.complex128), FOURIER), t

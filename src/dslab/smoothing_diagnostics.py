@@ -26,6 +26,7 @@ from .spectral_core import (
     GridSpec,
     SpectralField,
     free_evolve,
+    loglog_slope,
     sobolev_norm,
     to_fourier,
 )
@@ -192,10 +193,6 @@ def gauged_nonlinear_part(
     return SpectralField(u0.grid, u_t.values - linear, FOURIER)
 
 
-def _fit_slope(log_x: np.ndarray, log_y: np.ndarray) -> float:
-    return float(np.polyfit(log_x, log_y, 1)[0])
-
-
 def refinement_study(
     spec: RoughDataSpec,
     resolutions: Sequence[int],
@@ -239,11 +236,10 @@ def refinement_study(
                 "norm_nonlinear_gauged": gauged,
             }
         )
-    log_m = np.log([row["M"] for row in rows])
 
     def column_slope(key: str) -> float:
         vals = np.array([row[key] for row in rows])
-        return _fit_slope(log_m, np.log(vals)) if np.all(vals > 0) else 0.0
+        return loglog_slope([row["M"] for row in rows], vals) if np.all(vals > 0) else 0.0
 
     return {
         "rows": rows,

@@ -12,8 +12,10 @@ numpy's FFT layout {0, ..., M/2-1, -M/2, ..., -1} * (2*pi/L).
 The 1/M^2 scaling is folded into the transforms: every 2D transform in the
 laboratory's solver path is called as np.fft.<name>(..., norm="forward"), so
 the forward transform yields the coefficients directly and the inverse sums
-them without rescaling.  Transforms are looked up as np.fft.<name> at call
-time, never bound at import, so wrappers installed on numpy.fft see them.
+them without rescaling.  The space-time layer (xsb_analysis) does the same
+with its 1D, 2D and 3D transforms, so no transform output is rescaled by
+hand.  Transforms are looked up as np.fft.<name> at call time, never bound
+at import, so wrappers installed on numpy.fft see them.
 """
 from __future__ import annotations
 
@@ -197,3 +199,8 @@ def lebesgue_norm(field: SpectralField, p: float) -> float:
     phys = to_physical(field)
     dx = field.grid.physical_step
     return float(np.sum(np.abs(phys.values) ** p) ** (1.0 / p) * dx ** (2.0 / p))
+
+
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log(y) against log(x); x and y must be positive."""
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spectral_core import FOURIER, GridSpec
+from ..spectral_core import FOURIER, GridSpec, loglog_slope
 from .spacetime import (
     SpaceTimeField,
     SpaceTimeGrid,
     to_fourier3,
     to_physical3,
     xsb_norm,
-    xsb_weight_squared,
 )
 
 
@@ -132,11 +131,8 @@ def trilinear_output_spectrum(
     if v.grid != grid or w.grid != grid:
         raise ValueError("fields live on different grids")
     sp = grid.spatial
-    m = sp.modes_per_axis
-    count = m**2 * grid.time_samples
-
     pair = to_physical3(u).values * np.conj(to_physical3(v).values)
-    pair_hat = np.fft.fft2(pair, axes=(0, 1)) / m**2
+    pair_hat = np.fft.fft2(pair, axes=(0, 1), norm="forward")
     del pair
     d1 = u.xi1_offset - v.xi1_offset
     d2 = u.xi2_offset - v.xi2_offset
@@ -146,10 +142,10 @@ def trilinear_output_spectrum(
     with np.errstate(invalid="ignore"):
         alpha = np.where(xi_sq > 0, xi1**2 / np.where(xi_sq > 0, xi_sq, 1.0), 0.0)
     pair_hat *= (c1 + c2 * alpha)[:, :, None]
-    acted = np.fft.ifft2(pair_hat, axes=(0, 1)) * m**2
+    acted = np.fft.ifft2(pair_hat, axes=(0, 1), norm="forward")
     del pair_hat
     acted *= to_physical3(w).values
-    out_hat = np.fft.fftn(acted) / count
+    out_hat = np.fft.fftn(acted, norm="forward")
     del acted
     return SpaceTimeField(grid, out_hat, FOURIER, *_product_carrier(u, v, w))
 
@@ -173,10 +169,8 @@ def trilinear_ratio(
 
 
 def output_ratio(out: SpaceTimeField, s: float, a: float, b: float) -> float:
-    """Numerator norm of a precomputed output spectrum (reusable across a)."""
-    w2 = xsb_weight_squared(out.grid, s + a, b - 1.0, 1, out.carrier)
-    total = np.sum(w2 * (out.values.real**2 + out.values.imag**2))
-    return float(np.sqrt(out.grid.volume * total))
+    """Numerator norm X^{s+a, b-1} of a precomputed output spectrum (reusable across a)."""
+    return xsb_norm(out, s + a, b - 1.0)
 
 
 @dataclass(frozen=True)
@@ -190,10 +184,6 @@ class KnappSweepResult:
     v_slope: float
 
 
-def _loglog_slope(x, y) -> float:
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
 def knapp_sweep(
     n_list,
     s: float,
@@ -203,7 +193,10 @@ def knapp_sweep(
     c2: float = 1.0,
     grid: SpaceTimeGrid | None = None,
 ) -> KnappSweepResult:
-    """Fit log(ratio) against log(N) over a geometric ladder of box sizes."""
+    """Fit log(ratio) against log(N) over a geometric ladder of box sizes.
+
+    Ratios equal trilinear_ratio's; ||w|| = ||v|| is reused, as knapp_triple's
+    w shares v's storage and carrier."""
     n_list = [float(n) for n in n_list]
     if len(n_list) < 4:
         raise ValueError("need at least 4 values of N")
@@ -214,17 +207,18 @@ def knapp_sweep(
         grid = knapp_grid(max(n_list))
     u_norms, v_norms, ratios = [], [], []
     for n in n_list:
-        cfg = KnappConfig(N=n, s=s, a=a, b=b)
-        u, v, w = knapp_triple(cfg, grid)
+        u, v, w = knapp_triple(KnappConfig(N=n, s=s, a=a, b=b), grid)
         u_norms.append(xsb_norm(u, s, b))
         v_norms.append(xsb_norm(v, s, b))
-        ratios.append(trilinear_ratio(u, v, w, s, a, b, c1, c2))
+        # left unnamed, the 3D output spectrum is freed before the next point's
+        num = output_ratio(trilinear_output_spectrum(u, v, w, c1, c2), s, a, b)
+        ratios.append(num / (u_norms[-1] * v_norms[-1] * v_norms[-1]))
     return KnappSweepResult(
         n_values=tuple(n_list),
         u_norms=tuple(u_norms),
         v_norms=tuple(v_norms),
         ratios=tuple(ratios),
-        slope=_loglog_slope(n_list, ratios),
-        u_slope=_loglog_slope(n_list, u_norms),
-        v_slope=_loglog_slope(n_list, v_norms),
+        slope=loglog_slope(n_list, ratios),
+        u_slope=loglog_slope(n_list, u_norms),
+        v_slope=loglog_slope(n_list, v_norms),
     )

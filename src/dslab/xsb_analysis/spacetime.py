@@ -5,6 +5,11 @@ frequency offsets (a "carrier"): the stored array is the demodulated
 envelope and every weight is evaluated at lattice-plus-offset. This keeps
 high-frequency wave packets representable on a small envelope grid without
 losing exactness, since the carrier phase never has to be sampled.
+
+Fourier values are Fourier-series coefficients, as in spectral_core: every
+forward transform is called with norm="forward", which divides by the mode
+count (M^2 M_t for the space-time transform, M_t for a time series), and
+every inverse sums the coefficients without rescaling.
 """
 from __future__ import annotations
 
@@ -105,20 +110,16 @@ class SpaceTimeField:
         return (self.xi1_offset, self.xi2_offset, self.tau_offset)
 
 
-def _mode_count(grid: SpaceTimeGrid) -> int:
-    return grid.spatial.modes_per_axis**2 * grid.time_samples
-
-
 def to_fourier3(F: SpaceTimeField) -> SpaceTimeField:
     if F.representation == FOURIER:
         return F
-    return replace(F, values=np.fft.fftn(F.values) / _mode_count(F.grid), representation=FOURIER)
+    return replace(F, values=np.fft.fftn(F.values, norm="forward"), representation=FOURIER)
 
 
 def to_physical3(F: SpaceTimeField) -> SpaceTimeField:
     if F.representation == PHYSICAL:
         return F
-    return replace(F, values=np.fft.ifftn(F.values) * _mode_count(F.grid), representation=PHYSICAL)
+    return replace(F, values=np.fft.ifftn(F.values, norm="forward"), representation=PHYSICAL)
 
 
 def xsb_weight_squared(
@@ -164,5 +165,5 @@ def free_solution_field(
         (-1j * grid.spatial.xi_squared[:, :, None] - delta) * times[None, None, :]
     )
     samples = ghat[:, :, None] * phases
-    hat_t = np.fft.fft(samples, axis=2) / grid.time_samples
+    hat_t = np.fft.fft(samples, axis=2, norm="forward")
     return SpaceTimeField(grid, hat_t, FOURIER)

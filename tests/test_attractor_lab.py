@@ -172,6 +172,47 @@ class TestEnergyBalance:
             energy_balance_residual(traj, cfg)
 
 
+class TestBalanceAuditReadsRecordedParts:
+    """The audit reuses the energy parts evolve recorded; it transforms nothing."""
+
+    NAMES = ("fft2", "ifft2", "rfft2", "irfft2")
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        grid = GridSpec(32, TWO_PI)
+        u0 = make_rough_data(RoughDataSpec(1.0, 0.5, 3), grid)
+        f = make_forcing(grid, 0.2, seed=11)
+        cfg = SolverConfig(
+            c1=1.0, c2=0.7, dt=0.01, t_end=0.5, delta=0.1, forcing=f, sample_every=2
+        )
+        return evolve(u0, cfg), cfg
+
+    def test_audit_makes_no_transforms(self, monkeypatch, run):
+        traj, cfg = run
+        calls = [0]
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in self.NAMES:
+                patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+            report = energy_balance_residual(traj, cfg)
+        assert calls[0] == 0
+        assert len(report.residuals) == len(traj.times) - 2
+
+    def test_recorded_energy_equals_energy_functional(self, run):
+        traj, cfg = run
+        for k, u in enumerate(traj.fields):
+            assert traj.energy[k] == energy_functional(u, cfg.forcing, cfg.c1, cfg.c2)
+        # the forcing and the interaction both enter the recorded parts
+        assert np.all(traj.drive != 0.0) and np.all(traj.interaction > 0.0)
+
+
 class TestEnsembleConfigValidation:
     def test_requires_positive_delta(self):
         grid = GridSpec(16, TWO_PI)

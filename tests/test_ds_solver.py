@@ -1,4 +1,6 @@
 """Split-step integrator checks: collapse limits, conservation, order, damping."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,8 @@ class TestEvolve:
                 mass=np.zeros(2),
                 h1_norm=np.zeros(2),
                 energy=np.zeros(2),
+                interaction=np.zeros(2),
+                drive=np.zeros(2),
             )
 
 
@@ -362,4 +366,30 @@ class TestCheckpoint:
         path = tmp_path / "junk.ck"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    # the 64 x 64 payload is 65536 bytes after a 33-byte header
+
+    def test_trailing_bytes_rejected(self, two_mode, tmp_path):
+        path = tmp_path / "padded.ck"
+        save_checkpoint(path, two_mode, 0.5)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 32)
+        with pytest.raises(ValueError, match="65536 payload bytes; the file holds 65568"):
+            load_checkpoint(path)
+
+    def test_truncated_payload_rejected(self, two_mode, tmp_path):
+        path = tmp_path / "short.ck"
+        save_checkpoint(path, two_mode, 0.5)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="65536 payload bytes; the file holds 65520"):
+            load_checkpoint(path)
+
+    def test_oversized_header_rejected_before_reading(self, two_mode, tmp_path):
+        path = tmp_path / "huge.ck"
+        save_checkpoint(path, two_mode, 0.5)
+        raw = bytearray(path.read_bytes())
+        raw[9:17] = struct.pack("<Q", 2**31)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"{2**62 * 16} payload bytes; the file holds 65536"):
             load_checkpoint(path)

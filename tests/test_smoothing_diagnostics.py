@@ -258,6 +258,7 @@ class TestSmoothingReport:
         empty = Trajectory(
             times=np.array([]), fields=[], mass=np.array([]),
             h1_norm=np.array([]), energy=np.array([]),
+            interaction=np.array([]), drive=np.array([]),
         )
         grid = GridSpec(32, TWO_PI)
         with pytest.raises(ValueError):

@@ -18,6 +18,8 @@ from dslab.xsb_analysis import (
     trilinear_ratio,
     xsb_norm,
 )
+from dslab.xsb_analysis import knapp as knapp_module
+from dslab.xsb_analysis import spacetime as spacetime_module
 from dslab.xsb_analysis.knapp import output_ratio, trilinear_output_spectrum
 
 
@@ -361,3 +363,28 @@ class TestKnappSweep:
         assert -0.70 <= res.slope <= -0.45
         res_hi = knapp_sweep([4, 8, 16, 32], s=0.6, a=0.7, grid=grid)
         assert res_hi.slope - res.slope == pytest.approx(0.4, abs=0.1)
+
+    def test_three_weight_builds_per_point_and_direct_values(self, monkeypatch):
+        # ||u||, ||v|| and the output norm each build one weight array;
+        # ||w|| = ||v|| is reused because w shares v's storage and carrier
+        grid = knapp_grid(32, time_samples=8)
+        n_list = [4, 8, 16, 32]
+        builds = [0]
+        original = spacetime_module.xsb_weight_squared
+
+        def counted(*args, **kwargs):
+            builds[0] += 1
+            return original(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spacetime_module, "xsb_weight_squared", counted)
+            # also count builds through a name knapp may import for itself
+            patch.setattr(knapp_module, "xsb_weight_squared", counted, raising=False)
+            res = knapp_sweep(n_list, s=0.6, a=0.3, grid=grid)
+        assert builds[0] == 3 * len(n_list)
+        for k, n in enumerate(n_list):
+            u, v, w = knapp_triple(KnappConfig(N=n, s=0.6, a=0.3), grid)
+            assert res.u_norms[k] == pytest.approx(xsb_norm(u, 0.6, 0.51), rel=1e-13)
+            assert res.v_norms[k] == pytest.approx(xsb_norm(v, 0.6, 0.51), rel=1e-13)
+            direct = trilinear_ratio(u, v, w, 0.6, 0.3, 0.51, 1.0, 1.0)
+            assert res.ratios[k] == pytest.approx(direct, rel=1e-13)
