@@ -322,6 +322,8 @@ def evolve(
 
 
 _CHECKPOINT_MAGIC = b"DSLABCK1"
+# magic, endianness tag, then M (u64), domain length and time (f64)
+_CHECKPOINT_HEADER_BYTES = 33
 
 
 def save_checkpoint(path, field: SpectralField, t: float) -> None:
@@ -338,18 +340,23 @@ def save_checkpoint(path, field: SpectralField, t: float) -> None:
 
 
 def load_checkpoint(path) -> tuple[SpectralField, float]:
-    """Inverse of save_checkpoint; a payload that is not M*M modes raises ValueError."""
+    """Inverse of save_checkpoint; a cut header or a payload that is not M*M
+    modes raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
+        header = fh.read(_CHECKPOINT_HEADER_BYTES)
+        if len(header) < _CHECKPOINT_HEADER_BYTES:
+            raise ValueError(
+                f"checkpoint header needs {_CHECKPOINT_HEADER_BYTES} bytes; "
+                f"the file holds {len(header)}"
+            )
+        magic = header[:8]
         if magic != _CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        endian = fh.read(1)
+        endian = header[8:9]
         if endian not in (b"<", b">"):
             raise ValueError(f"bad endianness tag {endian!r}")
         order = endian.decode()
-        (m,) = struct.unpack(f"{order}Q", fh.read(8))
-        (length,) = struct.unpack(f"{order}d", fh.read(8))
-        (t,) = struct.unpack(f"{order}d", fh.read(8))
+        m, length, t = struct.unpack(f"{order}Qdd", header[9:])
         expected = m * m * 16
         found = os.fstat(fh.fileno()).st_size - fh.tell()
         if expected != found:

@@ -133,12 +133,38 @@ def _tau_axis(l: float, n: float, step: float) -> np.ndarray:
     return np.arange(-r, r + 1) * step
 
 
+class SupportCapExceeded(ValueError):
+    """A block support (or its shell-pair set) is larger than the lattice cap."""
+
+
+def _compress_tau(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row indices of the True columns of ok, left-packed in axis order.
+
+    Returns (index, valid), both (rows, W) with W the largest row count;
+    index holds increasing column numbers in its valid entries and column 0
+    in its padding.
+    """
+    width = int(ok.sum(axis=1).max())
+    index = np.argsort(~ok, axis=1, kind="stable")[:, :width]
+    return index, np.take_along_axis(ok, index, axis=1)
+
+
 def block_multiplier(spec: DyadicBlockSpec, lattice: BlockLattice) -> Gamma3Multiplier:
     """Enumerate the 0/1 block multiplier on the discretized hyperplane.
 
+    The frequency shells give the shell pairs (xi1, xi2) whose xi3 and
+    resonance h pass their shells. For each pair, tau1 and tau2 are first
+    cut to the columns of their axes that pass their own modulation shells,
+    packed to the left with a validity mask; the lambda_3 shell is tested
+    only on those pairs x W1 x W2 candidates, never on the full tau1 x tau2
+    square. Rows come out ordered by (pair, tau1, tau2), the pairs in the
+    C order of (xi1, xi2) shell indices and the taus increasing: the ALS
+    sums in row order, so its estimate depends on that order at roundoff.
+
     Returns an empty multiplier (not an error) when no lattice point meets
     every shell; the vanishing conditions make that the expected outcome for
-    inadmissible specs.
+    inadmissible specs. Raises SupportCapExceeded when the shell pairs, or
+    the support, outnumber ``lattice.max_support``.
     """
     step = lattice.xi_step
     xi1 = _shell_points_2d(spec.n1, step)
@@ -163,7 +189,7 @@ def block_multiplier(spec: DyadicBlockSpec, lattice: BlockLattice) -> Gamma3Mult
     if not len(i1):
         return empty
     if len(i1) > lattice.max_support:
-        raise ValueError(f"{len(i1)} shell pairs exceed max_support")
+        raise SupportCapExceeded(f"{len(i1)} shell pairs exceed max_support")
 
     p1 = xi1[i1]
     p2 = xi2[i2]
@@ -174,10 +200,14 @@ def block_multiplier(spec: DyadicBlockSpec, lattice: BlockLattice) -> Gamma3Mult
     lam2 = tau2_axis[None, :] + s[1] * np.sum(p2**2, axis=1)[:, None]
     ok1 = _bracket_shell(lam1, spec.l1)
     ok2 = _bracket_shell(lam2, spec.l2)
+    idx1, ok1 = _compress_tau(ok1)
+    idx2, ok2 = _compress_tau(ok2)
+    lam1 = np.take_along_axis(lam1, idx1, axis=1)
+    lam2 = np.take_along_axis(lam2, idx2, axis=1)
 
-    rows1, rows2, rows3 = [], [], []
+    hits_p, hits_t1, hits_t2 = [], [], []
     total = 0
-    chunk = max(1, 2_000_000 // (len(tau1_axis) * len(tau2_axis) + 1))
+    chunk = max(1, 2_000_000 // (idx1.shape[1] * idx2.shape[1] + 1))
     for lo in range(0, len(p1), chunk):
         hi = min(lo + chunk, len(p1))
         lam3 = (
@@ -187,22 +217,30 @@ def block_multiplier(spec: DyadicBlockSpec, lattice: BlockLattice) -> Gamma3Mult
         )
         mask = ok1[lo:hi, :, None] & ok2[lo:hi, None, :]
         mask &= _bracket_shell(lam3, spec.l3)
-        ip, it1, it2 = np.nonzero(mask)
+        ip, j1, j2 = np.nonzero(mask)
         if not len(ip):
             continue
         total += len(ip)
         if total > lattice.max_support:
-            raise ValueError(f"block support exceeds max_support = {lattice.max_support}")
-        ip = ip + lo
-        t1 = tau1_axis[it1]
-        t2 = tau2_axis[it2]
-        rows1.append(np.column_stack([p1[ip], t1]))
-        rows2.append(np.column_stack([p2[ip], t2]))
-        rows3.append(np.column_stack([-(p1[ip] + p2[ip]), -(t1 + t2)]))
+            raise SupportCapExceeded(
+                f"block support exceeds max_support = {lattice.max_support}"
+            )
+        ip += lo
+        hits_p.append(ip)
+        hits_t1.append(idx1[ip, j1])
+        hits_t2.append(idx2[ip, j2])
     if not total:
         return empty
+    ip = np.concatenate(hits_p)
+    t1 = tau1_axis[np.concatenate(hits_t1)]
+    t2 = tau2_axis[np.concatenate(hits_t2)]
+    q1 = p1[ip]
+    q2 = p2[ip]
     return Gamma3Multiplier(
-        np.vstack(rows1), np.vstack(rows2), np.vstack(rows3), np.ones(total)
+        np.column_stack([q1, t1]),
+        np.column_stack([q2, t2]),
+        np.column_stack([-(q1 + q2), -(t1 + t2)]),
+        np.ones(total),
     )
 
 
@@ -286,7 +324,10 @@ def sample_block_specs(case: str, count: int, seed: int = 0, lattice=None):
 
     Candidates whose support would exceed a probe cap (60k points, or the
     lattice's own cap if smaller) are redrawn: gigantic blocks add nothing to
-    a bound sweep but dominate its runtime.
+    a bound sweep but dominate its runtime. Only SupportCapExceeded means
+    "redraw"; any other error from the enumeration propagates. The probe goes
+    through the module-level name ``block_multiplier``, so wrapping that name
+    counts every probe.
     """
     if lattice is None:
         lattice = BlockLattice()
@@ -309,7 +350,7 @@ def sample_block_specs(case: str, count: int, seed: int = 0, lattice=None):
         try:
             if block_multiplier(spec, probe).is_empty:
                 continue
-        except ValueError:
+        except SupportCapExceeded:
             continue
         out.append(spec)
     return out

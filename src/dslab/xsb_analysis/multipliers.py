@@ -41,13 +41,9 @@ class Gamma3Multiplier:
             closure = pts[0] + pts[1] + pts[2]
             if np.max(np.abs(closure)) > 1e-9:
                 raise ValueError("support must lie on the zero-sum hyperplane")
-        labels, sizes = [], []
-        for p in pts:
-            uniq, lab = np.unique(p.round(decimals=9), axis=0, return_inverse=True)
-            labels.append(lab.astype(np.int64))
-            sizes.append(len(uniq))
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "slot_sizes", tuple(sizes))
+        labels, sizes = zip(*(_slot_labels(p) for p in pts))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "slot_sizes", sizes)
 
     @property
     def size(self) -> int:
@@ -61,6 +57,26 @@ class Gamma3Multiplier:
         return Gamma3Multiplier(
             self.points1[keep], self.points2[keep], self.points3[keep], self.values[keep]
         )
+
+
+def _slot_labels(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each row among the distinct rows after rounding to 1e-9, and
+    the number of distinct rows.
+
+    One lexsort over the rounded columns (column 0 the primary key) and a
+    cumulative count of run starts; the ranks equal the inverse indices of
+    np.unique(axis=0), which orders rows the same way and also equates
+    -0.0 with 0.0.
+    """
+    rounded = points.round(decimals=9)
+    order = np.lexsort(rounded.T[::-1])
+    ordered = rounded[order]
+    starts = np.ones(len(order), dtype=np.int64)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ranks = np.cumsum(starts) - 1
+    labels = np.empty(len(order), dtype=np.int64)
+    labels[order] = ranks
+    return labels, int(ranks[-1]) + 1 if len(ranks) else 0
 
 
 def _contract(labels, size, values, other1, other2) -> np.ndarray:

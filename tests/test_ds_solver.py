@@ -385,6 +385,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="65536 payload bytes; the file holds 65520"):
             load_checkpoint(path)
 
+    def test_cut_header_rejected(self, two_mode, tmp_path):
+        path = tmp_path / "state.ck"
+        save_checkpoint(path, two_mode, 0.5)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ck"
+        for n in range(33):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match=f"header needs 33 bytes; the file holds {n}$"):
+                load_checkpoint(cut)
+
     def test_oversized_header_rejected_before_reading(self, two_mode, tmp_path):
         path = tmp_path / "huge.ck"
         save_checkpoint(path, two_mode, 0.5)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dslab.xsb_analysis import blocks
 from dslab.xsb_analysis import (
     COHERENT,
     GENERIC,
@@ -12,6 +13,7 @@ from dslab.xsb_analysis import (
     BlockLattice,
     DyadicBlockSpec,
     Gamma3Multiplier,
+    SupportCapExceeded,
     block_bound,
     block_multiplier,
     check_block_bounds,
@@ -61,6 +63,31 @@ class TestGamma3Multiplier:
                 for j in range(12):
                     same = np.array_equal(pts[i], pts[j])
                     assert (lab[i] == lab[j]) == same
+
+    def test_labels_equal_unique_inverse(self):
+        # the labeller must reproduce np.unique(p.round(9), axis=0) exactly:
+        # same ranks, same slot sizes, -0.0 merged with 0.0, and entries
+        # closer than the rounding grid resolved the way rounding resolves them
+        rng = np.random.default_rng(21)
+        base = rng.integers(-3, 4, size=(40, 3)).astype(float) * 0.5
+        p1 = base[rng.integers(0, 40, size=400)]
+        p1[rng.random(p1.shape) < 0.1] = -0.0
+        p1[rng.random(p1.shape) < 0.1] = 0.0
+        jitter = rng.choice([0.0, 1e-10, -2e-10, 4.9e-10, 6e-10], size=p1.shape)
+        p1 = p1 + jitter * (rng.random(p1.shape) < 0.3)
+        p2 = base[rng.integers(0, 40, size=400)]
+        p3 = -(p1 + p2)
+        assert np.any(np.signbit(p1) & (p1 == 0)) and np.any(~np.signbit(p1) & (p1 == 0))
+        real = block_multiplier(DyadicBlockSpec(2, 1, 2, 2, 1, 4, 4), BlockLattice())
+        for m in (
+            Gamma3Multiplier(p1, p2, p3, np.ones(400)),
+            Gamma3Multiplier(real.points1, real.points2, real.points3, real.values),
+        ):
+            for pts, lab, size in zip((m.points1, m.points2, m.points3), m.labels, m.slot_sizes):
+                uniq, inv = np.unique(pts.round(decimals=9), axis=0, return_inverse=True)
+                assert lab.dtype == np.int64
+                assert np.array_equal(lab, inv.ravel())
+                assert size == len(uniq)
 
     def test_restrict(self):
         m = diagonal_multiplier([1.0, 2.0, 3.0, 4.0])
@@ -200,8 +227,12 @@ class TestDyadicBlockSpec:
         assert not DyadicBlockSpec(1, 1, 1, 1, 1, 64, 1).is_admissible
 
 
-def brute_force_support(spec: DyadicBlockSpec, lattice: BlockLattice):
-    """Independent nested-loop enumeration of the block support."""
+def brute_force_support(spec: DyadicBlockSpec, lattice: BlockLattice) -> list:
+    """Independent nested-loop enumeration of the block support.
+
+    Rows come out in loop order: xi1, then xi2 (each in row-major shell
+    order), then increasing tau1, then increasing tau2.
+    """
     step = lattice.xi_step
     s = spec.signs
 
@@ -225,7 +256,7 @@ def brute_force_support(spec: DyadicBlockSpec, lattice: BlockLattice):
 
     t1_axis = tau_axis(spec.l1, spec.n1)
     t2_axis = tau_axis(spec.l2, spec.n2)
-    rows = set()
+    rows = []
     for x1 in shell(spec.n1):
         r1 = x1[0] ** 2 + x1[1] ** 2
         lam1 = t1_axis + s[0] * r1
@@ -243,7 +274,7 @@ def brute_force_support(spec: DyadicBlockSpec, lattice: BlockLattice):
             for t1 in t1_ok:
                 lam3 = hv - (t1 + s[0] * r1) - (t2_ok + s[1] * r2)
                 for t2 in t2_ok[in_shell(lam3, spec.l3)]:
-                    rows.add((x1[0], x1[1], t1, x2[0], x2[1], t2))
+                    rows.append((x1[0], x1[1], t1, x2[0], x2[1], t2))
     return rows
 
 
@@ -260,14 +291,17 @@ class TestBlockMultiplier:
         m = block_multiplier(spec, lattice)
         assert m.size == expected_size
         assert np.all(m.values == 1.0)
-        got = {
+        got = [
             (
                 m.points1[i, 0], m.points1[i, 1], m.points1[i, 2],
                 m.points2[i, 0], m.points2[i, 1], m.points2[i, 2],
             )
             for i in range(m.size)
-        }
-        assert got == brute_force_support(spec, lattice)
+        ]
+        want = brute_force_support(spec, lattice)
+        assert len(set(want)) == len(want)
+        # the ALS sums in row order, so the order is part of the contract
+        assert got == want
 
     def test_support_sits_on_advertised_shells(self):
         spec = DyadicBlockSpec(2, 1, 2, 2, 1, 4, 4)
@@ -300,10 +334,20 @@ class TestBlockMultiplier:
         ).is_empty
 
     def test_support_cap(self):
-        with pytest.raises(ValueError, match="max_support"):
+        with pytest.raises(SupportCapExceeded, match="max_support"):
             block_multiplier(
                 DyadicBlockSpec(1, 1, 1, 1, 1, 1, 1), BlockLattice(max_support=100)
             )
+
+    def test_support_cap_boundary(self):
+        # the cap trips exactly when the final support exceeds it, whatever
+        # the chunking: the running total only grows
+        spec = DyadicBlockSpec(1, 4, 4, 16, 2, 2, 16)
+        size = block_multiplier(spec, BlockLattice()).size
+        assert size == 122244
+        assert block_multiplier(spec, BlockLattice(max_support=size)).size == size
+        with pytest.raises(SupportCapExceeded, match=f"max_support = {size - 1}"):
+            block_multiplier(spec, BlockLattice(max_support=size - 1))
 
 
 class TestBlockBounds:
@@ -371,6 +415,44 @@ class TestSampler:
             assert spec.is_admissible
             assert block_bound(spec)[0] == case
             assert not block_multiplier(spec, BlockLattice()).is_empty
+
+    def test_probes_go_through_module_attribute(self, monkeypatch):
+        # benchmarks count probes by wrapping blocks.block_multiplier and
+        # divide by that count, so every probe must pass through the name
+        calls = []
+        original = blocks.block_multiplier
+
+        def counted(spec, lattice):
+            calls.append(spec)
+            return original(spec, lattice)
+
+        monkeypatch.setattr(blocks, "block_multiplier", counted)
+        specs = sample_block_specs(GENERIC, 2, seed=7)
+        assert len(specs) == 2
+        assert len(calls) >= len(specs)
+        assert all(spec in calls for spec in specs)
+
+    def test_only_cap_errors_are_redrawn(self, monkeypatch):
+        original = blocks.block_multiplier
+        capped = []
+
+        def cap_first(spec, lattice):
+            if not capped:
+                capped.append(spec)
+                raise SupportCapExceeded("block support exceeds max_support = 0")
+            return original(spec, lattice)
+
+        monkeypatch.setattr(blocks, "block_multiplier", cap_first)
+        specs = sample_block_specs(GENERIC, 1, seed=7)
+        assert len(specs) == 1 and capped
+
+        def broken(spec, lattice):
+            raise ValueError("support must lie on the zero-sum hyperplane")
+
+        monkeypatch.setattr(blocks, "block_multiplier", broken)
+        with pytest.raises(ValueError, match="zero-sum") as info:
+            sample_block_specs(GENERIC, 1, seed=7)
+        assert not isinstance(info.value, SupportCapExceeded)
 
     def test_unknown_case(self):
         with pytest.raises(ValueError, match="unknown case"):
