@@ -171,6 +171,15 @@ def _write_manifest(
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
+def _forcing(sections: dict, section: str, grid: GridSpec, seed: int):
+    """The section's drive f, or None when forcing_amplitude is not positive."""
+    amplitude = _get(sections, section, "forcing_amplitude", float, 0.0)
+    if not amplitude > 0:
+        return None
+    smoothness = _get(sections, section, "forcing_smoothness", float, 3.0)
+    return make_forcing(grid, amplitude, _derive_seed(seed, 1), smoothness)
+
+
 def cmd_simulate(sections: dict, out_dir: str, seed: int, threads: int):
     modes = _get(sections, "simulate", "modes", int, 64)
     length = _get(sections, "simulate", "domain_length", float, DEFAULT_DOMAIN_LENGTH)
@@ -183,22 +192,13 @@ def cmd_simulate(sections: dict, out_dir: str, seed: int, threads: int):
         ),
         grid,
     )
-    forcing_amp = _get(sections, "simulate", "forcing_amplitude", float, 0.0)
-    forcing = None
-    if forcing_amp > 0:
-        forcing = make_forcing(
-            grid,
-            forcing_amp,
-            _derive_seed(seed, 1),
-            _get(sections, "simulate", "forcing_smoothness", float, 3.0),
-        )
     cfg = SolverConfig(
         c1=_get(sections, "simulate", "c1", float, 1.0),
         c2=_get(sections, "simulate", "c2", float, 1.0),
         dt=_get(sections, "simulate", "dt", float),
         t_end=_get(sections, "simulate", "t_end", float),
         delta=_get(sections, "simulate", "delta", float, 0.0),
-        forcing=forcing,
+        forcing=_forcing(sections, "simulate", grid, seed),
         dealias=_get(sections, "simulate", "dealias", _bool, True),
         sample_every=_get(sections, "simulate", "sample_every", int, 1),
     )
@@ -363,22 +363,13 @@ def _attractor_ensemble(sections: dict, seed: int) -> EnsembleConfig:
         RoughDataSpec(member_s, float(t / unit), _derive_seed(seed, 10 + j))
         for j, t in enumerate(targets)
     ]
-    forcing_amp = _get(sections, "attractor", "forcing_amplitude", float, 0.0)
-    forcing = None
-    if forcing_amp > 0:
-        forcing = make_forcing(
-            grid,
-            forcing_amp,
-            _derive_seed(seed, 1),
-            _get(sections, "attractor", "forcing_smoothness", float, 3.0),
-        )
     return EnsembleConfig(
         grid=grid,
         members=members,
         c1=_get(sections, "attractor", "c1", float, 1.0),
         c2=_get(sections, "attractor", "c2", float, 1.0),
         delta=_get(sections, "attractor", "delta", float, 0.0),
-        forcing=forcing,
+        forcing=_forcing(sections, "attractor", grid, seed),
         horizon=_get(sections, "attractor", "horizon", float, 40.0),
         dt=_get(sections, "attractor", "dt", float, 0.01),
         sample_every=_get(sections, "attractor", "sample_every", int, 10),

@@ -7,8 +7,8 @@ periodic box each tail mode of the plain remainder carries the resonant
 lattice dressing (e^{-i sigma(xi) t} - 1) e^{it Lap} u0, so the plain
 remainder refines like the linear part; it is the gauged remainder (see
 resonant_gauge_phase) whose H^{s+a} norm converges under grid refinement
-although the linear part's diverges like M^a.  The growth of the nonlinear
-part in time is compared against the envelope C <t>^{1 + beta(s) (3 + 2/s)}.
+although the linear part's diverges like M^a.  The growth in time of the
+gauged remainder is compared against the envelope C <t>^{1 + beta(s) (3 + 2/s)}.
 """
 from __future__ import annotations
 
@@ -105,18 +105,26 @@ def make_rough_data(spec: RoughDataSpec, grid: GridSpec) -> SpectralField:
     return SpectralField(grid, magnitude * np.exp(1j * phases), FOURIER)
 
 
-def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float) -> SpectralField:
-    """Duhamel remainder u(t) - e^{it Lap} u0 at a sampled time."""
+def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float, sigma=0.0) -> SpectralField:
+    """Duhamel remainder u(t) - e^{-i sigma t} e^{it Lap} u0 at a sampled time.
+
+    sigma = 0 gives the plain remainder; sigma = resonant_gauge_phase(u0, c1,
+    c2) gives the gauged one, whose comparison flow carries the lattice
+    dressing of the datum tail and so leaves the grid-convergent remainder.
+    """
     u_t = to_fourier(traj.field_at(t))
-    linear = free_evolve(to_fourier(u0), t)
-    return SpectralField(u0.grid, u_t.values - linear.values, FOURIER)
+    linear = free_evolve(to_fourier(u0), t).values
+    if np.any(sigma):
+        linear *= np.exp(-1j * sigma * t)  # free_evolve returned a fresh array
+    return SpectralField(u0.grid, u_t.values - linear, FOURIER)
 
 
 def smoothing_report(
-    traj: Trajectory, u0: SpectralField, s: float, a: float
+    traj: Trajectory, u0: SpectralField, c1: float, c2: float, s: float, a: float
 ) -> SmoothingReport:
-    """Measure ||N(t)||_{H^{s+a}} against C <t>^{1+beta(s)(3+2/s)}.
+    """Measure the gauged ||N(t)||_{H^{s+a}} against C <t>^{1+beta(s)(3+2/s)}.
 
+    N(t) is gauged by u0's resonant phase under c1, c2, built once per call.
     C is fitted at the first probe time with a positive measurement; every
     later sample exceeding the envelope is flagged.  a < min(1/2, s - 1/2)
     is the regime the theory covers; other a values are allowed for sweeps.
@@ -128,12 +136,12 @@ def smoothing_report(
             f"a = {a} is outside the guaranteed range for s = {s}", stacklevel=2
         )
     times = np.asarray(traj.times, dtype=float)
+    sigma = resonant_gauge_phase(u0, c1, c2)
     nonlinear = np.array(
-        [sobolev_norm(nonlinear_part(traj, u0, t), s + a) for t in times]
+        [sobolev_norm(nonlinear_part(traj, u0, t, sigma), s + a) for t in times]
     )
     solution = np.array([sobolev_norm(f, s) for f in traj.fields])
-    beta = beta_growth(s)
-    exponent = 1.0 + beta * (3.0 + 2.0 / s)
+    exponent = envelope_exponent(s)
     bracket_t = np.sqrt(1.0 + times**2)
     positive = np.nonzero(nonlinear > 0)[0]
     if len(positive):
@@ -149,7 +157,7 @@ def smoothing_report(
         solution_norms=solution,
         s=s,
         a=a,
-        beta=beta,
+        beta=beta_growth(s),
         envelope_constant=constant,
         envelope=envelope,
         violations=violations,
@@ -176,21 +184,6 @@ def resonant_gauge_phase(datum: SpectralField, c1: float, c2: float) -> np.ndarr
     rho = np.abs(hat.values) ** 2
     conv = np.real(np.fft.ifft2(np.fft.fft2(datum.grid.alpha_symbol) * np.fft.fft2(rho)))
     return 2.0 * c1 * float(np.sum(rho)) + c2 * conv
-
-
-def gauged_nonlinear_part(
-    traj: Trajectory, u0: SpectralField, t: float, c1: float, c2: float
-) -> SpectralField:
-    """Duhamel remainder against the resonantly gauged free flow.
-
-    Same as nonlinear_part but the comparison flow carries the extra phase
-    exp(-i sigma(xi) t) from resonant_gauge_phase, which removes the lattice
-    dressing of the datum tail and leaves the grid-convergent remainder.
-    """
-    u_t = to_fourier(traj.field_at(t))
-    sigma = resonant_gauge_phase(u0, c1, c2)
-    linear = free_evolve(to_fourier(u0), t).values * np.exp(-1j * sigma * t)
-    return SpectralField(u0.grid, u_t.values - linear, FOURIER)
 
 
 def refinement_study(
@@ -224,10 +217,9 @@ def refinement_study(
         # matches the datum actually integrated (dealiasing masks it)
         datum = traj.fields[0]
         linear = sobolev_norm(free_evolve(datum, t_probe), s + a)
+        sigma = resonant_gauge_phase(datum, cfg.c1, cfg.c2)
         nonlinear = sobolev_norm(nonlinear_part(traj, datum, t_probe), s + a)
-        gauged = sobolev_norm(
-            gauged_nonlinear_part(traj, datum, t_probe, cfg.c1, cfg.c2), s + a
-        )
+        gauged = sobolev_norm(nonlinear_part(traj, datum, t_probe, sigma), s + a)
         rows.append(
             {
                 "M": m,

@@ -327,7 +327,8 @@ def sample_block_specs(case: str, count: int, seed: int = 0, lattice=None):
     a bound sweep but dominate its runtime. Only SupportCapExceeded means
     "redraw"; any other error from the enumeration propagates. The probe goes
     through the module-level name ``block_multiplier``, so wrapping that name
-    counts every probe.
+    counts every probe. Raises SupportCapExceeded when the sampler stalls
+    and every candidate it probed hit the cap, RuntimeError on other stalls.
     """
     if lattice is None:
         lattice = BlockLattice()
@@ -336,10 +337,15 @@ def sample_block_specs(case: str, count: int, seed: int = 0, lattice=None):
     )
     rng = np.random.default_rng(seed)
     out = []
-    guard = 0
+    guard = probed = capped = 0
     while len(out) < count:
         guard += 1
         if guard > 200 * count:
+            if probed and capped == probed:
+                raise SupportCapExceeded(
+                    f"every probed {case!r} candidate exceeds the support cap "
+                    f"min(max_support, 60000) = {probe.max_support}"
+                )
             raise RuntimeError(f"sampler stalled for case {case!r}")
         spec = _draw_spec(case, rng)
         if spec is None or not spec.is_admissible:
@@ -347,10 +353,12 @@ def sample_block_specs(case: str, count: int, seed: int = 0, lattice=None):
         got, _ = block_bound(spec)
         if got != case:
             continue
+        probed += 1
         try:
             if block_multiplier(spec, probe).is_empty:
                 continue
         except SupportCapExceeded:
+            capped += 1
             continue
         out.append(spec)
     return out
@@ -360,23 +368,26 @@ def _dyadic_choice(rng, lo_exp: int, hi_exp: int) -> float:
     return float(2.0 ** rng.integers(lo_exp, hi_exp + 1))
 
 
+def _draw_modulations(rng, h: float):
+    """Two small modulation shells and a top one at least max(l_med, h), shuffled."""
+    l_small = sorted(_dyadic_choice(rng, 0, 2) for _ in range(2))
+    l_top = max(l_small[1], h) * rng.choice([1.0, 2.0])
+    return rng.permutation([l_small[0], l_small[1], l_top])
+
+
 def _draw_spec(case: str, rng):
     if case == PLUS_PLUS_PLUS:
         n_hi = _dyadic_choice(rng, 1, 2)
         ns = rng.permutation([n_hi, n_hi, _dyadic_choice(rng, 0, int(math.log2(n_hi)))])
         h = n_hi**2 * _dyadic_choice(rng, 0, 1)
-        l_small = sorted(_dyadic_choice(rng, 0, 2) for _ in range(2))
-        l_top = max(l_small[1], h) * rng.choice([1.0, 2.0])
-        ls = rng.permutation([l_small[0], l_small[1], l_top])
+        ls = _draw_modulations(rng, h)
         return DyadicBlockSpec(*ns, *ls, h, signs=(1, 1, 1))
     if case == HIGH_PARALLEL:
         n_hi = _dyadic_choice(rng, 1, 2)
         ns = [n_hi, n_hi * rng.choice([0.5, 1.0]), 0.0]
         ns[2] = _dyadic_choice(rng, 0, int(math.log2(min(ns[0], ns[1]))))
         h = _dyadic_choice(rng, 1, int(math.log2(2 * n_hi * n_hi)))
-        l_small = sorted(_dyadic_choice(rng, 0, 2) for _ in range(2))
-        l_top = max(l_small[1], h) * rng.choice([1.0, 2.0])
-        ls = rng.permutation([l_small[0], l_small[1], l_top])
+        ls = _draw_modulations(rng, h)
         return DyadicBlockSpec(*ns, *ls, h, signs=(1, 1, -1))
     if case == COHERENT:
         n_hi = _dyadic_choice(rng, 1, 2)
@@ -399,8 +410,6 @@ def _draw_spec(case: str, rng):
         if max(ns) > 4 * sorted(ns)[1]:
             return None
         h = _dyadic_choice(rng, 0, 2)
-        l_small = sorted(_dyadic_choice(rng, 0, 2) for _ in range(2))
-        l_top = max(l_small[1], h) * rng.choice([1.0, 2.0])
-        ls = rng.permutation([l_small[0], l_small[1], l_top])
+        ls = _draw_modulations(rng, h)
         return DyadicBlockSpec(*ns, *ls, h, signs=(1, 1, -1))
     raise ValueError(f"unknown case {case!r}")

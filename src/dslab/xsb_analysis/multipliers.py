@@ -37,6 +37,8 @@ class Gamma3Multiplier:
         for p in pts:
             if p.shape != (n, 3):
                 raise ValueError("points arrays must be (n, 3)")
+        if not all(np.isfinite(a).all() for a in (*pts, self.values)):
+            raise ValueError("points and values must be finite")
         if n:
             closure = pts[0] + pts[1] + pts[2]
             if np.max(np.abs(closure)) > 1e-9:

@@ -236,3 +236,8 @@ class TestBlocks:
         lines = (out1 / entry["path"]).read_text(encoding="utf-8").splitlines()
         assert len(lines) - 1 == entry["rows"] == 2
         assert lines[1].startswith("plus_plus_plus,") and lines[2].startswith("coherent,")
+
+    def test_too_small_max_support_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[blocks]\ncases = generic\nper_case = 1\nmax_support = 10\n")
+        assert main(["blocks", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "max_support" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from dslab.smoothing_diagnostics import (
     RoughDataSpec,
     beta_growth,
     envelope_exponent,
-    gauged_nonlinear_part,
     local_time,
     make_rough_data,
     nonlinear_part,
@@ -214,8 +213,10 @@ class TestResonantGauge:
         with pytest.warns(UserWarning):
             cfg = SolverConfig(c1=0.0, c2=0.0, dt=0.01, t_end=0.1)
         traj = evolve(u0, cfg)
+        sigma = resonant_gauge_phase(traj.fields[0], 0.0, 0.0)
+        assert not np.any(sigma)
         a = nonlinear_part(traj, traj.fields[0], 0.1)
-        b = gauged_nonlinear_part(traj, traj.fields[0], 0.1, 0.0, 0.0)
+        b = nonlinear_part(traj, traj.fields[0], 0.1, sigma)
         assert np.max(np.abs(a.values - b.values)) == 0.0
 
 
@@ -223,7 +224,7 @@ class TestSmoothingReport:
     def test_zero_datum_all_zero(self):
         grid = GridSpec(32, TWO_PI)
         traj = evolve(SpectralField.zeros(grid), SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=0.1))
-        rep = smoothing_report(traj, traj.fields[0], s=0.6, a=0.05)
+        rep = smoothing_report(traj, traj.fields[0], 1.0, 1.0, s=0.6, a=0.05)
         assert np.all(rep.nonlinear_norms == 0.0)
         assert rep.envelope_constant == 0.0
         assert not rep.violations.any()
@@ -234,7 +235,7 @@ class TestSmoothingReport:
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=25)
         traj = evolve(u0, cfg)
         with pytest.warns(UserWarning):  # a beyond the guaranteed range
-            rep = smoothing_report(traj, traj.fields[0], s=0.6, a=0.3)
+            rep = smoothing_report(traj, traj.fields[0], cfg.c1, cfg.c2, s=0.6, a=0.3)
         assert rep.beta == pytest.approx(0.36)
         # envelope must equal C <t>^{3.28} with C anchored at the first probe
         t1 = rep.times[1]
@@ -249,8 +250,47 @@ class TestSmoothingReport:
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=10.0, sample_every=125)
         traj = evolve(u0, cfg)
         with pytest.warns(UserWarning):
-            rep = smoothing_report(traj, traj.fields[0], s=0.6, a=0.3)
+            rep = smoothing_report(traj, traj.fields[0], cfg.c1, cfg.c2, s=0.6, a=0.3)
         assert not rep.violations.any()
+
+    def test_series_is_the_gauged_remainder(self):
+        grid = GridSpec(32, TWO_PI)
+        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
+        cfg = SolverConfig(c1=1.0, c2=0.7, dt=0.01, t_end=0.5, sample_every=10)
+        traj = evolve(u0, cfg)
+        datum = traj.fields[0]
+        rep = smoothing_report(traj, datum, cfg.c1, cfg.c2, s=0.6, a=0.05)
+        sigma = resonant_gauge_phase(datum, cfg.c1, cfg.c2)
+        for k, t in enumerate(traj.times):
+            assert rep.nonlinear_norms[k] == sobolev_norm(
+                nonlinear_part(traj, datum, t, sigma), 0.65
+            )
+        # the gauge is not the identity here: the plain remainder differs
+        plain = sobolev_norm(nonlinear_part(traj, datum, traj.times[-1]), 0.65)
+        assert rep.nonlinear_norms[-1] != plain
+
+    @pytest.mark.parametrize("sample_every,samples", [(25, 5), (5, 21)])
+    def test_gauge_phase_built_once(self, monkeypatch, sample_every, samples):
+        # resonant_gauge_phase costs 3 transforms; the remainders cost none
+        grid = GridSpec(32, TWO_PI)
+        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
+        cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=sample_every)
+        traj = evolve(u0, cfg)
+        assert len(traj.times) == samples
+        calls = [0]
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+                patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+            smoothing_report(traj, traj.fields[0], cfg.c1, cfg.c2, s=0.6, a=0.05)
+        assert calls[0] == 3
 
     def test_empty_trajectory_rejected(self):
         from dslab.ds_solver import Trajectory
@@ -262,7 +302,7 @@ class TestSmoothingReport:
         )
         grid = GridSpec(32, TWO_PI)
         with pytest.raises(ValueError):
-            smoothing_report(empty, SpectralField.zeros(grid), 0.6, 0.05)
+            smoothing_report(empty, SpectralField.zeros(grid), 1.0, 1.0, 0.6, 0.05)
 
 
 class TestRefinementStudy:

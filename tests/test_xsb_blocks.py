@@ -50,6 +50,19 @@ class TestGamma3Multiplier:
         with pytest.raises(ValueError, match="zero-sum"):
             Gamma3Multiplier(p, p, p, np.ones(1))
 
+    def test_non_finite_points_rejected(self):
+        # NaN compares False against the closure tolerance, so it needs its own check
+        p1 = np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        p2 = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="finite"):
+            Gamma3Multiplier(p1, p2, -(p1 + p2), np.ones(2))
+
+    def test_non_finite_values_rejected(self):
+        p1, p2, p3 = random_closed_support(np.random.default_rng(1), 3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Gamma3Multiplier(p1, p2, p3, np.array([1.0, bad, 1.0]))
+
     def test_labels_and_sizes(self):
         rng = np.random.default_rng(0)
         p1, p2, p3 = random_closed_support(rng, 12)
@@ -453,6 +466,16 @@ class TestSampler:
         with pytest.raises(ValueError, match="zero-sum") as info:
             sample_block_specs(GENERIC, 1, seed=7)
         assert not isinstance(info.value, SupportCapExceeded)
+
+    def test_stall_at_the_cap_names_max_support(self):
+        with pytest.raises(SupportCapExceeded, match="max_support"):
+            sample_block_specs(GENERIC, 1, seed=7, lattice=BlockLattice(max_support=10))
+
+    def test_other_stalls_stay_runtime_errors(self, monkeypatch):
+        empty = Gamma3Multiplier(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
+        monkeypatch.setattr(blocks, "block_multiplier", lambda spec, lattice: empty)
+        with pytest.raises(RuntimeError, match="stalled"):
+            sample_block_specs(GENERIC, 1, seed=7)
 
     def test_unknown_case(self):
         with pytest.raises(ValueError, match="unknown case"):
