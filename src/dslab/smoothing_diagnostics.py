@@ -114,8 +114,7 @@ def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float, sigma=0.0) -> 
     """
     u_t = to_fourier(traj.field_at(t))
     linear = free_evolve(to_fourier(u0), t).values
-    if np.any(sigma):
-        linear *= np.exp(-1j * sigma * t)  # free_evolve returned a fresh array
+    linear *= np.exp(-1j * sigma * t)  # free_evolve returned a fresh array
     return SpectralField(u0.grid, u_t.values - linear, FOURIER)
 
 
