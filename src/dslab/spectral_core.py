@@ -202,5 +202,11 @@ def lebesgue_norm(field: SpectralField, p: float) -> float:
 
 
 def loglog_slope(x, y) -> float:
-    """Least-squares slope of log(y) against log(x); x and y must be positive."""
+    """Least-squares slope of log(y) against log(x); x and y must be positive.
+
+    Raises ValueError unless x holds at least two distinct values: a line
+    through one abscissa has no slope.
+    """
+    if np.unique(x).size < 2:
+        raise ValueError("slope fit needs at least two distinct x values")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -10,6 +10,21 @@ high x low x low family is capped at N^{a + b - 3/2} for any xi2-width of
 v = w, so it does not probe the a = 1/2 threshold. Every N in a sweep is
 measured on one fixed grid: envelopes stay put while only the carrier and
 box widths change.
+
+Every packet is a product of 1D boxes, U1(xi1) U2(xi2) U3(tau), and K acts
+in space only, so the output spectrum of (c1 I + c2 K)(u conj(v)) w is
+exactly B(xi1, xi2) c(tau), with every transform norm="forward":
+
+    B = fft2[ ifft2((P1 (x) P2) (c1 + c2 alpha(xi + d))) (w1 (x) w2) ],
+    c = fft(u3 conj(v3) w3),   P_i = fft(u_i conj(v_i)),
+
+where u_i, v_i, w_i are the physical 1D factors and d is the spatial carrier
+difference of u and v. knapp_sweep runs on these factors (knapp_factors,
+separable_output_spectrum, separable_xsb_norm): two M x M transforms per
+ladder point, and every X^{s,b} norm summed over chunks of xi1 rows, so no
+(M, M, M_t) array is built. trilinear_output_spectrum, trilinear_ratio,
+output_ratio and xsb_norm are the general-field oracle on dense fields;
+knapp_triple expands the factors into those fields.
 """
 from __future__ import annotations
 
@@ -22,10 +37,14 @@ from ..spectral_core import FOURIER, GridSpec, loglog_slope
 from .spacetime import (
     SpaceTimeField,
     SpaceTimeGrid,
-    to_fourier3,
     to_physical3,
     xsb_norm,
+    xsb_weight_squared,
 )
+
+# xi1 rows per weight chunk of separable_xsb_norm: one chunk holds
+# _ROW_CHUNK * M * M_t doubles (2 MB at M = 512, M_t = 32)
+_ROW_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -71,18 +90,38 @@ def _check_representable(cfg: KnappConfig, grid: SpaceTimeGrid) -> None:
         )
 
 
-def _box_indicator(
-    grid: SpaceTimeGrid, xi1_half: float, xi2_half: float, tau_half: float
-) -> np.ndarray:
-    """Half-open product box [-W, W) per axis, in envelope coordinates."""
-    sp = grid.spatial
-    f = sp.frequencies
-    in1 = (f >= -xi1_half) & (f < xi1_half)
-    in2 = (f >= -xi2_half) & (f < xi2_half)
-    int_ = (grid.taus >= -tau_half) & (grid.taus < tau_half)
-    out = np.zeros((sp.modes_per_axis, sp.modes_per_axis, grid.time_samples))
-    out[np.ix_(in1, in2, int_)] = 1.0
-    return out.astype(np.complex128)
+@dataclass(frozen=True)
+class BoxFactors:
+    """Fourier data xi1 (x) xi2 (x) tau of a product-box packet, plus its carrier."""
+
+    xi1: np.ndarray
+    xi2: np.ndarray
+    tau: np.ndarray
+    carrier: tuple
+
+    def dense(self) -> np.ndarray:
+        """The (M, M, M_t) outer product of the three factors."""
+        return self.xi1[:, None, None] * self.xi2[None, :, None] * self.tau[None, None, :]
+
+    def physical(self) -> tuple:
+        """The 1D physical factors; their product is the envelope in space-time."""
+        return tuple(np.fft.ifft(f, norm="forward") for f in (self.xi1, self.xi2, self.tau))
+
+
+def _box(freqs: np.ndarray, half: float) -> np.ndarray:
+    """Half-open box [-W, W) on one axis, in envelope coordinates."""
+    return ((freqs >= -half) & (freqs < half)).astype(np.complex128)
+
+
+def knapp_factors(cfg: KnappConfig, grid: SpaceTimeGrid) -> tuple[BoxFactors, BoxFactors]:
+    """1D factors of u, the tube at (0, N, -N^2), and of v = w, the squat box."""
+    _check_representable(cfg, grid)
+    n = cfg.N
+    f = grid.spatial.frequencies
+    tau = _box(grid.taus, 1.0)
+    u = BoxFactors(_box(f, 1.0), _box(f, 1.0 / n), tau, (0.0, float(n), -float(n) ** 2))
+    v = BoxFactors(_box(f, 1.0), _box(f, 1.0 / np.sqrt(n)), tau, (0.0, 0.0, 0.0))
+    return u, v
 
 
 def knapp_triple(
@@ -90,29 +129,29 @@ def knapp_triple(
 ) -> tuple[SpaceTimeField, SpaceTimeField, SpaceTimeField]:
     """Indicator data: u on the tube at (0, N, -N^2), v = w on the squat box.
 
-    v and w share storage; treat the returned fields as read-only.
+    The dense expansion of knapp_factors. v and w share storage; treat the
+    returned fields as read-only.
     """
-    _check_representable(cfg, grid)
-    n = cfg.N
-    u = SpaceTimeField(
-        grid,
-        _box_indicator(grid, 1.0, 1.0 / n, 1.0),
-        FOURIER,
-        xi1_offset=0.0,
-        xi2_offset=float(n),
-        tau_offset=-float(n) ** 2,
-    )
-    v = SpaceTimeField(grid, _box_indicator(grid, 1.0, 1.0 / np.sqrt(n), 1.0), FOURIER)
-    w = SpaceTimeField(grid, v.values, FOURIER)
+    fu, fv = knapp_factors(cfg, grid)
+    u = SpaceTimeField(grid, fu.dense(), FOURIER, *fu.carrier)
+    v = SpaceTimeField(grid, fv.dense(), FOURIER, *fv.carrier)
+    w = SpaceTimeField(grid, v.values, FOURIER, *fv.carrier)
     return u, v, w
 
 
-def _product_carrier(u: SpaceTimeField, v: SpaceTimeField, w: SpaceTimeField) -> tuple:
-    return (
-        u.xi1_offset - v.xi1_offset + w.xi1_offset,
-        u.xi2_offset - v.xi2_offset + w.xi2_offset,
-        u.tau_offset - v.tau_offset + w.tau_offset,
-    )
+def _product_carrier(cu: tuple, cv: tuple, cw: tuple) -> tuple:
+    """Carrier of u conj(v) w from the carriers of u, v and w."""
+    return tuple(a - b + c for a, b, c in zip(cu, cv, cw))
+
+
+def _pair_symbol(sp: GridSpec, d1: float, d2: float, c1: float, c2: float) -> np.ndarray:
+    """c1 + c2 alpha on the lattice shifted by the carrier difference (d1, d2) of u and v."""
+    xi1 = sp.xi1 + d1
+    xi2 = sp.xi2 + d2
+    xi_sq = xi1**2 + xi2**2
+    with np.errstate(invalid="ignore"):
+        alpha = np.where(xi_sq > 0, xi1**2 / np.where(xi_sq > 0, xi_sq, 1.0), 0.0)
+    return c1 + c2 * alpha
 
 
 def trilinear_output_spectrum(
@@ -130,24 +169,19 @@ def trilinear_output_spectrum(
     grid = u.grid
     if v.grid != grid or w.grid != grid:
         raise ValueError("fields live on different grids")
-    sp = grid.spatial
     pair = to_physical3(u).values * np.conj(to_physical3(v).values)
     pair_hat = np.fft.fft2(pair, axes=(0, 1), norm="forward")
     del pair
     d1 = u.xi1_offset - v.xi1_offset
     d2 = u.xi2_offset - v.xi2_offset
-    xi1 = sp.xi1 + d1
-    xi2 = sp.xi2 + d2
-    xi_sq = xi1**2 + xi2**2
-    with np.errstate(invalid="ignore"):
-        alpha = np.where(xi_sq > 0, xi1**2 / np.where(xi_sq > 0, xi_sq, 1.0), 0.0)
-    pair_hat *= (c1 + c2 * alpha)[:, :, None]
+    pair_hat *= _pair_symbol(grid.spatial, d1, d2, c1, c2)[:, :, None]
     acted = np.fft.ifft2(pair_hat, axes=(0, 1), norm="forward")
     del pair_hat
     acted *= to_physical3(w).values
     out_hat = np.fft.fftn(acted, norm="forward")
     del acted
-    return SpaceTimeField(grid, out_hat, FOURIER, *_product_carrier(u, v, w))
+    carrier = _product_carrier(u.carrier, v.carrier, w.carrier)
+    return SpaceTimeField(grid, out_hat, FOURIER, *carrier)
 
 
 def trilinear_ratio(
@@ -173,6 +207,64 @@ def output_ratio(out: SpaceTimeField, s: float, a: float, b: float) -> float:
     return xsb_norm(out, s + a, b - 1.0)
 
 
+def separable_output_spectrum(
+    u: BoxFactors,
+    v: BoxFactors,
+    w: BoxFactors,
+    grid: SpaceTimeGrid,
+    c1: float,
+    c2: float,
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(B, c, carrier): the Fourier data of (c1 I + c2 K)(u conj(v)) w is B (x) c.
+
+    Equals trilinear_output_spectrum on the dense expansions of u, v and w.
+    """
+    u1, u2, u3 = u.physical()
+    v1, v2, v3 = v.physical()
+    w1, w2, w3 = w.physical()
+    p1 = np.fft.fft(u1 * np.conj(v1), norm="forward")
+    p2 = np.fft.fft(u2 * np.conj(v2), norm="forward")
+    d1 = u.carrier[0] - v.carrier[0]
+    d2 = u.carrier[1] - v.carrier[1]
+    pair_hat = np.outer(p1, p2) * _pair_symbol(grid.spatial, d1, d2, c1, c2)
+    acted = np.fft.ifft2(pair_hat, norm="forward")
+    acted *= np.outer(w1, w2)
+    spatial = np.fft.fft2(acted, norm="forward")
+    tau = np.fft.fft(u3 * np.conj(v3) * w3, norm="forward")
+    if not (np.all(np.isfinite(spatial)) and np.all(np.isfinite(tau))):
+        raise ValueError("values must be finite")
+    return spatial, tau, _product_carrier(u.carrier, v.carrier, w.carrier)
+
+
+def separable_xsb_norm(
+    grid: SpaceTimeGrid,
+    spatial: np.ndarray,
+    tau: np.ndarray,
+    carrier: tuple,
+    s: float,
+    b: float,
+) -> float:
+    """xsb_norm of the field with Fourier values spatial (x) tau and this carrier.
+
+    Sums |spatial|^2 times the weight contracted with |tau|^2 over its tau
+    axis, in chunks of _ROW_CHUNK xi1 rows; rows where spatial vanishes are
+    skipped.
+    """
+    spatial_sq = spatial.real**2 + spatial.imag**2
+    tau_sq = tau.real**2 + tau.imag**2
+    rows = np.flatnonzero(np.any(spatial_sq > 0.0, axis=1))
+    total = 0.0
+    for start in range(0, rows.size, _ROW_CHUNK):
+        chunk = rows[start : start + _ROW_CHUNK]
+        w2 = xsb_weight_squared(grid, s, b, 1, carrier, rows=chunk)
+        total += float(np.sum((w2 @ tau_sq) * spatial_sq[chunk]))
+    return float(np.sqrt(grid.volume * total))
+
+
+def _packet_norm(f: BoxFactors, grid: SpaceTimeGrid, s: float, b: float) -> float:
+    return separable_xsb_norm(grid, np.outer(f.xi1, f.xi2), f.tau, f.carrier, s, b)
+
+
 @dataclass(frozen=True)
 class KnappSweepResult:
     n_values: tuple
@@ -195,23 +287,27 @@ def knapp_sweep(
 ) -> KnappSweepResult:
     """Fit log(ratio) against log(N) over a geometric ladder of box sizes.
 
-    Ratios equal trilinear_ratio's; ||w|| = ||v|| is reused, as knapp_triple's
-    w shares v's storage and carrier."""
+    Ratios equal trilinear_ratio's on knapp_triple, computed on the 1D factors
+    (separable_output_spectrum, separable_xsb_norm); ||w|| = ||v|| is reused,
+    as w has v's factors and carrier.
+    """
     n_list = [float(n) for n in n_list]
     if len(n_list) < 4:
         raise ValueError("need at least 4 values of N")
     quotients = [n_list[i + 1] / n_list[i] for i in range(len(n_list) - 1)]
     if any(abs(q - quotients[0]) > 1e-12 * quotients[0] for q in quotients):
         raise ValueError("N values must be geometrically spaced")
+    if abs(quotients[0] - 1.0) <= 1e-12:
+        raise ValueError("N values must be distinct: the common ratio is 1")
     if grid is None:
         grid = knapp_grid(max(n_list))
     u_norms, v_norms, ratios = [], [], []
     for n in n_list:
-        u, v, w = knapp_triple(KnappConfig(N=n, s=s, a=a, b=b), grid)
-        u_norms.append(xsb_norm(u, s, b))
-        v_norms.append(xsb_norm(v, s, b))
-        # left unnamed, the 3D output spectrum is freed before the next point's
-        num = output_ratio(trilinear_output_spectrum(u, v, w, c1, c2), s, a, b)
+        fu, fv = knapp_factors(KnappConfig(N=n, s=s, a=a, b=b), grid)
+        u_norms.append(_packet_norm(fu, grid, s, b))
+        v_norms.append(_packet_norm(fv, grid, s, b))
+        spatial, tau, carrier = separable_output_spectrum(fu, fv, fv, grid, c1, c2)
+        num = separable_xsb_norm(grid, spatial, tau, carrier, s + a, b - 1.0)
         ratios.append(num / (u_norms[-1] * v_norms[-1] * v_norms[-1]))
     return KnappSweepResult(
         n_values=tuple(n_list),

@@ -128,17 +128,22 @@ def xsb_weight_squared(
     b: float,
     sign: int,
     carrier: tuple = (0.0, 0.0, 0.0),
+    rows=slice(None),
 ) -> np.ndarray:
-    """Squared weight <xi>^{2s} <tau + sign |xi|^2>^{2b} at true frequencies."""
+    """Squared weight <xi>^{2s} <tau + sign |xi|^2>^{2b} at true frequencies.
+
+    rows selects xi1 rows (a slice or an index array), so a norm can be
+    summed chunk by chunk without building the full (M, M, M_t) weight.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     sp = grid.spatial
-    xi1 = sp.xi1 + carrier[0]
-    xi2 = sp.xi2 + carrier[1]
+    xi1 = sp.xi1[rows] + carrier[0]
+    xi2 = sp.xi2[rows] + carrier[1]
     xi_sq = xi1**2 + xi2**2
     taus = grid.taus + carrier[2]
     tau_plus = taus[None, None, :] + sign * xi_sq[:, :, None]
-    return (1.0 + xi_sq[:, :, None]) ** s * (1.0 + tau_plus**2) ** b
+    return ((1.0 + xi_sq) ** s)[:, :, None] * (1.0 + tau_plus**2) ** b
 
 
 def xsb_norm(F: SpaceTimeField, s: float, b: float, sign: int = 1) -> float:

@@ -33,18 +33,8 @@ from dslab.spectral_core import (
     sobolev_norm,
     to_physical,
 )
-from dslab.xsb_analysis import (
-    KnappConfig,
-    knapp_grid,
-    knapp_sweep,
-    knapp_triple,
-    norm_2Z,
-    trilinear_output_spectrum,
-    ttstar_pair,
-    xsb_norm,
-)
+from dslab.xsb_analysis import knapp_grid, knapp_sweep, norm_2Z, ttstar_pair
 from dslab.xsb_analysis.blocks import CASES, check_block_bounds, sample_block_specs
-from dslab.xsb_analysis.knapp import output_ratio
 
 TWO_PI = 2.0 * np.pi
 
@@ -209,19 +199,7 @@ def test_criterion_07_sharpness_exponent_ladder():
     a_values = (0.3, 0.5, 0.7)
     n_values = (8.0, 16.0, 32.0, 64.0)
     grid = knapp_grid(max(n_values))
-    ratios = {a: [] for a in a_values}
-    for n in n_values:
-        u, v, w = knapp_triple(KnappConfig(N=n, s=s, a=a_values[0], b=b), grid)
-        vw = xsb_norm(v, s, b)  # v and w share storage
-        den = xsb_norm(u, s, b) * vw * vw
-        out = trilinear_output_spectrum(u, v, w, 1.0, 1.0)
-        for a in a_values:
-            ratios[a].append(output_ratio(out, s, a, b) / den)
-        del u, v, w, out
-    slopes = {
-        a: float(np.polyfit(np.log(n_values), np.log(ratios[a]), 1)[0])
-        for a in a_values
-    }
+    slopes = {a: knapp_sweep(n_values, s=s, a=a, b=b, grid=grid).slope for a in a_values}
     spacing = (slopes[0.5] - slopes[0.3], slopes[0.7] - slopes[0.5])
     elapsed = time.time() - start
     # box count for this triple: u is a 1 x 1/N x 1 tube, v = w are

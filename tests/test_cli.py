@@ -152,6 +152,16 @@ class TestSmoothing:
             assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 0
         assert read_manifest(out)["details"]["exploratory"] is False
 
+    def test_repeated_modes_exit_2(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[smoothing]\nmodes = 32,32,32\ns = 1.4\na = 0.3\namplitude = 0.01\n"
+            "t_probe = 0.5\ndt = 0.05\ndomain_length = 6.283185307179586\n",
+        )
+        out = tmp_path / "o"
+        assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "manifest.json").exists()
+
 
 class TestKnapp:
     def test_sweep_writes_ratio_table(self, tmp_path):
@@ -172,6 +182,12 @@ class TestKnapp:
         assert main(["knapp", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "1/N" in err and "dxi" in err
+
+    def test_repeated_n_values_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, "[knapp]\nn_values = 8,8,8,8\n")
+        out = tmp_path / "o"
+        assert main(["knapp", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "manifest.json").exists()
 
 
 class TestAttractor:

@@ -10,6 +10,7 @@ from dslab.spectral_core import (
     apply_K,
     free_evolve,
     lebesgue_norm,
+    loglog_slope,
     sobolev_norm,
     to_fourier,
     to_physical,
@@ -226,3 +227,14 @@ class TestNorms:
     def test_nonpositive_exponent_rejected(self, grid):
         with pytest.raises(ValueError):
             lebesgue_norm(random_field(grid, seed=1), 0.0)
+
+
+class TestLoglogSlope:
+    def test_recovers_power_law(self):
+        x = np.array([8.0, 16.0, 32.0, 64.0])
+        assert loglog_slope(x, 3.0 * x**-0.75) == pytest.approx(-0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [[8.0, 8.0, 8.0, 8.0], [32.0]])
+    def test_needs_two_distinct_abscissae(self, x):
+        with pytest.raises(ValueError, match="distinct"):
+            loglog_slope(x, np.linspace(1.0, 2.0, len(x)))

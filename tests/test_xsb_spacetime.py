@@ -1,4 +1,5 @@
 """Tests for space-time fields, dispersive norms, and Knapp packets."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from dslab.xsb_analysis import (
     SpaceTimeField,
     SpaceTimeGrid,
     free_solution_field,
+    knapp_factors,
     knapp_grid,
     knapp_sweep,
     knapp_triple,
@@ -18,9 +20,14 @@ from dslab.xsb_analysis import (
     trilinear_ratio,
     xsb_norm,
 )
-from dslab.xsb_analysis import knapp as knapp_module
-from dslab.xsb_analysis import spacetime as spacetime_module
-from dslab.xsb_analysis.knapp import output_ratio, trilinear_output_spectrum
+from dslab.xsb_analysis.knapp import (
+    BoxFactors,
+    output_ratio,
+    separable_output_spectrum,
+    separable_xsb_norm,
+    trilinear_output_spectrum,
+)
+from dslab.xsb_analysis.spacetime import xsb_weight_squared
 
 
 def small_grid(m=16, mt=64, length=4.0 * np.pi, window=4.0 * np.pi) -> SpaceTimeGrid:
@@ -215,6 +222,18 @@ class TestKnappGeometry:
         assert u_counts == [axis1 * 64 // n for n in (4, 8, 16, 32)]
         assert v_counts == [axis1 * c for c in (32, 23, 16, 11)]
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_triple_is_the_outer_product_of_the_factors(self, n):
+        g = knapp_grid(16, time_samples=8)
+        cfg = KnappConfig(N=n, s=0.6, a=0.3)
+        fu, fv = knapp_factors(cfg, g)
+        u, v, w = knapp_triple(cfg, g)
+        for field, f in ((u, fu), (v, fv), (w, fv)):
+            outer = np.multiply.outer(np.multiply.outer(f.xi1, f.xi2), f.tau)
+            assert np.array_equal(field.values, outer)
+            assert field.carrier == f.carrier
+        assert fu.carrier == (0.0, float(n), -float(n) ** 2)
+
 
 def closed_form_norm(grid, idx, amp, carrier, s, b):
     freqs = grid.spatial.frequencies
@@ -343,12 +362,70 @@ class TestTrilinearRatio:
         assert output_ratio(out, 0.6, 0.3, 0.51) / den == pytest.approx(direct, rel=1e-13)
 
 
+class TestSeparableEngine:
+    @pytest.mark.parametrize("n_max", [4, 8, 16])
+    @pytest.mark.parametrize("c1, c2", [(1.3, 0.7), (1.0, 0.0), (0.0, 1.0)])
+    def test_output_spectrum_matches_dense_oracle(self, n_max, c1, c2):
+        g = knapp_grid(n_max)
+        cfg = KnappConfig(N=n_max, s=0.6, a=0.3)
+        fu, fv = knapp_factors(cfg, g)
+        spatial, tau, carrier = separable_output_spectrum(fu, fv, fv, g, c1, c2)
+        oracle = trilinear_output_spectrum(*knapp_triple(cfg, g), c1, c2)
+        expanded = spatial[:, :, None] * tau[None, None, :]
+        scale = np.max(np.abs(oracle.values))
+        assert np.max(np.abs(expanded - oracle.values)) <= 1e-12 * scale
+        assert carrier == oracle.carrier
+
+    def test_random_factors_and_carriers_match_dense_oracle(self):
+        g = small_grid()
+        rng = np.random.default_rng(3)
+        m, mt = g.spatial.modes_per_axis, g.time_samples
+
+        def factors(carrier):
+            draw = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (m, m, mt)]
+            return BoxFactors(*draw, carrier)
+
+        fu = factors((0.5, 2.0, -3.0))
+        fv = factors((-1.0, 0.25, 1.0))
+        fw = factors((0.0, -1.5, 2.0))
+        spatial, tau, carrier = separable_output_spectrum(fu, fv, fw, g, 0.8, 1.7)
+        dense = [SpaceTimeField(g, f.dense(), FOURIER, *f.carrier) for f in (fu, fv, fw)]
+        oracle = trilinear_output_spectrum(*dense, 0.8, 1.7)
+        expanded = spatial[:, :, None] * tau[None, None, :]
+        assert np.max(np.abs(expanded - oracle.values)) <= 1e-12 * np.max(np.abs(oracle.values))
+        assert carrier == oracle.carrier
+
+    def test_norm_of_a_dense_product_matches_xsb_norm(self):
+        g = small_grid()
+        rng = np.random.default_rng(5)
+        m, mt = g.spatial.modes_per_axis, g.time_samples
+        spatial = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        spatial[3:9] = 0.0  # vanishing rows are skipped
+        tau = rng.standard_normal(mt) + 1j * rng.standard_normal(mt)
+        carrier = (0.5, -2.0, 3.0)
+        dense = SpaceTimeField(g, spatial[:, :, None] * tau[None, None, :], FOURIER, *carrier)
+        got = separable_xsb_norm(g, spatial, tau, carrier, 0.7, -0.4)
+        assert got == pytest.approx(xsb_norm(dense, 0.7, -0.4), rel=1e-13)
+
+    def test_weight_rows_are_rows_of_the_full_weight(self):
+        g = knapp_grid(8, time_samples=8)
+        carrier = (0.0, 8.0, -64.0)
+        full = xsb_weight_squared(g, 0.6, 0.51, 1, carrier)
+        rows = np.array([0, 5, 17, 63])
+        assert np.array_equal(xsb_weight_squared(g, 0.6, 0.51, 1, carrier, rows=rows), full[rows])
+        assert np.array_equal(
+            xsb_weight_squared(g, 0.6, 0.51, 1, carrier, rows=slice(8, 24)), full[8:24]
+        )
+
+
 class TestKnappSweep:
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 4"):
             knapp_sweep([8, 16, 32], s=0.6, a=0.3)
         with pytest.raises(ValueError, match="geometrically"):
             knapp_sweep([8, 16, 32, 48], s=0.6, a=0.3)
+        with pytest.raises(ValueError, match="distinct"):
+            knapp_sweep([8, 8, 8, 8], s=0.6, a=0.3)
 
     def test_power_laws_and_spacing(self):
         grid = knapp_grid(32)
@@ -364,24 +441,46 @@ class TestKnappSweep:
         res_hi = knapp_sweep([4, 8, 16, 32], s=0.6, a=0.7, grid=grid)
         assert res_hi.slope - res.slope == pytest.approx(0.4, abs=0.1)
 
-    def test_three_weight_builds_per_point_and_direct_values(self, monkeypatch):
-        # ||u||, ||v|| and the output norm each build one weight array;
-        # ||w|| = ||v|| is reused because w shares v's storage and carrier
-        grid = knapp_grid(32, time_samples=8)
+    def test_norms_and_ratios_match_dense_oracle(self):
+        grid = knapp_grid(32)
         n_list = [4, 8, 16, 32]
-        builds = [0]
-        original = spacetime_module.xsb_weight_squared
+        sweeps = {a: knapp_sweep(n_list, s=0.6, a=a, grid=grid) for a in (0.3, 0.7)}
+        for k, n in enumerate(n_list):
+            u, v, w = knapp_triple(KnappConfig(N=n, s=0.6, a=0.3), grid)
+            nu, nv = xsb_norm(u, 0.6, 0.51), xsb_norm(v, 0.6, 0.51)
+            out = trilinear_output_spectrum(u, v, w, 1.0, 1.0)
+            for a, res in sweeps.items():
+                assert res.u_norms[k] == pytest.approx(nu, rel=1e-12)
+                assert res.v_norms[k] == pytest.approx(nv, rel=1e-12)
+                dense = output_ratio(out, 0.6, a, 0.51) / (nu * nv * nv)
+                assert res.ratios[k] == pytest.approx(dense, rel=1e-12)
+            del u, v, w, out
 
-        def counted(*args, **kwargs):
-            builds[0] += 1
-            return original(*args, **kwargs)
+    def test_no_dense_field_and_direct_values(self, monkeypatch):
+        # the sweep runs on 1D factors and M x M spectra: no 3D transform, and
+        # its allocation peak stays below one (M, M, M_t) complex field
+        grid = knapp_grid(32, time_samples=8)
+        m, mt = grid.spatial.modes_per_axis, grid.time_samples
+        n_list = [4, 8, 16, 32]
+        calls = []
+        for name in ("fftn", "ifftn"):
+            original = getattr(np.fft, name)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(spacetime_module, "xsb_weight_squared", counted)
-            # also count builds through a name knapp may import for itself
-            patch.setattr(knapp_module, "xsb_weight_squared", counted, raising=False)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
             res = knapp_sweep(n_list, s=0.6, a=0.3, grid=grid)
-        assert builds[0] == 3 * len(n_list)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert calls == []
+        assert peak < m * m * mt * np.dtype(np.complex128).itemsize
         for k, n in enumerate(n_list):
             u, v, w = knapp_triple(KnappConfig(N=n, s=0.6, a=0.3), grid)
             assert res.u_norms[k] == pytest.approx(xsb_norm(u, 0.6, 0.51), rel=1e-13)
