@@ -16,7 +16,7 @@ free part does not).
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -260,12 +260,8 @@ def absorbing_experiment(ens: EnsembleConfig, workers: int = 1) -> EnergyReport:
     except ValueError:
         empty = np.zeros(0)
         balance = EnergyReport(empty, empty, empty, empty, 0.0)
-    return EnergyReport(
-        times=balance.times,
-        energy=balance.energy,
-        source=balance.source,
-        residuals=balance.residuals,
-        max_residual=balance.max_residual,
+    return replace(
+        balance,
         h1_series=h1_series,
         member_radius=radii,
         fit_amplitude=float(np.mean(amps)) if amps else None,

@@ -3,19 +3,23 @@
 Subcommands mirror the library layers: simulate (one damped/conservative
 run), smoothing (grid-refinement study of the Duhamel remainder), knapp
 (box-ladder norm sweep), blocks (sampled dyadic block-norm checks), and
-attractor (ensemble absorbing/compactness experiments).  Every run writes
-exactly one manifest.json into --out recording the effective config, the
-root seed, a content hash of the inputs, and step/wall-clock counts; runs
-with the same content hash produce byte-identical CSVs.  Exit codes: 0 on
-success, 2 for configuration errors, 3 when the integrator hits non-finite
-values.
+attractor (ensemble absorbing/compactness experiments).  A config holds
+[run] and the command's own section and nothing else, and every key in them
+must be one that is read, so a misspelt key is refused instead of silently
+falling back to its default.  Commands return their tables and write
+nothing: main alone writes the CSVs, then summary.json, then exactly one
+manifest.json recording the effective config, the root seed, a content hash
+of the inputs, and step/wall-clock counts.  Each file is written under a
+temporary name and renamed into place once the command has succeeded, so a
+failed run leaves no outputs in --out.  Runs with the same content hash
+produce byte-identical CSVs.  Exit codes: 0 on success, 2 for configuration
+errors, 3 when the integrator hits non-finite values.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import hashlib
-import io
 import json
 import os
 import sys
@@ -77,19 +81,32 @@ def load_config(path: str) -> dict:
 _REQUIRED = object()
 
 
-def _get(sections: dict, section: str, key: str, cast, default=_REQUIRED):
-    values = sections.get(section, {})
-    if key not in values:
-        if default is _REQUIRED:
-            raise ConfigError(f"[{section}] is missing required key '{key}'")
-        return default
-    raw = values[key]
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse '{raw}' as {cast.__name__}"
-        ) from exc
+class _Reader:
+    """Typed reads from one config section; remembers every key it was asked for."""
+
+    def __init__(self, section: str, values: dict):
+        self.section = section
+        self.values = values
+        self.read = set()
+
+    def __call__(self, key: str, cast, default=_REQUIRED):
+        self.read.add(key)
+        if key not in self.values:
+            if default is _REQUIRED:
+                raise ConfigError(f"[{self.section}] is missing required key '{key}'")
+            return default
+        raw = self.values[key]
+        try:
+            return cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"[{self.section}] {key}: cannot parse '{raw}' as {cast.__name__}"
+            ) from exc
+
+    def check_all_read(self) -> None:
+        unread = sorted(set(self.values) - self.read)
+        if unread:
+            raise ConfigError(f"[{self.section}] has unknown keys: {', '.join(unread)}")
 
 
 def _bool(raw: str) -> bool:
@@ -124,17 +141,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list, rows: list) -> int:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
-    return len(rows)
+def _csv_text(header: list, rows: list) -> str:
+    lines = [",".join(header)] + [",".join(_format_cell(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
+    """Write one output under a temporary name, then rename it into place."""
+    path = os.path.join(out_dir, name)
+    with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
 
 
 def _content_hash(command: str, sections: dict) -> str:
@@ -144,90 +165,61 @@ def _content_hash(command: str, sections: dict) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    out_dir: str,
-    command: str,
-    sections: dict,
-    seed: int,
-    grid: dict,
-    outputs: list,
-    details: dict,
-    steps: int,
-    elapsed: float,
-) -> None:
-    payload = {
-        "tool": "dslab",
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "grid": grid,
-        "config": sections,
-        "content_hash": _content_hash(command, sections),
-        "outputs": outputs,
-        "details": details,
-        "step_count": steps,
-        "wall_clock_seconds": elapsed,
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), payload)
+def _forcing(get: _Reader, grid: GridSpec, seed: int):
+    """The section's drive f, or None when forcing_amplitude is not positive.
 
-
-def _forcing(sections: dict, section: str, grid: GridSpec, seed: int):
-    """The section's drive f, or None when forcing_amplitude is not positive."""
-    amplitude = _get(sections, section, "forcing_amplitude", float, 0.0)
+    Both keys are read whatever the amplitude, so a smoothness set beside a
+    zero amplitude is not refused as unknown.
+    """
+    amplitude = get("forcing_amplitude", float, 0.0)
+    smoothness = get("forcing_smoothness", float, 3.0)
     if not amplitude > 0:
         return None
-    smoothness = _get(sections, section, "forcing_smoothness", float, 3.0)
     return make_forcing(grid, amplitude, _derive_seed(seed, 1), smoothness)
 
 
-def cmd_simulate(sections: dict, out_dir: str, seed: int, threads: int):
-    modes = _get(sections, "simulate", "modes", int, 64)
-    length = _get(sections, "simulate", "domain_length", float, DEFAULT_DOMAIN_LENGTH)
+# Each command reads every key of its section unconditionally and returns
+# (grid info, {file name: (header, rows)}, summary or None, details, steps).
+
+
+def cmd_simulate(get: _Reader, seed: int, threads: int):
+    modes = get("modes", int, 64)
+    length = get("domain_length", float, DEFAULT_DOMAIN_LENGTH)
     grid = GridSpec(modes, length)
     datum = make_rough_data(
-        RoughDataSpec(
-            _get(sections, "simulate", "s", float, 1.0),
-            _get(sections, "simulate", "amplitude", float),
-            seed,
-        ),
-        grid,
+        RoughDataSpec(get("s", float, 1.0), get("amplitude", float), seed), grid
     )
     cfg = SolverConfig(
-        c1=_get(sections, "simulate", "c1", float, 1.0),
-        c2=_get(sections, "simulate", "c2", float, 1.0),
-        dt=_get(sections, "simulate", "dt", float),
-        t_end=_get(sections, "simulate", "t_end", float),
-        delta=_get(sections, "simulate", "delta", float, 0.0),
-        forcing=_forcing(sections, "simulate", grid, seed),
-        dealias=_get(sections, "simulate", "dealias", _bool, True),
-        sample_every=_get(sections, "simulate", "sample_every", int, 1),
+        c1=get("c1", float, 1.0),
+        c2=get("c2", float, 1.0),
+        dt=get("dt", float),
+        t_end=get("t_end", float),
+        delta=get("delta", float, 0.0),
+        forcing=_forcing(get, grid, seed),
+        dealias=get("dealias", _bool, True),
+        sample_every=get("sample_every", int, 1),
     )
     traj = evolve(datum, cfg)
-    rows = [
-        (t, m, h, e)
-        for t, m, h, e in zip(traj.times, traj.mass, traj.h1_norm, traj.energy)
-    ]
-    count = _write_csv(
-        os.path.join(out_dir, "simulate.csv"), ["t", "mass", "h1", "energy"], rows
-    )
+    rows = list(zip(traj.times, traj.mass, traj.h1_norm, traj.energy))
+    tables = {"simulate.csv": (["t", "mass", "h1", "energy"], rows)}
     grid_info = {"modes": modes, "domain_length": length}
-    outputs = [{"path": "simulate.csv", "rows": count}]
-    return grid_info, outputs, {}, int(round(cfg.t_end / cfg.dt))
+    return grid_info, tables, None, {}, int(round(cfg.t_end / cfg.dt))
 
 
-def cmd_smoothing(sections: dict, out_dir: str, seed: int, threads: int):
-    resolutions = _get(sections, "smoothing", "modes", _int_list, [64, 128, 256])
-    s = _get(sections, "smoothing", "s", float, 0.6)
-    a = _get(sections, "smoothing", "a", float, 0.3)
-    t_probe = _get(sections, "smoothing", "t_probe", float, 2.0)
+def cmd_smoothing(get: _Reader, seed: int, threads: int):
+    resolutions = get("modes", _int_list, [64, 128, 256])
+    s = get("s", float, 0.6)
+    a = get("a", float, 0.3)
+    t_probe = get("t_probe", float, 2.0)
     cfg = SolverConfig(
-        c1=_get(sections, "smoothing", "c1", float, 1.0),
-        c2=_get(sections, "smoothing", "c2", float, 1.0),
-        dt=_get(sections, "smoothing", "dt", float, 0.01),
+        c1=get("c1", float, 1.0),
+        c2=get("c2", float, 1.0),
+        dt=get("dt", float, 0.01),
         t_end=t_probe,
-        sample_every=_get(sections, "smoothing", "sample_every", int, 10),
+        sample_every=get("sample_every", int, 10),
     )
-    spec = RoughDataSpec(s, _get(sections, "smoothing", "amplitude", float), seed)
+    spec = RoughDataSpec(s, get("amplitude", float), seed)
+    length = get("domain_length", float, None)
     exploratory = not a < min(0.5, s - 0.5)
     if exploratory:
         warnings.warn(
@@ -235,24 +227,12 @@ def cmd_smoothing(sections: dict, out_dir: str, seed: int, threads: int):
             "proceeding with the result flagged exploratory",
             stacklevel=2,
         )
-    study = refinement_study(
-        spec,
-        resolutions,
-        t_probe,
-        s,
-        a,
-        cfg,
-        domain_length=_get(sections, "smoothing", "domain_length", float, None),
-    )
+    study = refinement_study(spec, resolutions, t_probe, s, a, cfg, domain_length=length)
     rows = [
         (r["M"], r["norm_linear"], r["norm_nonlinear"], r["norm_nonlinear_gauged"])
         for r in study["rows"]
     ]
-    count = _write_csv(
-        os.path.join(out_dir, "smoothing.csv"),
-        ["modes", "linear", "nonlinear", "nonlinear_gauged"],
-        rows,
-    )
+    tables = {"smoothing.csv": (["modes", "linear", "nonlinear", "nonlinear_gauged"], rows)}
     details = {
         "linear_slope": study["linear_slope"],
         "nonlinear_slope": study["nonlinear_slope"],
@@ -260,28 +240,26 @@ def cmd_smoothing(sections: dict, out_dir: str, seed: int, threads: int):
         "exploratory": exploratory,
     }
     grid_info = {"modes": resolutions, "s": s, "a": a}
-    outputs = [{"path": "smoothing.csv", "rows": count}]
-    return grid_info, outputs, details, len(resolutions) * int(round(t_probe / cfg.dt))
+    steps = len(resolutions) * int(round(t_probe / cfg.dt))
+    return grid_info, tables, None, details, steps
 
 
-def cmd_knapp(sections: dict, out_dir: str, seed: int, threads: int):
-    n_values = _get(sections, "knapp", "n_values", _float_list, [8.0, 16.0, 32.0, 64.0])
-    grid_n = _get(sections, "knapp", "grid_n", int, int(max(n_values)))
-    time_samples = _get(sections, "knapp", "time_samples", int, 32)
+def cmd_knapp(get: _Reader, seed: int, threads: int):
+    n_values = get("n_values", _float_list, [8.0, 16.0, 32.0, 64.0])
+    grid_n = get("grid_n", int, int(max(n_values)))
+    time_samples = get("time_samples", int, 32)
     grid = knapp_grid(grid_n, time_samples=time_samples)
     sweep = knapp_sweep(
         n_values,
-        s=_get(sections, "knapp", "s", float, 0.6),
-        a=_get(sections, "knapp", "a", float, 0.3),
-        b=_get(sections, "knapp", "b", float, 0.51),
-        c1=_get(sections, "knapp", "c1", float, 1.0),
-        c2=_get(sections, "knapp", "c2", float, 1.0),
+        s=get("s", float, 0.6),
+        a=get("a", float, 0.3),
+        b=get("b", float, 0.51),
+        c1=get("c1", float, 1.0),
+        c2=get("c2", float, 1.0),
         grid=grid,
     )
     rows = list(zip(sweep.n_values, sweep.u_norms, sweep.v_norms, sweep.ratios))
-    count = _write_csv(
-        os.path.join(out_dir, "knapp.csv"), ["n", "u_norm", "v_norm", "ratio"], rows
-    )
+    tables = {"knapp.csv": (["n", "u_norm", "v_norm", "ratio"], rows)}
     details = {
         "ratio_slope": sweep.slope,
         "u_slope": sweep.u_slope,
@@ -292,34 +270,28 @@ def cmd_knapp(sections: dict, out_dir: str, seed: int, threads: int):
         "modes": grid.spatial.modes_per_axis,
         "time_samples": time_samples,
     }
-    outputs = [{"path": "knapp.csv", "rows": count}]
-    return grid_info, outputs, details, len(rows)
+    return grid_info, tables, None, details, len(rows)
 
 
-def cmd_blocks(sections: dict, out_dir: str, seed: int, threads: int):
+def cmd_blocks(get: _Reader, seed: int, threads: int):
     cases = [
-        part.strip()
-        for part in _get(sections, "blocks", "cases", str, ",".join(CASES)).split(",")
-        if part.strip()
+        part.strip() for part in get("cases", str, ",".join(CASES)).split(",") if part.strip()
     ]
-    per_case = _get(sections, "blocks", "per_case", int, 2)
+    per_case = get("per_case", int, 2)
     lattice = BlockLattice(
-        xi_step=_get(sections, "blocks", "xi_step", float, 0.5),
-        tau_step=_get(sections, "blocks", "tau_step", float, 0.5),
-        max_support=_get(sections, "blocks", "max_support", int, 400_000),
+        xi_step=get("xi_step", float, 0.5),
+        tau_step=get("tau_step", float, 0.5),
+        max_support=get("max_support", int, 400_000),
     )
+    restarts = get("restarts", int, 6)
+    iters = get("iters", int, 60)
     specs = []
     for k, case in enumerate(cases):
         specs.extend(
             sample_block_specs(case, per_case, seed=_derive_seed(seed, 2 + k), lattice=lattice)
         )
     result = check_block_bounds(
-        specs,
-        lattice=lattice,
-        restarts=_get(sections, "blocks", "restarts", int, 6),
-        iters=_get(sections, "blocks", "iters", int, 60),
-        seed=seed,
-        workers=threads,
+        specs, lattice=lattice, restarts=restarts, iters=iters, seed=seed, workers=threads
     )
     rows = []
     for entry in result["rows"]:
@@ -336,25 +308,20 @@ def cmd_blocks(sections: dict, out_dir: str, seed: int, threads: int):
                 entry["ratio"],
             )
         )
-    count = _write_csv(
-        os.path.join(out_dir, "blocks.csv"),
-        ["case", "n1", "n2", "n3", "l1", "l2", "l3", "h", "support", "estimate", "bound", "ratio"],
-        rows,
-    )
+    header = ["case", "n1", "n2", "n3", "l1", "l2", "l3", "h", "support", "estimate", "bound", "ratio"]
     details = {"c_star": result["c_star"], "c_fit": result["c_fit"]}
     grid_info = {"xi_step": lattice.xi_step, "tau_step": lattice.tau_step}
-    outputs = [{"path": "blocks.csv", "rows": count}]
-    return grid_info, outputs, details, len(rows)
+    return grid_info, {"blocks.csv": (header, rows)}, None, details, len(rows)
 
 
-def _attractor_ensemble(sections: dict, seed: int) -> EnsembleConfig:
-    modes = _get(sections, "attractor", "modes", int, 64)
-    length = _get(sections, "attractor", "domain_length", float, 2.0 * np.pi)
+def _attractor_ensemble(get: _Reader, seed: int) -> EnsembleConfig:
+    modes = get("modes", int, 64)
+    length = get("domain_length", float, 2.0 * np.pi)
     grid = GridSpec(modes, length)
-    member_s = _get(sections, "attractor", "member_s", float, 1.0)
-    count = _get(sections, "attractor", "member_count", int, 8)
-    h1_min = _get(sections, "attractor", "h1_min", float, 0.5)
-    h1_max = _get(sections, "attractor", "h1_max", float, 5.0)
+    member_s = get("member_s", float, 1.0)
+    count = get("member_count", int, 8)
+    h1_min = get("h1_min", float, 0.5)
+    h1_max = get("h1_max", float, 5.0)
     # the datum law fixes the H^1 norm per unit amplitude, so target norms
     # translate into amplitudes through one reference field
     unit = sobolev_norm(make_rough_data(RoughDataSpec(member_s, 1.0, 0), grid), 1.0)
@@ -366,21 +333,21 @@ def _attractor_ensemble(sections: dict, seed: int) -> EnsembleConfig:
     return EnsembleConfig(
         grid=grid,
         members=members,
-        c1=_get(sections, "attractor", "c1", float, 1.0),
-        c2=_get(sections, "attractor", "c2", float, 1.0),
-        delta=_get(sections, "attractor", "delta", float, 0.0),
-        forcing=_forcing(sections, "attractor", grid, seed),
-        horizon=_get(sections, "attractor", "horizon", float, 40.0),
-        dt=_get(sections, "attractor", "dt", float, 0.01),
-        sample_every=_get(sections, "attractor", "sample_every", int, 10),
-        probe_times=_get(sections, "attractor", "probes", _float_list, [10.0, 20.0, 40.0]),
-        a=_get(sections, "attractor", "a", float, 0.4),
+        c1=get("c1", float, 1.0),
+        c2=get("c2", float, 1.0),
+        delta=get("delta", float, 0.0),
+        forcing=_forcing(get, grid, seed),
+        horizon=get("horizon", float, 40.0),
+        dt=get("dt", float, 0.01),
+        sample_every=get("sample_every", int, 10),
+        probe_times=get("probes", _float_list, [10.0, 20.0, 40.0]),
+        a=get("a", float, 0.4),
     )
 
 
-def cmd_attractor(sections: dict, out_dir: str, seed: int, threads: int):
-    ens = _attractor_ensemble(sections, seed)
-    experiment = _get(sections, "attractor", "experiment", str, "absorbing")
+def cmd_attractor(get: _Reader, seed: int, threads: int):
+    ens = _attractor_ensemble(get, seed)
+    experiment = get("experiment", str, "absorbing")
     forcing_l2 = sobolev_norm(ens.forcing, 0.0) if ens.forcing is not None else 0.0
     base = {"a": ens.a, "delta": ens.delta, "forcing_l2": forcing_l2}
     if experiment == "absorbing":
@@ -390,7 +357,6 @@ def cmd_attractor(sections: dict, out_dir: str, seed: int, threads: int):
             (t, *(series[i] for series in report.h1_series))
             for i, t in enumerate(report.sample_times)
         ]
-        count = _write_csv(os.path.join(out_dir, "attractor.csv"), header, rows)
         summary = dict(
             base,
             fit_amplitude=report.fit_amplitude,
@@ -404,15 +370,11 @@ def cmd_attractor(sections: dict, out_dir: str, seed: int, threads: int):
         )
     elif experiment == "compactness":
         table = compactness_probe(ens, workers=threads)
+        header = ["member", "remainder_h1a", "free_h1a"]
         rows = [
             (j, table["remainder_h1a"][j], table["free_h1a"][j])
             for j in range(len(ens.members))
         ]
-        count = _write_csv(
-            os.path.join(out_dir, "attractor.csv"),
-            ["member", "remainder_h1a", "free_h1a"],
-            rows,
-        )
         summary = dict(
             base,
             shift_h1a=table["shift_h1a"],
@@ -424,18 +386,14 @@ def cmd_attractor(sections: dict, out_dir: str, seed: int, threads: int):
         raise ConfigError(
             f"[attractor] experiment must be 'absorbing' or 'compactness', got '{experiment}'"
         )
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
     grid_info = {
         "modes": ens.grid.modes_per_axis,
         "domain_length": ens.grid.domain_length,
         "members": len(ens.members),
     }
-    outputs = [
-        {"path": "attractor.csv", "rows": count},
-        {"path": "summary.json", "rows": 1},
-    ]
     steps = len(ens.members) * int(round(ens.horizon / ens.dt))
-    return grid_info, outputs, {"experiment": experiment}, steps
+    tables = {"attractor.csv": (header, rows)}
+    return grid_info, tables, summary, {"experiment": experiment}, steps
 
 
 _COMMANDS = {
@@ -463,32 +421,51 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         sections = load_config(args.config)
+        foreign = sorted(set(sections) - {"run", args.command})
+        if foreign:
+            raise ConfigError(
+                f"'{args.command}' reads only [run] and [{args.command}], "
+                f"not: {', '.join(f'[{name}]' for name in foreign)}"
+            )
         run = sections.setdefault("run", {})
         if args.seed is not None:
             run["seed"] = str(args.seed)
-        seed = _get(sections, "run", "seed", int, 0)
+        run_get = _Reader("run", run)
+        seed = run_get("seed", int, 0)
         run["seed"] = str(seed)
-        threads = args.threads
-        if threads is None:
-            threads = _get(sections, "run", "threads", int, 1)
+        # read even when --threads overrides it, so the key counts as known
+        threads = run_get("threads", int, 1)
+        run_get.check_all_read()
+        if args.threads is not None:
+            threads = args.threads
         if threads < 1:
             raise ConfigError(f"threads must be positive, got {threads}")
+        get = _Reader(args.command, sections.get(args.command, {}))
         os.makedirs(args.out, exist_ok=True)
         started = time.perf_counter()
-        grid_info, outputs, details, steps = _COMMANDS[args.command](
-            sections, args.out, seed, threads
-        )
-        _write_manifest(
-            args.out,
-            args.command,
-            sections,
-            seed,
-            grid_info,
-            outputs,
-            details,
-            steps,
-            time.perf_counter() - started,
-        )
+        grid_info, tables, summary, details, steps = _COMMANDS[args.command](get, seed, threads)
+        get.check_all_read()
+        outputs = []
+        for name, (header, rows) in tables.items():
+            _write(args.out, name, _csv_text(header, rows))
+            outputs.append({"path": name, "rows": len(rows)})
+        if summary is not None:
+            _write(args.out, "summary.json", _json_text(summary))
+            outputs.append({"path": "summary.json", "rows": 1})
+        manifest = {
+            "tool": "dslab",
+            "version": __version__,
+            "command": args.command,
+            "seed": seed,
+            "grid": grid_info,
+            "config": sections,
+            "content_hash": _content_hash(args.command, sections),
+            "outputs": outputs,
+            "details": details,
+            "step_count": steps,
+            "wall_clock_seconds": time.perf_counter() - started,
+        }
+        _write(args.out, "manifest.json", _json_text(manifest))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,8 +19,8 @@ field, and rfft2/irfft2 of the real density |u|^2 on the half spectrum.  All
 transforms use norm="forward" (see spectral_core), so Fourier values are
 Fourier-series coefficients without any separate rescaling pass.
 
-Trajectory.fields, and the fields handed to observers, hold Fourier
-coefficients (representation FOURIER); to_physical converts them on demand.
+Trajectory.fields hold Fourier coefficients (representation FOURIER);
+to_physical converts them on demand.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -264,20 +264,15 @@ def energy_functional(
     return grad + 0.5 * inter + drive
 
 
-def evolve(
-    u0: SpectralField,
-    cfg: SolverConfig,
-    observers: Iterable[Callable[[int, float, SpectralField], None]] = (),
-) -> Trajectory:
+def evolve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     """Fixed-step integration to cfg.t_end with sampling and diagnostics.
 
     When cfg.dealias is set, the 2/3 mask is applied to the datum once before
     stepping and the masked field is the first sample, so sampled states and
     the recorded initial condition live on the same retained modes.  Samples
-    are stored, and passed to observers, as Fourier fields; energy parts use
-    the step's density kernel.  Non-finite values abort with the failing step.
+    are stored as Fourier fields; energy parts use the step's density kernel.
+    Non-finite values abort with the failing step.
     """
-    observers = tuple(observers)
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise ValueError("t_end must be an integer multiple of dt")
@@ -299,8 +294,6 @@ def evolve(
         mass.append(sobolev_norm(snap, 0.0))
         h1.append(sobolev_norm(snap, 1.0))
         parts.append(_energy_parts(snap, f_hat, kernel.density))
-        for obs in observers:
-            obs(step, t, snap)
 
     record(0, 0.0, u_hat)
     step = 0

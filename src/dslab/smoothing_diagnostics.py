@@ -206,10 +206,13 @@ def refinement_study(
     """
     if len(resolutions) < 3:
         raise ValueError("need at least three resolutions for a slope fit")
+    if len(set(resolutions)) < 2:
+        raise ValueError("slope fit needs at least two distinct resolutions")
     length = domain_length if domain_length is not None else DEFAULT_DOMAIN_LENGTH
+    # every grid is validated before the first solve
+    grids = [GridSpec(m, length) for m in resolutions]
     rows = []
-    for m in resolutions:
-        grid = GridSpec(m, length)
+    for m, grid in zip(resolutions, grids):
         u0 = make_rough_data(spec, grid)
         traj = evolve(u0, cfg)
         # split against the trajectory's own first sample so the comparison

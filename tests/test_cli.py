@@ -28,6 +28,10 @@ def write_config(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def output_files(out_dir):
+    return sorted(p.name for p in out_dir.iterdir()) if out_dir.exists() else []
+
+
 def read_manifest(out_dir):
     files = sorted(p.name for p in out_dir.iterdir() if p.name == "manifest.json")
     assert files == ["manifest.json"]
@@ -72,6 +76,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, SIM_CONFIG)
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert output_files(out) == ["manifest.json", "simulate.csv"]
         manifest = read_manifest(out)
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 7
@@ -115,6 +120,7 @@ class TestSimulate:
             code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+        assert output_files(tmp_path / "o") == []
 
     def test_bad_value_exits_two(self, tmp_path, capsys):
         cfg = write_config(
@@ -122,6 +128,34 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "amplitude" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    def test_unknown_command_key_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SIM_CONFIG + "delat = 0.1\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "delat" in capsys.readouterr().err
+        assert output_files(out) == []
+
+    def test_unknown_run_key_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SIM_CONFIG.replace("seed = 7", "seed = 7\nsede = 8"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "sede" in capsys.readouterr().err
+
+    def test_foreign_section_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SIM_CONFIG + "\n[knapp]\nn_values = 4,8,16,32\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "[knapp]" in capsys.readouterr().err
+
+    def test_keys_read_whatever_other_values_say(self, tmp_path):
+        # forcing_smoothness counts as read without a drive, and [run]
+        # threads counts as read when --threads overrides it
+        text = SIM_CONFIG.replace("seed = 7", "seed = 7\nthreads = 1")
+        cfg = write_config(tmp_path, text + "forcing_amplitude = 0\nforcing_smoothness = 2\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        assert output_files(out) == ["manifest.json", "simulate.csv"]
 
 
 class TestSmoothing:

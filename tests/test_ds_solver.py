@@ -242,15 +242,6 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(two_mode, cubic_config(dt=0.03, t_end=0.1))
 
-    def test_observers_see_every_sample(self, grid, two_mode):
-        seen = []
-        evolve(
-            two_mode,
-            cubic_config(t_end=0.1, sample_every=5),
-            observers=[lambda step, t, u: seen.append((step, t))],
-        )
-        assert [s for s, _ in seen] == [0, 5, 10]
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_carries_step(self, grid):
         vals = np.full((64, 64), np.inf, dtype=np.complex128)

@@ -320,6 +320,19 @@ class TestRefinementStudy:
         with pytest.raises(ValueError):
             refinement_study(spec, [64, 128], 0.1, 0.6, 0.3, cfg)
 
+    @pytest.mark.parametrize("resolutions", [[16, 16, 16], [16, 32, 24]])
+    def test_bad_resolutions_rejected_before_any_solve(self, monkeypatch, resolutions):
+        # one repeated size leaves no slope to fit, and 24 is no valid grid
+        calls = []
+        monkeypatch.setattr(
+            "dslab.smoothing_diagnostics.evolve", lambda *args: calls.append(args)
+        )
+        spec = RoughDataSpec(s=0.6, amplitude=0.01, seed=20)
+        cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError):
+            refinement_study(spec, resolutions, 0.1, 0.6, 0.3, cfg)
+        assert calls == []
+
     def test_free_flow_zero_nonlinear_column(self):
         spec = RoughDataSpec(s=0.6, amplitude=0.05, seed=21)
         with pytest.warns(UserWarning):
