@@ -34,6 +34,8 @@ from .ds_solver import (
     Trajectory,
     energy_functional,
     evolve,
+    sample_stream,
+    sample_steps,
 )
 from .smoothing_diagnostics import RoughDataSpec, make_rough_data
 
@@ -176,8 +178,10 @@ def energy_balance_residual(traj: Trajectory, cfg: SolverConfig) -> EnergyReport
 
 
 def run_ensemble(ens: EnsembleConfig, workers: int = 1) -> list:
-    """Integrate every member under the shared config; members are independent,
-    so they run concurrently when workers > 1 with bit-identical results."""
+    """Integrate every member under the shared config and keep every
+    trajectory; members are independent, so they run concurrently when
+    workers > 1 with bit-identical results.  The experiments below do not
+    use it: they stream each member and keep only what they read."""
     cfg = ens.solver_config()
 
     def one(spec: RoughDataSpec) -> Trajectory:
@@ -187,6 +191,14 @@ def run_ensemble(ens: EnsembleConfig, workers: int = 1) -> list:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, ens.members))
     return [one(spec) for spec in ens.members]
+
+
+def _member_h1(ens: EnsembleConfig, spec: RoughDataSpec, cfg: SolverConfig) -> np.ndarray:
+    """H^1 norm of one member at every sample, without keeping its states."""
+    stream = sample_stream(make_rough_data(spec, ens.grid), cfg)
+    return np.array(
+        [sobolev_norm(SpectralField(ens.grid, u_hat, FOURIER), 1.0) for _, _, u_hat in stream]
+    )
 
 
 def _fit_member(times: np.ndarray, h1: np.ndarray):
@@ -218,7 +230,7 @@ def _fit_member(times: np.ndarray, h1: np.ndarray):
     return a, b, c
 
 
-def absorbing_experiment(ens: EnsembleConfig, workers: int = 1) -> EnergyReport:
+def absorbing_experiment(ens: EnsembleConfig) -> EnergyReport:
     """Fit A exp(-B t) + C to each member's H^1 history and test absorption.
 
     fit_radius averages the per-member C; absorbed means every member enters
@@ -226,10 +238,23 @@ def absorbing_experiment(ens: EnsembleConfig, workers: int = 1) -> EnergyReport:
     run.  Members whose history never decays toward their trailing level are
     listed in fit_failures (reported, not raised) and the aggregate A, B are
     taken over the members that did fit.
+
+    Members run one after another.  Member 0 alone goes through evolve, whose
+    energy parts feed the balance audit; every other member is streamed and
+    keeps only its H^1 norm per sample, so no other state is stored.
     """
-    trajs = run_ensemble(ens, workers=workers)
-    times = np.asarray(trajs[0].times, dtype=float)
-    h1_series = tuple(np.asarray(tr.h1_norm, dtype=float) for tr in trajs)
+    cfg = ens.solver_config()
+    audited = evolve(make_rough_data(ens.members[0], ens.grid), cfg)
+    # the audit rides along when the sampling is dense enough for it
+    try:
+        balance = energy_balance_residual(audited, cfg)
+    except ValueError:
+        empty = np.zeros(0)
+        balance = EnergyReport(empty, empty, empty, empty, 0.0)
+    times = np.asarray(audited.times, dtype=float)
+    h1_series = (np.asarray(audited.h1_norm, dtype=float),)
+    del audited  # only its scalar series are read from here on
+    h1_series += tuple(_member_h1(ens, spec, cfg) for spec in ens.members[1:])
 
     fits = [_fit_member(times, h1) for h1 in h1_series]
     radii = tuple(c for (_, _, c) in fits)
@@ -254,12 +279,6 @@ def absorbing_experiment(ens: EnsembleConfig, workers: int = 1) -> EnergyReport:
         else:
             entry.append(float(times[outside[-1] + 1]))
 
-    # balance audit rides along when the sampling is dense enough for it
-    try:
-        balance = energy_balance_residual(trajs[0], ens.solver_config())
-    except ValueError:
-        empty = np.zeros(0)
-        balance = EnergyReport(empty, empty, empty, empty, 0.0)
     return replace(
         balance,
         h1_series=h1_series,
@@ -282,7 +301,24 @@ def _forcing_shift(ens: EnsembleConfig) -> SpectralField:
     return SpectralField(ens.grid, f_hat * ens.grid.bracket(-2.0), FOURIER)
 
 
-def compactness_probe(ens: EnsembleConfig, workers: int = 1) -> dict:
+def _probe_steps(ens: EnsembleConfig, cfg: SolverConfig) -> dict:
+    """Sample step of each probe time; a probe time that is not a sample
+    time raises ValueError naming the nearest one."""
+    steps = np.array(sample_steps(cfg))
+    times = steps * cfg.dt
+    found = {}
+    for t in ens.probe_times:
+        idx = int(np.argmin(np.abs(times - t)))
+        if abs(times[idx] - t) > 1e-9:
+            raise ValueError(
+                f"probe time {t} is not a sample time (nearest: {times[idx]:.12g}); "
+                f"samples are every {cfg.sample_every * cfg.dt:.12g}"
+            )
+        found[t] = int(steps[idx])
+    return found
+
+
+def compactness_probe(ens: EnsembleConfig) -> dict:
     """Split v = u + g into damped free flow plus a smoother remainder.
 
     With g = (1 - Lap)^{-1} f and w the solution of i w_t + Lap w + i delta w
@@ -290,30 +326,42 @@ def compactness_probe(ens: EnsembleConfig, workers: int = 1) -> dict:
     refinement sup_t ||n||_{H^{1+a}} is expected to stabilize while the free
     part keeps the datum's roughness and grows.  Also records pairwise H^1
     distances of the ensemble at the probe times.
+
+    Every probe time is checked against the sample schedule before the first
+    step (ValueError otherwise).  Members are streamed one after another;
+    each keeps v(0), the running sup of the remainder and its states at the
+    probe times, nothing else.
     """
-    trajs = run_ensemble(ens, workers=workers)
+    cfg = ens.solver_config()
+    probe_steps = _probe_steps(ens, cfg)
+    wanted = set(probe_steps.values())
     g = _forcing_shift(ens)
     g_hat = g.values
     s_up = 1.0 + ens.a
 
-    sup_n, free_part = [], []
-    for tr in trajs:
-        v0 = SpectralField(ens.grid, to_fourier(tr.fields[0]).values + g_hat, FOURIER)
-        free_part.append(sobolev_norm(v0, s_up))
+    sup_n, free_part, snaps = [], [], []
+    for spec in ens.members:
         best = 0.0
-        for t_i, u_i in zip(tr.times, tr.fields):
-            w_hat = free_evolve(v0, float(t_i), ens.delta).values
-            n_hat = to_fourier(u_i).values + g_hat - w_hat
+        kept = {}
+        for step, t, u_hat in sample_stream(make_rough_data(spec, ens.grid), cfg):
+            if step == 0:
+                v0 = SpectralField(ens.grid, u_hat + g_hat, FOURIER)
+                free_part.append(sobolev_norm(v0, s_up))
+            w_hat = free_evolve(v0, float(t), ens.delta).values
+            n_hat = u_hat + g_hat - w_hat
             best = max(best, sobolev_norm(SpectralField(ens.grid, n_hat, FOURIER), s_up))
+            if step in wanted:
+                kept[step] = u_hat
         sup_n.append(best)
+        snaps.append(kept)
 
     pairwise = {}
     for t in ens.probe_times:
-        snaps = [to_fourier(tr.field_at(t)).values for tr in trajs]
+        fields = [kept[probe_steps[t]] for kept in snaps]
         dists = [
-            sobolev_norm(SpectralField(ens.grid, snaps[i] - snaps[j], FOURIER), 1.0)
-            for i in range(len(snaps))
-            for j in range(i + 1, len(snaps))
+            sobolev_norm(SpectralField(ens.grid, fields[i] - fields[j], FOURIER), 1.0)
+            for i in range(len(fields))
+            for j in range(i + 1, len(fields))
         ]
         pairwise[float(t)] = np.array(dists)
 

@@ -351,7 +351,7 @@ def cmd_attractor(get: _Reader, seed: int, threads: int):
     forcing_l2 = sobolev_norm(ens.forcing, 0.0) if ens.forcing is not None else 0.0
     base = {"a": ens.a, "delta": ens.delta, "forcing_l2": forcing_l2}
     if experiment == "absorbing":
-        report = absorbing_experiment(ens, workers=threads)
+        report = absorbing_experiment(ens)
         header = ["t"] + [f"h1_{j}" for j in range(len(ens.members))]
         rows = [
             (t, *(series[i] for series in report.h1_series))
@@ -369,7 +369,7 @@ def cmd_attractor(get: _Reader, seed: int, threads: int):
             max_balance_residual=report.max_residual,
         )
     elif experiment == "compactness":
-        table = compactness_probe(ens, workers=threads)
+        table = compactness_probe(ens)
         header = ["member", "remainder_h1a", "free_h1a"]
         rows = [
             (j, table["remainder_h1a"][j], table["free_h1a"][j])
@@ -413,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the INI config file")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="root seed; overrides the config")
-        cmd.add_argument("--threads", type=int, default=None, help="worker cap for concurrent parts")
+        cmd.add_argument(
+            "--threads", type=int, default=None,
+            help="worker cap for the ALS restarts of blocks; other commands run serially",
+        )
     return parser
 
 

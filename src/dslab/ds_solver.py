@@ -19,8 +19,9 @@ field, and rfft2/irfft2 of the real density |u|^2 on the half spectrum.  All
 transforms use norm="forward" (see spectral_core), so Fourier values are
 Fourier-series coefficients without any separate rescaling pass.
 
-Trajectory.fields hold Fourier coefficients (representation FOURIER);
-to_physical converts them on demand.
+sample_stream yields the sampled states one at a time; evolve consumes it
+and keeps them.  Trajectory.fields hold Fourier coefficients
+(representation FOURIER); to_physical converts them on demand.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -238,15 +239,20 @@ class _StepKernel:
         return u
 
 
-def strang_step(u: SpectralField, cfg: SolverConfig, dt: Optional[float] = None) -> SpectralField:
-    """One Strang splitting step of size dt (default cfg.dt).
+def strang_step(
+    u: SpectralField, cfg: SolverConfig, dt: Optional[float] = None, steps: int = 1
+) -> SpectralField:
+    """steps Strang splitting steps of size dt (default cfg.dt).
 
-    Negative dt steps the conservative flow backwards; both substeps are
-    exact, so forward-then-backward returns the input to roundoff.
+    One kernel runs all of them, with adjacent linear half-steps merged as in
+    evolve.  Negative dt steps the conservative flow backwards; both substeps
+    are exact, so forward-then-backward returns the input to roundoff.
     Non-finite input aborts with IntegrationAbort.
     """
+    if steps < 1 or int(steps) != steps:
+        raise ValueError(f"steps must be a positive integer, got {steps}")
     kernel = _StepKernel(u.grid, cfg, cfg.dt if dt is None else dt)
-    u_hat = kernel.advance(to_fourier(u).values, 1)
+    u_hat = kernel.advance(to_fourier(u).values, int(steps))
     result = SpectralField(u.grid, u_hat, FOURIER)
     return result if u.representation == FOURIER else to_physical(result)
 
@@ -264,44 +270,61 @@ def energy_functional(
     return grad + 0.5 * inter + drive
 
 
-def evolve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
-    """Fixed-step integration to cfg.t_end with sampling and diagnostics.
-
-    When cfg.dealias is set, the 2/3 mask is applied to the datum once before
-    stepping and the masked field is the first sample, so sampled states and
-    the recorded initial condition live on the same retained modes.  Samples
-    are stored as Fourier fields; energy parts use the step's density kernel.
-    Non-finite values abort with the failing step.
-    """
+def sample_steps(cfg: SolverConfig) -> list:
+    """Step numbers of the recorded samples: 0, every sample_every-th step
+    and the last one; the sample at step k is taken at t = k * cfg.dt."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise ValueError("t_end must be an integer multiple of dt")
-    kernel = _StepKernel(u0.grid, cfg, cfg.dt)
+    return list(range(0, n_steps, cfg.sample_every)) + [n_steps]
+
+
+def sample_stream(u0: SpectralField, cfg: SolverConfig) -> Iterator[tuple]:
+    """Yield (step, t, u_hat) at every step of sample_steps(cfg).
+
+    When cfg.dealias is set, the 2/3 mask is applied to the datum once before
+    stepping and the masked field is the first sample, so sampled states and
+    the recorded initial condition live on the same retained modes.  Each
+    u_hat is a fresh Fourier-coefficient array that the consumer may keep.
+    Non-finite values abort with the failing step.
+    """
+    return _samples(_StepKernel(u0.grid, cfg, cfg.dt), u0, cfg)
+
+
+def _samples(kernel: _StepKernel, u0: SpectralField, cfg: SolverConfig) -> Iterator[tuple]:
+    """sample_stream on a given kernel, so evolve can share its density kernel."""
+    steps = sample_steps(cfg)
     u_hat = to_fourier(u0).values.copy()
     if cfg.dealias:
         u_hat *= u0.grid.dealias_mask
+    done = 0
+    for step in steps:
+        if step > done:
+            u_hat = kernel.advance(u_hat, step - done, done + 1)
+            done = step
+        if not np.all(np.isfinite(u_hat)):
+            raise IntegrationAbort(step, step * cfg.dt)
+        yield step, step * cfg.dt, u_hat
+
+
+def evolve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
+    """Fixed-step integration to cfg.t_end, recording every sample of
+    sample_stream as a Fourier field with its diagnostics.
+
+    Per sample it keeps the field, mass, H^1 norm and the energy parts, which
+    use the step's density kernel; consumers that need less read
+    sample_stream directly.  Non-finite values abort with the failing step.
+    """
+    kernel = _StepKernel(u0.grid, cfg, cfg.dt)
     f_hat = to_fourier(cfg.forcing).values if cfg.forcing is not None else None
-
     times, fields, mass, h1, parts = [], [], [], [], []
-
-    def record(step: int, t: float, u_hat_now: np.ndarray) -> None:
-        if not np.all(np.isfinite(u_hat_now)):
-            raise IntegrationAbort(step, t)
-        # advance returns a fresh array, so the sample can keep u_hat_now
-        snap = SpectralField(u0.grid, u_hat_now, FOURIER)
+    for _, t, u_hat in _samples(kernel, u0, cfg):
+        snap = SpectralField(u0.grid, u_hat, FOURIER)
         times.append(t)
         fields.append(snap)
         mass.append(sobolev_norm(snap, 0.0))
         h1.append(sobolev_norm(snap, 1.0))
         parts.append(_energy_parts(snap, f_hat, kernel.density))
-
-    record(0, 0.0, u_hat)
-    step = 0
-    while step < n_steps:
-        n = min(cfg.sample_every, n_steps - step)
-        u_hat = kernel.advance(u_hat, n, step + 1)
-        step += n
-        record(step, step * cfg.dt, u_hat)
     grad, inter, drive = np.array(parts).T
     return Trajectory(
         times=np.array(times),

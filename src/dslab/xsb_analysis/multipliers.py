@@ -81,22 +81,34 @@ def _slot_labels(points: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, int(ranks[-1]) + 1 if len(ranks) else 0
 
 
-def _contract(labels, size, values, other1, other2) -> np.ndarray:
-    """Partial contraction of the form against two fixed test functions."""
+def _interleaved(labels: np.ndarray) -> np.ndarray:
+    """Labels 2l, 2l + 1 per row: the bins of the real and imaginary parts
+    of a complex weight array viewed as float64."""
+    pairs = np.empty(2 * len(labels), dtype=np.int64)
+    pairs[0::2] = 2 * labels
+    pairs[1::2] = 2 * labels + 1
+    return pairs
+
+
+def _contract(pairs, size, values, other1, other2) -> np.ndarray:
+    """Partial contraction of the form against two fixed test functions.
+
+    pairs is _interleaved(labels); one bincount sums the real and imaginary
+    parts of each label's rows, in row order, into adjacent bins.
+    """
     w = values * other1 * other2
-    re = np.bincount(labels, weights=w.real, minlength=size)
-    im = np.bincount(labels, weights=w.imag, minlength=size)
-    return re + 1j * im
+    sums = np.bincount(pairs, weights=w.view(np.float64), minlength=2 * size)
+    return sums.view(np.complex128)
 
 
-def _als_run(labels, sizes, values, fs, iters: int, tol: float) -> float:
+def _als_run(labels, pairs, sizes, values, fs, iters: int, tol: float) -> float:
     best = 0.0
     for _ in range(iters):
         previous = best
         for j in range(3):
             j1, j2 = (j + 1) % 3, (j + 2) % 3
             t = _contract(
-                labels[j], sizes[j], values, fs[j1][labels[j1]], fs[j2][labels[j2]]
+                pairs[j], sizes[j], values, fs[j1][labels[j1]], fs[j2][labels[j2]]
             )
             norm = np.linalg.norm(t)
             if norm == 0.0:
@@ -138,8 +150,10 @@ def estimate_3Z_norm(
                 fs.append(f / np.linalg.norm(f))
         starts.append(fs)
 
+    pairs = [_interleaved(labels) for labels in m.labels]
+
     def run(fs):
-        return _als_run(m.labels, m.slot_sizes, m.values, fs, iters, tol)
+        return _als_run(m.labels, pairs, m.slot_sizes, m.values, fs, iters, tol)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -281,7 +281,7 @@ def test_criterion_10_absorbing_ball():
         forcing=make_forcing(grid, 0.15, seed=55, smoothness=3.0),
         horizon=40.0, dt=0.01, sample_every=10,
     )
-    report = absorbing_experiment(ens, workers=2)
+    report = absorbing_experiment(ens)
     initial = np.array([h[0] for h in report.h1_series])
     radii = np.array(report.member_radius)
     spread = float(np.max(np.abs(radii - report.fit_radius)) / report.fit_radius)
@@ -318,7 +318,7 @@ def test_criterion_11_compactness_refinement():
             horizon=20.0, dt=0.01, sample_every=50,
             probe_times=(10.0, 20.0), a=0.4,
         )
-        results[m] = compactness_probe(ens, workers=2)
+        results[m] = compactness_probe(ens)
     coarse, fine = results[128], results[256]
     n_change = np.abs(
         fine["remainder_h1a"] - coarse["remainder_h1a"]

@@ -1,6 +1,10 @@
 """Energy balance audit, absorbing-ball fits, and the compactness probe."""
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from dslab import attractor_lab
 
 from dslab.spectral_core import (
     FOURIER,
@@ -8,6 +12,7 @@ from dslab.spectral_core import (
     GridSpec,
     SpectralField,
     apply_K,
+    free_evolve,
     lebesgue_norm,
     sobolev_norm,
     to_fourier,
@@ -25,10 +30,27 @@ from dslab.attractor_lab import (
     energy_balance_residual,
     energy_functional,
     make_forcing,
-    run_ensemble,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def count_transforms(monkeypatch, fn) -> int:
+    """Number of 2D transforms fn makes."""
+    calls = [0]
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+            patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        fn()
+    return calls[0]
 
 
 def small_ensemble(grid, members, **overrides):
@@ -175,8 +197,6 @@ class TestEnergyBalance:
 class TestBalanceAuditReadsRecordedParts:
     """The audit reuses the energy parts evolve recorded; it transforms nothing."""
 
-    NAMES = ("fft2", "ifft2", "rfft2", "irfft2")
-
     @pytest.fixture(scope="class")
     def run(self):
         grid = GridSpec(32, TWO_PI)
@@ -189,21 +209,12 @@ class TestBalanceAuditReadsRecordedParts:
 
     def test_audit_makes_no_transforms(self, monkeypatch, run):
         traj, cfg = run
-        calls = [0]
-
-        def counted(original):
-            def wrapper(*args, **kwargs):
-                calls[0] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        with monkeypatch.context() as patch:
-            for name in self.NAMES:
-                patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-            report = energy_balance_residual(traj, cfg)
-        assert calls[0] == 0
-        assert len(report.residuals) == len(traj.times) - 2
+        reports = []
+        calls = count_transforms(
+            monkeypatch, lambda: reports.append(energy_balance_residual(traj, cfg))
+        )
+        assert calls == 0
+        assert len(reports[0].residuals) == len(traj.times) - 2
 
     def test_recorded_energy_equals_energy_functional(self, run):
         traj, cfg = run
@@ -373,7 +384,7 @@ class TestCompactnessProbe:
         assert table["a"] == 0.4
         assert table["shift_h1a"] == 0.0
         assert table["remainder_h1a"][0] <= 1e-9
-        masked = run_ensemble(ens)[0].fields[0]
+        masked = evolve(make_rough_data(ens.members[0], grid), ens.solver_config()).fields[0]
         assert table["free_h1a"][0] == pytest.approx(sobolev_norm(masked, 1.4), rel=1e-12)
         assert set(table["pairwise_h1"]) == {2.0, 4.0}
 
@@ -415,20 +426,126 @@ class TestCompactnessProbe:
         assert len(table["pairwise_h1"][8.0]) == 3
         assert np.median(table["pairwise_h1"][16.0]) < np.median(table["pairwise_h1"][8.0])
 
-    def test_unsampled_probe_time_raises(self):
+    def test_unsampled_probe_time_raises(self, monkeypatch):
+        # checked against the sample schedule before the first step
         grid = GridSpec(16, TWO_PI)
         ens = small_ensemble(
-            grid, [RoughDataSpec(1.0, 0.1, 1)], horizon=2.0, probe_times=(1.03,)
+            grid, [RoughDataSpec(1.0, 0.1, 1)], horizon=2.0, probe_times=(1.0, 1.03)
         )
-        with pytest.raises(KeyError):
-            compactness_probe(ens)
+        streams = [0]
 
-    def test_workers_do_not_change_results(self):
+        def counted(*args):
+            streams[0] += 1
+            return attractor_lab.sample_stream(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(attractor_lab, "sample_stream", counted)
+            with pytest.raises(ValueError, match=r"probe time 1\.03 .*nearest: 1(\.0)?\b"):
+                compactness_probe(ens)
+        assert streams[0] == 0
+
+
+def forced_trio(grid, **overrides):
+    """Three forced members, sampled densely enough for the balance audit."""
+    members = [RoughDataSpec(1.0, amp, 7 + j) for j, amp in enumerate((0.3, 0.2, 0.1))]
+    kw = dict(forcing=make_forcing(grid, 0.2, seed=21), probe_times=(0.5, 1.0, 2.0))
+    kw.update(overrides)
+    return small_ensemble(grid, members, **kw)
+
+
+class TestStreamedMembersMatchEvolve:
+    """The experiments stream their members; every number equals, bit for
+    bit, the one built from per-member evolve calls."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        grid = GridSpec(32, TWO_PI)
+        ens = forced_trio(grid)
+        cfg = ens.solver_config()
+        trajs = [evolve(make_rough_data(spec, grid), cfg) for spec in ens.members]
+        return ens, cfg, trajs
+
+    def test_absorbing_experiment(self, case):
+        ens, cfg, trajs = case
+        report = absorbing_experiment(ens)
+        times = trajs[0].times
+        assert np.array_equal(report.sample_times, times)
+        assert len(report.h1_series) == 3
+        for series, tr in zip(report.h1_series, trajs):
+            assert np.array_equal(series, tr.h1_norm)
+        balance = energy_balance_residual(trajs[0], cfg)
+        assert len(balance.residuals) > 0
+        for name in ("times", "energy", "source", "residuals"):
+            assert np.array_equal(getattr(report, name), getattr(balance, name))
+        assert report.max_residual == balance.max_residual
+        fits = [_fit_member(times, tr.h1_norm) for tr in trajs]
+        assert report.member_radius == tuple(c for (_, _, c) in fits)
+        assert report.fit_radius == float(np.mean([c for (_, _, c) in fits]))
+        # the faintest member does not decay by t = 2, so its fit fails
+        fitted = [(a, b) for (a, b, _) in fits if a is not None]
+        assert report.fit_failures == (2,) and len(fitted) == 2
+        assert report.fit_amplitude == float(np.mean([a for (a, _) in fitted]))
+        assert report.fit_rate == float(np.mean([b for (_, b) in fitted]))
+
+    def test_compactness_probe(self, case):
+        ens, _, trajs = case
+        table = compactness_probe(ens)
+        g_hat = _forcing_shift(ens).values
+        remainder, free = [], []
+        for tr in trajs:
+            v0 = SpectralField(ens.grid, tr.fields[0].values + g_hat, FOURIER)
+            free.append(sobolev_norm(v0, 1.4))
+            norms = [
+                sobolev_norm(
+                    SpectralField(
+                        ens.grid,
+                        u.values + g_hat - free_evolve(v0, float(t), ens.delta).values,
+                        FOURIER,
+                    ),
+                    1.4,
+                )
+                for t, u in zip(tr.times, tr.fields)
+            ]
+            remainder.append(max(norms))
+        assert np.array_equal(table["remainder_h1a"], remainder)
+        assert np.array_equal(table["free_h1a"], free)
+        assert list(table["pairwise_h1"]) == [0.5, 1.0, 2.0]
+        for t, dists in table["pairwise_h1"].items():
+            snaps = [tr.field_at(t).values for tr in trajs]
+            expected = [
+                sobolev_norm(SpectralField(ens.grid, snaps[i] - snaps[j], FOURIER), 1.0)
+                for i, j in ((0, 1), (0, 2), (1, 2))
+            ]
+            assert np.array_equal(dists, expected)
+
+
+class TestAbsorbingCost:
+    """Energy parts for the audited member only, and no stored ensemble."""
+
+    def test_four_per_member_step_two_per_audited_sample(self, monkeypatch):
         grid = GridSpec(16, TWO_PI)
-        members = [RoughDataSpec(1.0, 0.2, 7), RoughDataSpec(1.0, 0.1, 8)]
-        ens = small_ensemble(grid, members, forcing=make_forcing(grid, 0.05, seed=3))
-        serial = compactness_probe(ens, workers=1)
-        threaded = compactness_probe(ens, workers=2)
-        assert np.array_equal(serial["remainder_h1a"], threaded["remainder_h1a"])
-        for t in ens.probe_times:
-            assert np.array_equal(serial["pairwise_h1"][t], threaded["pairwise_h1"][t])
+
+        def run(steps: int, every: int) -> int:
+            ens = forced_trio(
+                grid, horizon=steps * 0.01, sample_every=every, probe_times=(0.1,)
+            )
+            return count_transforms(monkeypatch, lambda: absorbing_experiment(ens))
+
+        # differences of runs cancel the fixed setup cost; K = 3 members
+        sparse10, sparse20, dense10 = run(10, 10), run(20, 20), run(10, 1)
+        assert sparse20 - sparse10 == 4 * 3 * 10
+        assert dense10 - sparse10 == 2 * 9
+
+    def test_peak_memory_below_two_stored_members(self):
+        grid = GridSpec(32, TWO_PI)
+        ens = forced_trio(grid, horizon=1.0, sample_every=1, probe_times=(1.0,))
+        samples = 101
+        one_member = samples * grid.modes_per_axis**2 * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            report = absorbing_experiment(ens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.sample_times) == samples and len(report.h1_series) == 3
+        assert peak < 2 * one_member

@@ -258,6 +258,18 @@ class TestAttractor:
         assert lines[0] == "member,remainder_h1a,free_h1a"
         assert len(lines) - 1 == 2
 
+    def test_off_schedule_probes_exit_two_only_where_probed(self, tmp_path, capsys):
+        # samples every 0.1; the compactness probe reads the states at the
+        # probe times, the absorbing fit does not
+        text = self.ATTR.replace("probes = 3,6", "probes = 3.05,6")
+        out = tmp_path / "compact"
+        cfg = write_config(tmp_path, text + "experiment = compactness\n", "c.ini")
+        assert main(["attractor", "--config", cfg, "--out", str(out)]) == 2
+        assert "nearest: 3" in capsys.readouterr().err
+        assert output_files(out) == []
+        cfg = write_config(tmp_path, text + "experiment = absorbing\n", "a.ini")
+        assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "absorb")]) == 0
+
     def test_zero_delta_exits_two_with_message(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.ATTR.replace("delta = 0.4", "delta = 0.0"))
         assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

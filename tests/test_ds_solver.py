@@ -21,6 +21,8 @@ from dslab.ds_solver import (
     evolve,
     load_checkpoint,
     nonlinear_potential,
+    sample_steps,
+    sample_stream,
     save_checkpoint,
     strang_step,
 )
@@ -149,12 +151,29 @@ class TestStrangStep:
 
         def richardson_gap(dt: float) -> float:
             one = strang_step(two_mode, cfg, dt=dt)
-            half = strang_step(strang_step(two_mode, cfg, dt=dt / 2), cfg, dt=dt / 2)
+            half = strang_step(two_mode, cfg, dt=dt / 2, steps=2)
             return float(np.max(np.abs(one.values - half.values)))
 
         gaps = [richardson_gap(dt) for dt in (0.08, 0.04, 0.02)]
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 6.5 <= coarse / fine <= 9.5  # dt-halving ratio for O(dt^3)
+
+    def test_step_count_matches_chained_single_steps(self, grid):
+        forcing = make_rough_data(RoughDataSpec(2.0, 0.05, 9), grid)
+        cfg = cubic_config(delta=0.2, forcing=forcing, dealias=True)
+        u0 = make_rough_data(RoughDataSpec(1.0, 0.05, 1), grid)
+        chained = u0
+        for _ in range(7):
+            chained = strang_step(chained, cfg)
+        merged = strang_step(u0, cfg, steps=7)
+        assert merged.representation == FOURIER
+        scale = np.max(np.abs(chained.values))
+        assert np.max(np.abs(merged.values - chained.values)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("steps", [0, -1, 1.5])
+    def test_step_count_must_be_positive_integer(self, grid, two_mode, steps):
+        with pytest.raises(ValueError, match="steps"):
+            strang_step(two_mode, cubic_config(), steps=steps)
 
     def test_nonfinite_input_aborts(self, grid):
         vals = np.ones((64, 64), dtype=np.complex128)
@@ -184,11 +203,8 @@ class TestEvolve:
 
     def test_time_reversibility(self, grid, two_mode):
         cfg = cubic_config()
-        u = two_mode
-        for _ in range(20):
-            u = strang_step(u, cfg)
-        for _ in range(20):
-            u = strang_step(u, cfg, dt=-cfg.dt)
+        u = strang_step(two_mode, cfg, steps=20)
+        u = strang_step(u, cfg, dt=-cfg.dt, steps=20)
         scale = np.max(np.abs(two_mode.values))
         assert np.max(np.abs(u.values - two_mode.values)) <= 1e-8 * scale
 
@@ -283,6 +299,25 @@ class TestEvolve:
             )
 
 
+class TestSampleStream:
+    def test_schedule_keeps_the_last_step(self):
+        assert sample_steps(cubic_config(t_end=0.1, sample_every=3)) == [0, 3, 6, 9, 10]
+        assert sample_steps(cubic_config(t_end=0.1, sample_every=5)) == [0, 5, 10]
+        with pytest.raises(ValueError, match="multiple of dt"):
+            sample_steps(cubic_config(dt=0.03, t_end=0.1))
+
+    def test_yields_the_states_evolve_records(self, grid, two_mode):
+        cfg = cubic_config(t_end=0.1, sample_every=3, dealias=True)
+        traj = evolve(two_mode, cfg)
+        stream = list(sample_stream(two_mode, cfg))
+        assert [step for step, _, _ in stream] == sample_steps(cfg)
+        assert np.array_equal([t for _, t, _ in stream], traj.times)
+        for (_, _, u_hat), field in zip(stream, traj.fields):
+            assert np.array_equal(u_hat, field.values)
+        # every yielded array is the consumer's to keep
+        assert len({id(u_hat) for _, _, u_hat in stream}) == len(stream)
+
+
 class TestTransformCount:
     """Transforms per step and per recorded sample, counted, not timed."""
 
@@ -317,6 +352,14 @@ class TestTransformCount:
         sparse10, sparse20, dense10 = run(10, 10), run(20, 20), run(10, 1)
         assert (sparse20 - sparse10) == 4 * 10
         assert dense10 - sparse10 <= 2 * 9
+
+    def test_one_kernel_per_strang_step_call(self, monkeypatch, grid, two_mode):
+        # a physical forcing costs one transform per kernel build
+        f = SpectralField(grid, 0.1 * np.ones((64, 64), dtype=np.complex128))
+        cfg = cubic_config(delta=0.1, forcing=f)
+        one = self.count(monkeypatch, lambda: strang_step(two_mode, cfg))
+        ten = self.count(monkeypatch, lambda: strang_step(two_mode, cfg, steps=10))
+        assert ten - one == 4 * 9
 
 
 class TestEnergy:

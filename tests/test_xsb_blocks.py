@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dslab.xsb_analysis import blocks
+from dslab.xsb_analysis import blocks, multipliers
 from dslab.xsb_analysis import (
     COHERENT,
     GENERIC,
@@ -140,6 +140,37 @@ class TestEstimate3Z:
             e1 = estimate_3Z_norm(lower, restarts=16, iters=500)
             e2 = estimate_3Z_norm(upper, restarts=16, iters=500)
             assert e1 <= e2 * (1 + 1e-8)
+
+    @staticmethod
+    def two_bincount_contract(labels, size, values, other1, other2):
+        w = values * other1 * other2
+        re = np.bincount(labels, weights=w.real, minlength=size)
+        im = np.bincount(labels, weights=w.imag, minlength=size)
+        return re + 1j * im
+
+    def test_one_bincount_contraction_matches_two_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+
+        def complex_normal(n):
+            return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        real = block_multiplier(DyadicBlockSpec(2, 1, 2, 2, 1, 4, 4), BlockLattice())
+        cases = [
+            (lab, size, real.values) for lab, size in zip(real.labels, real.slot_sizes)
+        ]
+        # labels drawn from a range with gaps leave some bins empty
+        sparse = rng.choice(np.arange(0, 60, 3), size=500)
+        cases.append((sparse, 64, complex_normal(500)))
+        for labels, size, values in cases:
+            n = len(labels)
+            others = complex_normal(n), complex_normal(n)
+            fast = multipliers._contract(
+                multipliers._interleaved(labels), size, values, *others
+            )
+            slow = self.two_bincount_contract(labels, size, values, *others)
+            assert fast.dtype == np.complex128 and fast.shape == (size,)
+            assert fast.tobytes() == slow.tobytes()
+        assert np.any(np.bincount(sparse, minlength=64) == 0)
 
     def test_worker_count_does_not_change_result(self):
         rng = np.random.default_rng(8)
