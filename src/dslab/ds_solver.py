@@ -239,20 +239,15 @@ class _StepKernel:
         return u
 
 
-def strang_step(
-    u: SpectralField, cfg: SolverConfig, dt: Optional[float] = None, steps: int = 1
-) -> SpectralField:
-    """steps Strang splitting steps of size dt (default cfg.dt).
+def strang_step(u: SpectralField, cfg: SolverConfig, dt: Optional[float] = None) -> SpectralField:
+    """One Strang splitting step of size dt (default cfg.dt).
 
-    One kernel runs all of them, with adjacent linear half-steps merged as in
-    evolve.  Negative dt steps the conservative flow backwards; both substeps
-    are exact, so forward-then-backward returns the input to roundoff.
+    Negative dt steps the conservative flow backwards; both substeps are
+    exact, so forward-then-backward returns the input to roundoff.
     Non-finite input aborts with IntegrationAbort.
     """
-    if steps < 1 or int(steps) != steps:
-        raise ValueError(f"steps must be a positive integer, got {steps}")
     kernel = _StepKernel(u.grid, cfg, cfg.dt if dt is None else dt)
-    u_hat = kernel.advance(to_fourier(u).values, int(steps))
+    u_hat = kernel.advance(to_fourier(u).values, 1)
     result = SpectralField(u.grid, u_hat, FOURIER)
     return result if u.representation == FOURIER else to_physical(result)
 

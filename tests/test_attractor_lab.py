@@ -30,6 +30,7 @@ from dslab.attractor_lab import (
     energy_balance_residual,
     energy_functional,
     make_forcing,
+    run_ensemble,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -363,6 +364,21 @@ class TestForcingShift:
         grid = GridSpec(16, TWO_PI)
         ens = small_ensemble(grid, [RoughDataSpec(1.0, 0.1, 1)])
         assert np.all(_forcing_shift(ens).values == 0.0)
+
+
+class TestRunEnsemble:
+    def test_workers_do_not_change_results(self):
+        grid = GridSpec(16, TWO_PI)
+        members = [RoughDataSpec(1.0, 0.2, 7), RoughDataSpec(1.0, 0.1, 8)]
+        ens = small_ensemble(grid, members, forcing=make_forcing(grid, 0.05, seed=3))
+        serial = run_ensemble(ens, workers=1)
+        threaded = run_ensemble(ens, workers=2)
+        assert len(threaded) == len(members)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.h1_norm, b.h1_norm)
+            for fa, fb in zip(a.fields, b.fields):
+                assert np.array_equal(fa.values, fb.values)
 
 
 class TestCompactnessProbe:

@@ -151,29 +151,12 @@ class TestStrangStep:
 
         def richardson_gap(dt: float) -> float:
             one = strang_step(two_mode, cfg, dt=dt)
-            half = strang_step(two_mode, cfg, dt=dt / 2, steps=2)
+            half = strang_step(strang_step(two_mode, cfg, dt=dt / 2), cfg, dt=dt / 2)
             return float(np.max(np.abs(one.values - half.values)))
 
         gaps = [richardson_gap(dt) for dt in (0.08, 0.04, 0.02)]
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 6.5 <= coarse / fine <= 9.5  # dt-halving ratio for O(dt^3)
-
-    def test_step_count_matches_chained_single_steps(self, grid):
-        forcing = make_rough_data(RoughDataSpec(2.0, 0.05, 9), grid)
-        cfg = cubic_config(delta=0.2, forcing=forcing, dealias=True)
-        u0 = make_rough_data(RoughDataSpec(1.0, 0.05, 1), grid)
-        chained = u0
-        for _ in range(7):
-            chained = strang_step(chained, cfg)
-        merged = strang_step(u0, cfg, steps=7)
-        assert merged.representation == FOURIER
-        scale = np.max(np.abs(chained.values))
-        assert np.max(np.abs(merged.values - chained.values)) <= 1e-13 * scale
-
-    @pytest.mark.parametrize("steps", [0, -1, 1.5])
-    def test_step_count_must_be_positive_integer(self, grid, two_mode, steps):
-        with pytest.raises(ValueError, match="steps"):
-            strang_step(two_mode, cubic_config(), steps=steps)
 
     def test_nonfinite_input_aborts(self, grid):
         vals = np.ones((64, 64), dtype=np.complex128)
@@ -203,8 +186,11 @@ class TestEvolve:
 
     def test_time_reversibility(self, grid, two_mode):
         cfg = cubic_config()
-        u = strang_step(two_mode, cfg, steps=20)
-        u = strang_step(u, cfg, dt=-cfg.dt, steps=20)
+        u = two_mode
+        for _ in range(20):
+            u = strang_step(u, cfg)
+        for _ in range(20):
+            u = strang_step(u, cfg, dt=-cfg.dt)
         scale = np.max(np.abs(two_mode.values))
         assert np.max(np.abs(u.values - two_mode.values)) <= 1e-8 * scale
 
@@ -352,14 +338,6 @@ class TestTransformCount:
         sparse10, sparse20, dense10 = run(10, 10), run(20, 20), run(10, 1)
         assert (sparse20 - sparse10) == 4 * 10
         assert dense10 - sparse10 <= 2 * 9
-
-    def test_one_kernel_per_strang_step_call(self, monkeypatch, grid, two_mode):
-        # a physical forcing costs one transform per kernel build
-        f = SpectralField(grid, 0.1 * np.ones((64, 64), dtype=np.complex128))
-        cfg = cubic_config(delta=0.1, forcing=f)
-        one = self.count(monkeypatch, lambda: strang_step(two_mode, cfg))
-        ten = self.count(monkeypatch, lambda: strang_step(two_mode, cfg, steps=10))
-        assert ten - one == 4 * 9
 
 
 class TestEnergy:
