@@ -6,7 +6,8 @@ run), smoothing (grid-refinement study of the Duhamel remainder), knapp
 attractor (ensemble absorbing/compactness experiments).  A config holds
 [run] and the command's own section and nothing else, and every key in them
 must be one that is read, so a misspelt key is refused instead of silently
-falling back to its default.  Commands return their tables and write
+falling back to its default; commands check this before their first solve,
+so a typo fails at once.  Commands return their tables and write
 nothing: main alone writes the CSVs, then summary.json, then exactly one
 manifest.json recording the effective config, the root seed, a content hash
 of the inputs, and step/wall-clock counts.  Each file is written under a
@@ -178,7 +179,8 @@ def _forcing(get: _Reader, grid: GridSpec, seed: int):
     return make_forcing(grid, amplitude, _derive_seed(seed, 1), smoothness)
 
 
-# Each command reads every key of its section unconditionally and returns
+# Each command reads every key of its section unconditionally, refuses unread
+# keys (get.check_all_read) before its first solve, and returns
 # (grid info, {file name: (header, rows)}, summary or None, details, steps).
 
 
@@ -199,6 +201,7 @@ def cmd_simulate(get: _Reader, seed: int, threads: int):
         dealias=get("dealias", _bool, True),
         sample_every=get("sample_every", int, 1),
     )
+    get.check_all_read()
     traj = evolve(datum, cfg)
     rows = list(zip(traj.times, traj.mass, traj.h1_norm, traj.energy))
     tables = {"simulate.csv": (["t", "mass", "h1", "energy"], rows)}
@@ -220,6 +223,7 @@ def cmd_smoothing(get: _Reader, seed: int, threads: int):
     )
     spec = RoughDataSpec(s, get("amplitude", float), seed)
     length = get("domain_length", float, None)
+    get.check_all_read()
     exploratory = not a < min(0.5, s - 0.5)
     if exploratory:
         warnings.warn(
@@ -248,16 +252,16 @@ def cmd_knapp(get: _Reader, seed: int, threads: int):
     n_values = get("n_values", _float_list, [8.0, 16.0, 32.0, 64.0])
     grid_n = get("grid_n", int, int(max(n_values)))
     time_samples = get("time_samples", int, 32)
-    grid = knapp_grid(grid_n, time_samples=time_samples)
-    sweep = knapp_sweep(
-        n_values,
+    params = dict(
         s=get("s", float, 0.6),
         a=get("a", float, 0.3),
         b=get("b", float, 0.51),
         c1=get("c1", float, 1.0),
         c2=get("c2", float, 1.0),
-        grid=grid,
     )
+    get.check_all_read()
+    grid = knapp_grid(grid_n, time_samples=time_samples)
+    sweep = knapp_sweep(n_values, grid=grid, **params)
     rows = list(zip(sweep.n_values, sweep.u_norms, sweep.v_norms, sweep.ratios))
     tables = {"knapp.csv": (["n", "u_norm", "v_norm", "ratio"], rows)}
     details = {
@@ -285,6 +289,7 @@ def cmd_blocks(get: _Reader, seed: int, threads: int):
     )
     restarts = get("restarts", int, 6)
     iters = get("iters", int, 60)
+    get.check_all_read()
     specs = []
     for k, case in enumerate(cases):
         specs.extend(
@@ -346,8 +351,9 @@ def _attractor_ensemble(get: _Reader, seed: int) -> EnsembleConfig:
 
 
 def cmd_attractor(get: _Reader, seed: int, threads: int):
-    ens = _attractor_ensemble(get, seed)
     experiment = get("experiment", str, "absorbing")
+    ens = _attractor_ensemble(get, seed)
+    get.check_all_read()
     forcing_l2 = sobolev_norm(ens.forcing, 0.0) if ens.forcing is not None else 0.0
     base = {"a": ens.a, "delta": ens.delta, "forcing_l2": forcing_l2}
     if experiment == "absorbing":
@@ -447,7 +453,6 @@ def main(argv: Optional[list] = None) -> int:
         os.makedirs(args.out, exist_ok=True)
         started = time.perf_counter()
         grid_info, tables, summary, details, steps = _COMMANDS[args.command](get, seed, threads)
-        get.check_all_read()
         outputs = []
         for name, (header, rows) in tables.items():
             _write(args.out, name, _csv_text(header, rows))

@@ -19,6 +19,11 @@ field, and rfft2/irfft2 of the real density |u|^2 on the half spectrum.  All
 transforms use norm="forward" (see spectral_core), so Fourier values are
 Fourier-series coefficients without any separate rescaling pass.
 
+The step allocates no M x M array.  The field is transformed in place with
+spectral_core's *_into transforms, and the density, its half spectrum and
+the potential live in buffers the density kernel owns.  Only the array that
+advance returns is fresh.
+
 sample_stream yields the sampled states one at a time; evolve consumes it
 and keeps them.  Trajectory.fields hold Fourier coefficients
 (representation FOURIER); to_physical converts them on demand.
@@ -33,6 +38,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import spectral_core
 from .spectral_core import (
     FOURIER,
     PHYSICAL,
@@ -129,6 +135,10 @@ class _DensityKernel:
     rho is real, so it is transformed on the rfft2 half spectrum, where the
     symbol c1 + c2 alpha is applied; V comes back real by construction.  The
     same half-spectrum density gives the interaction energy int V |u|^2.
+
+    The kernel owns three buffers and allocates nothing per call: rho (the
+    density, then the potential), scratch (|Im u|^2) and rho_hat (the half
+    spectrum).  Both methods return one of them, valid until the next call.
     """
 
     def __init__(self, grid: GridSpec, c1: float, c2: float):
@@ -136,17 +146,19 @@ class _DensityKernel:
         self.grid = grid
         self.symbol = c1 + c2 * grid.alpha_symbol[:, : m // 2 + 1]
         self.rho = np.empty((m, m))
+        self.scratch = np.empty((m, m))
+        self.rho_hat = np.empty((m, m // 2 + 1), dtype=np.complex128)
 
     def density_hat(self, u: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients of |u|^2 for physical values u."""
+        """Half-spectrum coefficients of |u|^2 for physical values u, in rho_hat."""
         rho = np.multiply(u.real, u.real, out=self.rho)
-        rho += u.imag * u.imag
-        return np.fft.rfft2(rho, norm="forward")
+        rho += np.multiply(u.imag, u.imag, out=self.scratch)
+        return spectral_core.rfft2_into(rho, self.rho_hat)
 
     def potential(self, rho_hat: np.ndarray) -> np.ndarray:
-        """Physical V from density_hat's output, which is overwritten."""
+        """Physical V in rho from density_hat's output, which is overwritten."""
         rho_hat *= self.symbol
-        return np.fft.irfft2(rho_hat, s=self.rho.shape, norm="forward")
+        return spectral_core.irfft2_into(rho_hat, self.rho)
 
     def interaction(self, rho_hat: np.ndarray) -> float:
         """int V |u|^2 = L^2 * sum over the full lattice of symbol |rho_hat|^2."""
@@ -160,6 +172,7 @@ def nonlinear_potential(u: SpectralField, cfg: SolverConfig) -> SpectralField:
     """Real potential V = c1 |u|^2 + c2 K(|u|^2); the nonlinearity is V*u."""
     kernel = _DensityKernel(u.grid, cfg.c1, cfg.c2)
     v = kernel.potential(kernel.density_hat(to_physical(u).values))
+    # astype copies V out of the kernel's buffer
     return SpectralField(u.grid, v.astype(np.complex128), PHYSICAL)
 
 
@@ -183,7 +196,8 @@ class _StepKernel:
     variation-of-constants forcing term; two adjacent half-steps compose
     exactly into u -> P^2 u + (P + 1) F.  The 2/3 mask is 0/1, so folding it
     into the propagators that follow the gauge gives the same values as
-    masking the field first.
+    masking the field first.  A step writes only the field advance returns,
+    the density kernel's buffers and the gauge phase buffer.
     """
 
     def __init__(self, grid: GridSpec, cfg: SolverConfig, dt: float):
@@ -212,7 +226,7 @@ class _StepKernel:
         # rho >= 0: any non-finite value makes its mean non-finite
         if not np.isfinite(rho_hat[0, 0]):
             raise IntegrationAbort(step, step * self.dt)
-        theta = self.density.potential(rho_hat)
+        theta = self.density.potential(rho_hat)  # the density kernel's rho buffer
         theta *= -self.dt
         g = self.phase
         np.cos(theta, out=g.real)
@@ -223,15 +237,16 @@ class _StepKernel:
         """n Strang steps, Fourier in / Fourier out; u_hat is left unchanged.
 
         Steps are numbered first_step, ..., first_step + n - 1 for the abort.
+        The returned array is the only one allocated; u is transformed in place.
         """
         u = self.lead * u_hat
         if self.force is not None:
             u += self.force
         last = first_step + n - 1
         for step in range(first_step, last + 1):
-            u = np.fft.ifft2(u, norm="forward")
+            spectral_core.ifft2_into(u, u)
             self._gauge(u, step)
-            u = np.fft.fft2(u, norm="forward")
+            spectral_core.fft2_into(u, u)
             prop, force = (self.full, self.force_full) if step < last else (self.trail, self.force)
             u *= prop
             if force is not None:

@@ -9,13 +9,23 @@ the continuum form
 which makes norm values comparable across resolutions.  Frequencies follow
 numpy's FFT layout {0, ..., M/2-1, -M/2, ..., -1} * (2*pi/L).
 
-The 1/M^2 scaling is folded into the transforms: every 2D transform in the
-laboratory's solver path is called as np.fft.<name>(..., norm="forward"), so
-the forward transform yields the coefficients directly and the inverse sums
-them without rescaling.  The space-time layer (xsb_analysis) does the same
-with its 1D, 2D and 3D transforms, so no transform output is rescaled by
-hand.  Transforms are looked up as np.fft.<name> at call time, never bound
-at import, so wrappers installed on numpy.fft see them.
+The 1/M^2 scaling is folded into the transforms: every field transform in
+the laboratory runs with norm="forward", so the forward transform yields the
+coefficients directly and the inverse sums them without rescaling.  The
+space-time layer (xsb_analysis) does the same with its 1D, 2D and 3D
+transforms, so no transform output is rescaled by hand.
+
+Every 2D transform of the grid fields goes through the four functions
+fft2_into, ifft2_into, rfft2_into and irfft2_into, which write into a buffer
+the caller owns (in place for the complex pair): the solver's step and
+density kernels pass their own buffers, to_fourier and to_physical a fresh
+output.  Each is two 1D np.fft passes with out=, in numpy's own axis order,
+so the results are bit-identical to np.fft.fft2/ifft2/rfft2/irfft2 without
+an M x M temporary per pass.  np.fft.ifft2 and np.fft.irfft2 cannot stand
+in: numpy 2.4 accepts their out= argument but returns a fresh array and
+leaves out untouched.  Callers look the four up as spectral_core.<name> at
+call time, never bind them at import, so wrappers installed on this module
+see them.
 """
 from __future__ import annotations
 
@@ -133,6 +143,30 @@ class SpectralField:
         return cls(grid, np.zeros((m, m), dtype=np.complex128), representation)
 
 
+def fft2_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- Fourier coefficients of the complex M x M array a; out may be a."""
+    np.fft.fft(a, axis=-1, norm="forward", out=out)
+    return np.fft.fft(out, axis=0, norm="forward", out=out)
+
+
+def ifft2_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- physical values of the coefficients a; out may be a."""
+    np.fft.ifft(a, axis=-1, norm="forward", out=out)
+    return np.fft.ifft(out, axis=0, norm="forward", out=out)
+
+
+def rfft2_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out (M x M/2+1 complex) <- half-spectrum coefficients of the real M x M x."""
+    np.fft.rfft(x, axis=-1, norm="forward", out=out)
+    return np.fft.fft(out, axis=0, norm="forward", out=out)
+
+
+def irfft2_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out (real M x M) <- the field of the half spectrum a, which is overwritten."""
+    np.fft.ifft(a, axis=0, norm="forward", out=a)
+    return np.fft.irfft(a, n=out.shape[-1], axis=-1, norm="forward", out=out)
+
+
 def to_fourier(field: SpectralField) -> SpectralField:
     """Transform physical values to Fourier-series coefficients.
 
@@ -141,14 +175,16 @@ def to_fourier(field: SpectralField) -> SpectralField:
     """
     if field.representation == FOURIER:
         return field
-    return SpectralField(field.grid, np.fft.fft2(field.values, norm="forward"), FOURIER)
+    hat = fft2_into(field.values, np.empty_like(field.values))
+    return SpectralField(field.grid, hat, FOURIER)
 
 
 def to_physical(field: SpectralField) -> SpectralField:
     """Inverse of to_fourier; round-trip error stays below 1e-12."""
     if field.representation == PHYSICAL:
         return field
-    return SpectralField(field.grid, np.fft.ifft2(field.values, norm="forward"), PHYSICAL)
+    values = ifft2_into(field.values, np.empty_like(field.values))
+    return SpectralField(field.grid, values, PHYSICAL)
 
 
 def apply_K(field: SpectralField) -> SpectralField:

@@ -36,24 +36,6 @@ from dslab.attractor_lab import (
 TWO_PI = 2.0 * np.pi
 
 
-def count_transforms(monkeypatch, fn) -> int:
-    """Number of 2D transforms fn makes."""
-    calls = [0]
-
-    def counted(original):
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    with monkeypatch.context() as patch:
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
-            patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        fn()
-    return calls[0]
-
-
 def small_ensemble(grid, members, **overrides):
     kw = dict(
         grid=grid,
@@ -208,13 +190,15 @@ class TestBalanceAuditReadsRecordedParts:
         )
         return evolve(u0, cfg), cfg
 
-    def test_audit_makes_no_transforms(self, monkeypatch, run):
+    def test_audit_makes_no_transforms(self, count_transforms, run):
         traj, cfg = run
         reports = []
-        calls = count_transforms(
-            monkeypatch, lambda: reports.append(energy_balance_residual(traj, cfg))
-        )
+        calls = count_transforms(lambda: reports.append(energy_balance_residual(traj, cfg)))
         assert calls == 0
+        # the hook is live: one sample's energy costs to_physical and the
+        # density transform
+        u = traj.fields[1]
+        assert count_transforms(lambda: energy_functional(u, cfg.forcing, cfg.c1, cfg.c2)) == 2
         assert len(reports[0].residuals) == len(traj.times) - 2
 
     def test_recorded_energy_equals_energy_functional(self, run):
@@ -538,14 +522,14 @@ class TestStreamedMembersMatchEvolve:
 class TestAbsorbingCost:
     """Energy parts for the audited member only, and no stored ensemble."""
 
-    def test_four_per_member_step_two_per_audited_sample(self, monkeypatch):
+    def test_four_per_member_step_two_per_audited_sample(self, count_transforms):
         grid = GridSpec(16, TWO_PI)
 
         def run(steps: int, every: int) -> int:
             ens = forced_trio(
                 grid, horizon=steps * 0.01, sample_every=every, probe_times=(0.1,)
             )
-            return count_transforms(monkeypatch, lambda: absorbing_experiment(ens))
+            return count_transforms(lambda: absorbing_experiment(ens))
 
         # differences of runs cancel the fixed setup cost; K = 3 members
         sparse10, sparse20, dense10 = run(10, 10), run(20, 20), run(10, 1)

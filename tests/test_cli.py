@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import dslab.attractor_lab
+import dslab.cli
 from dslab.cli import ConfigError, main, parse_config, serialize_config
 
 SIM_CONFIG = """
@@ -137,6 +139,27 @@ class TestConfigKeys:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert "delat" in capsys.readouterr().err
         assert output_files(out) == []
+
+    @staticmethod
+    def refuse_solving(monkeypatch, module, *names):
+        def solve(*args, **kwargs):
+            raise AssertionError("solver called before the config was checked")
+
+        for name in names:
+            monkeypatch.setattr(module, name, solve)
+
+    def test_simulate_refuses_unknown_key_before_solving(self, tmp_path, capsys, monkeypatch):
+        self.refuse_solving(monkeypatch, dslab.cli, "evolve")
+        cfg = write_config(tmp_path, SIM_CONFIG + "delat = 0.1\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "delat" in capsys.readouterr().err
+
+    def test_attractor_refuses_unknown_key_before_solving(self, tmp_path, capsys, monkeypatch):
+        self.refuse_solving(monkeypatch, dslab.attractor_lab, "evolve", "sample_stream")
+        text = TestAttractor.ATTR + "experiment = compactness\ndelat = 0.1\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown keys: delat" in capsys.readouterr().err
 
     def test_unknown_run_key_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SIM_CONFIG.replace("seed = 7", "seed = 7\nsede = 8"))

@@ -278,27 +278,17 @@ class TestSmoothingReport:
         assert rep.nonlinear_norms[-1] != plain
 
     @pytest.mark.parametrize("sample_every,samples", [(25, 5), (5, 21)])
-    def test_gauge_phase_built_once(self, monkeypatch, sample_every, samples):
+    def test_gauge_phase_built_once(self, count_transforms, sample_every, samples):
         # resonant_gauge_phase costs 3 transforms; the remainders cost none
         grid = GridSpec(32, TWO_PI)
         u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=sample_every)
         traj = evolve(u0, cfg)
         assert len(traj.times) == samples
-        calls = [0]
-
-        def counted(original):
-            def wrapper(*args, **kwargs):
-                calls[0] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        with monkeypatch.context() as patch:
-            for name in ("fft2", "ifft2", "rfft2", "irfft2"):
-                patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-            smoothing_report(traj, traj.fields[0], cfg.c1, cfg.c2, s=0.6, a=0.05)
-        assert calls[0] == 3
+        calls = count_transforms(
+            lambda: smoothing_report(traj, traj.fields[0], cfg.c1, cfg.c2, s=0.6, a=0.05)
+        )
+        assert calls == 3
 
     def test_empty_trajectory_rejected(self):
         from dslab.ds_solver import Trajectory

@@ -8,9 +8,13 @@ from dslab.spectral_core import (
     GridSpec,
     SpectralField,
     apply_K,
+    fft2_into,
     free_evolve,
+    ifft2_into,
+    irfft2_into,
     lebesgue_norm,
     loglog_slope,
+    rfft2_into,
     sobolev_norm,
     to_fourier,
     to_physical,
@@ -108,6 +112,31 @@ class TestTransforms:
         assert to_physical(u) is u
         hat = to_fourier(u)
         assert to_fourier(hat) is hat
+
+
+class TestBufferTransforms:
+    """The *_into transforms against numpy's 2D transforms, bit for bit."""
+
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_bit_identical_and_written_into_the_given_buffer(self, m):
+        rng = np.random.default_rng(m)
+        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        x = rng.standard_normal((m, m))
+        h = z[:, : m // 2 + 1].copy()
+
+        buf = z.copy()
+        assert fft2_into(buf, buf) is buf
+        assert np.array_equal(buf, np.fft.fft2(z, norm="forward"))
+        buf = z.copy()
+        assert ifft2_into(buf, buf) is buf
+        assert np.array_equal(buf, np.fft.ifft2(z, norm="forward"))
+        half = np.empty((m, m // 2 + 1), dtype=np.complex128)
+        assert rfft2_into(x, half) is half
+        assert np.array_equal(half, np.fft.rfft2(x, norm="forward"))
+        real = np.empty((m, m))
+        expected = np.fft.irfft2(h, s=(m, m), norm="forward")
+        assert irfft2_into(h, real) is real
+        assert np.array_equal(real, expected)
 
 
 class TestApplyK:
