@@ -453,6 +453,8 @@ def main(argv: Optional[list] = None) -> int:
         os.makedirs(args.out, exist_ok=True)
         started = time.perf_counter()
         grid_info, tables, summary, details, steps = _COMMANDS[args.command](get, seed, threads)
+        # the commands check before solving; this catches one that forgot to
+        get.check_all_read()
         outputs = []
         for name, (header, rows) in tables.items():
             _write(args.out, name, _csv_text(header, rows))

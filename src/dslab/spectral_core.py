@@ -15,17 +15,20 @@ coefficients directly and the inverse sums them without rescaling.  The
 space-time layer (xsb_analysis) does the same with its 1D, 2D and 3D
 transforms, so no transform output is rescaled by hand.
 
-Every 2D transform of the grid fields goes through the four functions
-fft2_into, ifft2_into, rfft2_into and irfft2_into, which write into a buffer
-the caller owns (in place for the complex pair): the solver's step and
-density kernels pass their own buffers, to_fourier and to_physical a fresh
-output.  Each is two 1D np.fft passes with out=, in numpy's own axis order,
-so the results are bit-identical to np.fft.fft2/ifft2/rfft2/irfft2 without
-an M x M temporary per pass.  np.fft.ifft2 and np.fft.irfft2 cannot stand
-in: numpy 2.4 accepts their out= argument but returns a fresh array and
-leaves out untouched.  Callers look the four up as spectral_core.<name> at
-call time, never bind them at import, so wrappers installed on this module
-see them.
+The solver's step and density kernels, to_fourier and to_physical make
+their 2D transforms through the four functions fft2_into, ifft2_into,
+rfft2_into and irfft2_into, which write into a buffer the caller owns (in
+place for the complex pair): the kernels pass their own buffers, to_fourier
+and to_physical a fresh output.  Each is two 1D np.fft passes with out=
+(an argument numpy has had since 2.0), in numpy's own axis order, so the
+results are bit-identical to np.fft.fft2/ifft2/rfft2/irfft2 without an
+M x M temporary per pass.  np.fft.ifft2 and np.fft.irfft2 cannot stand in:
+numpy 2.4 accepts their out= argument but returns a fresh array and leaves
+out untouched.  Callers look the four up as spectral_core.<name> at call
+time, never bind them at import, so wrappers installed on this module see
+them.  The one other 2D transform of M x M grid arrays is the lattice
+convolution in smoothing_diagnostics.resonant_gauge_phase, which still calls
+np.fft.fft2 and np.fft.ifft2 with the default norm.
 """
 from __future__ import annotations
 

@@ -4,7 +4,8 @@ import pytest
 
 from dslab import spectral_core
 
-# every 2D transform the laboratory makes goes through one of these names
+# every 2D transform the laboratory makes goes through one of these names:
+# the spectral_core in-place transforms or numpy's own 2D functions
 TRANSFORMS = (
     (np.fft, ("fft2", "ifft2", "rfft2", "irfft2")),
     (spectral_core, ("fft2_into", "ifft2_into", "rfft2_into", "irfft2_into")),

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-import dslab.attractor_lab
 import dslab.cli
 from dslab.cli import ConfigError, main, parse_config, serialize_config
 
@@ -140,25 +139,31 @@ class TestConfigKeys:
         assert "delat" in capsys.readouterr().err
         assert output_files(out) == []
 
-    @staticmethod
-    def refuse_solving(monkeypatch, module, *names):
+    # each command with the library calls that do its work, all after the key check
+    SOLVERS = {
+        "simulate": ("[simulate]\namplitude = 0.1\ndt = 0.01\nt_end = 1\n", ["evolve"]),
+        "smoothing": ("[smoothing]\namplitude = 0.1\n", ["refinement_study"]),
+        "knapp": ("[knapp]\n", ["knapp_grid", "knapp_sweep"]),
+        "blocks": ("[blocks]\n", ["sample_block_specs", "check_block_bounds"]),
+        "attractor": (
+            "[attractor]\nmodes = 16\ndelta = 0.1\n",
+            ["absorbing_experiment", "compactness_probe"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SOLVERS))
+    def test_command_refuses_unknown_key_before_solving(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        section, solvers = self.SOLVERS[command]
+
         def solve(*args, **kwargs):
             raise AssertionError("solver called before the config was checked")
 
-        for name in names:
-            monkeypatch.setattr(module, name, solve)
-
-    def test_simulate_refuses_unknown_key_before_solving(self, tmp_path, capsys, monkeypatch):
-        self.refuse_solving(monkeypatch, dslab.cli, "evolve")
-        cfg = write_config(tmp_path, SIM_CONFIG + "delat = 0.1\n")
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "delat" in capsys.readouterr().err
-
-    def test_attractor_refuses_unknown_key_before_solving(self, tmp_path, capsys, monkeypatch):
-        self.refuse_solving(monkeypatch, dslab.attractor_lab, "evolve", "sample_stream")
-        text = TestAttractor.ATTR + "experiment = compactness\ndelat = 0.1\n"
-        cfg = write_config(tmp_path, text)
-        assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        for name in solvers:
+            monkeypatch.setattr(dslab.cli, name, solve)
+        cfg = write_config(tmp_path, section + "delat = 0.1\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "unknown keys: delat" in capsys.readouterr().err
 
     def test_unknown_run_key_exits_two(self, tmp_path, capsys):
