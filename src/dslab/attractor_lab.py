@@ -237,7 +237,8 @@ def absorbing_experiment(ens: EnsembleConfig) -> EnergyReport:
     the ball of radius 1.1 * fit_radius and stays there for the rest of the
     run.  Members whose history never decays toward their trailing level are
     listed in fit_failures (reported, not raised) and the aggregate A, B are
-    taken over the members that did fit.
+    taken over the members that did fit; when every fit fails, absorbed is
+    False.
 
     Members run one after another.  Member 0 alone goes through evolve, whose
     energy parts feed the balance audit; every other member is streamed and
@@ -263,7 +264,8 @@ def absorbing_experiment(ens: EnsembleConfig) -> EnergyReport:
     rates = [b_j for (_, b_j, _) in fits if b_j is not None]
     amps = [a_j for (a_j, _, _) in fits if a_j is not None]
 
-    entry, absorbed = [], True
+    # with no member fitted there is no radius to be absorbed into
+    entry, absorbed = [], len(failures) < len(fits)
     tail = max(2, len(times) // 4)
     for h1, c_j in zip(h1_series, radii):
         # the ball is 1.1 * fit_radius up to the member's own trailing

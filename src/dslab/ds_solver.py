@@ -144,7 +144,8 @@ class _DensityKernel:
     def __init__(self, grid: GridSpec, c1: float, c2: float):
         m = grid.modes_per_axis
         self.grid = grid
-        self.symbol = c1 + c2 * grid.alpha_symbol[:, : m // 2 + 1]
+        # stored complex, so rho_hat *= symbol casts nothing through a ufunc buffer
+        self.symbol = (c1 + c2 * grid.alpha_symbol[:, : m // 2 + 1]).astype(np.complex128)
         self.rho = np.empty((m, m))
         self.scratch = np.empty((m, m))
         self.rho_hat = np.empty((m, m // 2 + 1), dtype=np.complex128)
@@ -162,7 +163,7 @@ class _DensityKernel:
 
     def interaction(self, rho_hat: np.ndarray) -> float:
         """int V |u|^2 = L^2 * sum over the full lattice of symbol |rho_hat|^2."""
-        w = self.symbol * (rho_hat.real * rho_hat.real + rho_hat.imag * rho_hat.imag)
+        w = self.symbol.real * (rho_hat.real * rho_hat.real + rho_hat.imag * rho_hat.imag)
         m = self.grid.modes_per_axis
         # columns 1 .. (M-1)//2 also stand for their unstored mirror images
         return self.grid.domain_length**2 * float(np.sum(w) + np.sum(w[:, 1 : (m + 1) // 2]))
@@ -293,9 +294,11 @@ def sample_stream(u0: SpectralField, cfg: SolverConfig) -> Iterator[tuple]:
     """Yield (step, t, u_hat) at every step of sample_steps(cfg).
 
     When cfg.dealias is set, the 2/3 mask is applied to the datum once before
-    stepping and the masked field is the first sample, so sampled states and
-    the recorded initial condition live on the same retained modes.  Each
-    u_hat is a fresh Fourier-coefficient array that the consumer may keep.
+    stepping and the masked field is the first sample.  Without forcing every
+    sampled state lives on the same retained modes; with forcing, a later
+    sample also carries the trailing half-step's forcing term, which is added
+    after the mask, on the modes outside it.  Each u_hat is a fresh
+    Fourier-coefficient array that the consumer may keep.
     Non-finite values abort with the failing step.
     """
     return _samples(_StepKernel(u0.grid, cfg, cfg.dt), u0, cfg)

@@ -101,9 +101,14 @@ class GridSpec:
         return a
 
     @cached_property
+    def dealias_keep(self) -> np.ndarray:
+        """2/3 rule on one axis: keeps mode numbers with 3|k| <= M."""
+        return 3 * np.abs(self.mode_numbers) <= self.modes_per_axis
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keeps mode numbers with 3|k| <= M per axis."""
-        keep = 3 * np.abs(self.mode_numbers) <= self.modes_per_axis
+        """2/3-rule mask: dealias_keep on both axes."""
+        keep = self.dealias_keep
         return keep[:, None] & keep[None, :]
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:

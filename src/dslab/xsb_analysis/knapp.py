@@ -21,10 +21,13 @@ exactly B(xi1, xi2) c(tau), with every transform norm="forward":
 where u_i, v_i, w_i are the physical 1D factors and d is the spatial carrier
 difference of u and v. knapp_sweep runs on these factors (knapp_factors,
 separable_output_spectrum, separable_xsb_norm): two M x M transforms per
-ladder point, and every X^{s,b} norm summed over chunks of xi1 rows, so no
-(M, M, M_t) array is built. trilinear_output_spectrum, trilinear_ratio,
-output_ratio and xsb_norm are the general-field oracle on dense fields;
-knapp_triple expands the factors into those fields.
+ladder point, so no (M, M, M_t) array is built. An X^{s,b} norm of B (x) c
+folds the xi1 rows that share a weight (the weight sees xi1 only through
+(xi1 + c0)^2, so at c0 = 0 rows k1 and -k1 fold), then contracts |c|^2 with
+the b-weight chunk by chunk in one reused tau-major buffer.
+trilinear_output_spectrum, trilinear_ratio, output_ratio and xsb_norm are
+the general-field oracle on dense fields; knapp_triple expands the factors
+into those fields.
 """
 from __future__ import annotations
 
@@ -39,11 +42,10 @@ from .spacetime import (
     SpaceTimeGrid,
     to_physical3,
     xsb_norm,
-    xsb_weight_squared,
 )
 
-# xi1 rows per weight chunk of separable_xsb_norm: one chunk holds
-# _ROW_CHUNK * M * M_t doubles (2 MB at M = 512, M_t = 32)
+# folded xi1 rows per weight chunk of separable_xsb_norm: its one reused
+# (_ROW_CHUNK, M_t, M) buffer holds 2 MB at M = 512, M_t = 32
 _ROW_CHUNK = 16
 
 
@@ -146,8 +148,8 @@ def _product_carrier(cu: tuple, cv: tuple, cw: tuple) -> tuple:
 
 def _pair_symbol(sp: GridSpec, d1: float, d2: float, c1: float, c2: float) -> np.ndarray:
     """c1 + c2 alpha on the lattice shifted by the carrier difference (d1, d2) of u and v."""
-    xi1 = sp.xi1 + d1
-    xi2 = sp.xi2 + d2
+    xi1 = (sp.frequencies + d1)[:, None]
+    xi2 = (sp.frequencies + d2)[None, :]
     xi_sq = xi1**2 + xi2**2
     with np.errstate(invalid="ignore"):
         alpha = np.where(xi_sq > 0, xi1**2 / np.where(xi_sq > 0, xi_sq, 1.0), 0.0)
@@ -246,18 +248,39 @@ def separable_xsb_norm(
 ) -> float:
     """xsb_norm of the field with Fourier values spatial (x) tau and this carrier.
 
-    Sums |spatial|^2 times the weight contracted with |tau|^2 over its tau
-    axis, in chunks of _ROW_CHUNK xi1 rows; rows where spatial vanishes are
-    skipped.
+    The weight depends on xi1 only through (xi1 + c0)^2, so the non-vanishing
+    xi1 rows are grouped by that value and |spatial|^2 is summed over each
+    group before weighting (every Knapp field has c0 = 0, so rows k1 and -k1
+    share one weight). Per chunk of _ROW_CHUNK groups the tau-major b-weight
+    <tau + |xi|^2>^{2b} is built in place in one (_ROW_CHUNK, M_t, M) buffer,
+    contracted with |tau|^2 and only then scaled by <xi>^{2s}.
     """
+    sp = grid.spatial
     spatial_sq = spatial.real**2 + spatial.imag**2
     tau_sq = tau.real**2 + tau.imag**2
+    xi1_sq = (sp.frequencies + carrier[0]) ** 2
+    xi2_sq = (sp.frequencies + carrier[1]) ** 2
+    taus = (grid.taus + carrier[2])[:, None]
     rows = np.flatnonzero(np.any(spatial_sq > 0.0, axis=1))
+    keys, first, group = np.unique(xi1_sq[rows], return_index=True, return_inverse=True)
+    heads = rows[first]
+    # fold each row into its group's first row, in place: no M x M copy
+    for row, head in zip(rows, heads[group]):
+        if row != head:
+            spatial_sq[head] += spatial_sq[row]
+    buf = np.empty((_ROW_CHUNK, grid.time_samples, sp.modes_per_axis))
     total = 0.0
-    for start in range(0, rows.size, _ROW_CHUNK):
-        chunk = rows[start : start + _ROW_CHUNK]
-        w2 = xsb_weight_squared(grid, s, b, 1, carrier, rows=chunk)
-        total += float(np.sum((w2 @ tau_sq) * spatial_sq[chunk]))
+    for start in range(0, keys.size, _ROW_CHUNK):
+        xi_sq = keys[start : start + _ROW_CHUNK, None] + xi2_sq
+        w = buf[: len(xi_sq)]
+        np.add(taus, xi_sq[:, None, :], out=w)
+        np.square(w, out=w)
+        w += 1.0
+        np.power(w, b, out=w)
+        contracted = tau_sq @ w
+        contracted *= (1.0 + xi_sq) ** s
+        contracted *= spatial_sq[heads[start : start + _ROW_CHUNK]]
+        total += float(np.sum(contracted))
     return float(np.sqrt(grid.volume * total))
 
 

@@ -40,9 +40,10 @@ class SpaceTimeGrid:
         if mt < 2 or mt % 2:
             raise ValueError(f"time_samples must be even and >= 2, got {mt}")
         # the b-weight <tau + |xi|^2> is only faithful if the tau band
-        # reaches past |xi|^2 of the modes kept by the 2/3 rule
-        retained = np.where(self.spatial.dealias_mask, self.spatial.xi_squared, 0.0)
-        if self.tau_nyquist <= np.max(retained):
+        # reaches past |xi|^2 of the modes kept by the 2/3 rule; rounding is
+        # monotone, so that maximum is exactly twice the largest retained xi1^2
+        sp = self.spatial
+        if self.tau_nyquist <= 2.0 * np.max(sp.frequencies[sp.dealias_keep] ** 2):
             warnings.warn(
                 "tau band does not cover |xi|^2 of retained modes; "
                 "b-weights will saturate",
@@ -128,18 +129,14 @@ def xsb_weight_squared(
     b: float,
     sign: int,
     carrier: tuple = (0.0, 0.0, 0.0),
-    rows=slice(None),
 ) -> np.ndarray:
-    """Squared weight <xi>^{2s} <tau + sign |xi|^2>^{2b} at true frequencies.
-
-    rows selects xi1 rows (a slice or an index array), so a norm can be
-    summed chunk by chunk without building the full (M, M, M_t) weight.
-    """
+    """Squared weight <xi>^{2s} <tau + sign |xi|^2>^{2b} at true frequencies,
+    as a dense (M, M, M_t) array."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     sp = grid.spatial
-    xi1 = sp.xi1[rows] + carrier[0]
-    xi2 = sp.xi2[rows] + carrier[1]
+    xi1 = sp.xi1 + carrier[0]
+    xi2 = sp.xi2 + carrier[1]
     xi_sq = xi1**2 + xi2**2
     taus = grid.taus + carrier[2]
     tau_plus = taus[None, None, :] + sign * xi_sq[:, :, None]

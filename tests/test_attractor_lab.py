@@ -311,6 +311,19 @@ class TestAbsorbingExperiment:
             radii.append(absorbing_experiment(ens).fit_radius)
         assert radii[0] < radii[1] < radii[2]
 
+    def test_not_absorbed_when_every_fit_fails(self):
+        # forced_trio's faintest member does not decay by t = 2
+        grid = GridSpec(32, TWO_PI)
+        ens = small_ensemble(
+            grid,
+            [RoughDataSpec(1.0, 0.1, 9)],
+            forcing=make_forcing(grid, 0.2, seed=21),
+            probe_times=(0.5, 1.0, 2.0),
+        )
+        report = absorbing_experiment(ens)
+        assert report.fit_failures == (0,)
+        assert report.absorbed is False
+
     def test_series_and_balance_shapes_agree(self):
         grid = GridSpec(16, TWO_PI)
         ens = small_ensemble(grid, [RoughDataSpec(1.0, 0.1, 1)], horizon=2.0)

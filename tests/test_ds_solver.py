@@ -340,6 +340,21 @@ class TestKernelBuffers:
             tracemalloc.stop()
         assert field <= peak < 1.5 * field
 
+    def test_potential_allocates_no_array(self):
+        # a float symbol is cast through numpy's 128 KiB ufunc buffer per call
+        grid = GridSpec(128)
+        kernel = ds_solver._DensityKernel(grid, 1.0, 1.0)
+        u = to_physical(make_rough_data(RoughDataSpec(1.0, 0.05, 3), grid)).values
+        kernel.potential(kernel.density_hat(u))
+        rho_hat = kernel.density_hat(u)
+        tracemalloc.start()
+        try:
+            kernel.potential(rho_hat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192
+
     def test_potential_is_copied_out_of_the_density_buffer(self, monkeypatch, two_mode):
         made = []
 

@@ -27,7 +27,6 @@ from dslab.xsb_analysis.knapp import (
     separable_xsb_norm,
     trilinear_output_spectrum,
 )
-from dslab.xsb_analysis.spacetime import xsb_weight_squared
 
 
 def small_grid(m=16, mt=64, length=4.0 * np.pi, window=4.0 * np.pi) -> SpaceTimeGrid:
@@ -395,27 +394,22 @@ class TestSeparableEngine:
         assert np.max(np.abs(expanded - oracle.values)) <= 1e-12 * np.max(np.abs(oracle.values))
         assert carrier == oracle.carrier
 
-    def test_norm_of_a_dense_product_matches_xsb_norm(self):
+    # rows with equal (xi1 + c0)^2 are folded: k1 with -k1 at c0 = 0, and
+    # k1 with -2 - k1 at c0 = 0.5, half the lattice step
+    @pytest.mark.parametrize(
+        "carrier", [(0.5, -2.0, 3.0), (0.0, 8.0, -64.0)], ids=["xi1_offset", "xi1_zero"]
+    )
+    def test_norm_of_a_dense_product_matches_xsb_norm(self, carrier):
         g = small_grid()
         rng = np.random.default_rng(5)
         m, mt = g.spatial.modes_per_axis, g.time_samples
+        # rows k1 and -k1 differ; row k1 = -M/2 (index M/2) has no mirror
         spatial = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        spatial[3:9] = 0.0  # vanishing rows are skipped
+        spatial[3:6] = 0.0  # vanishing rows are skipped, their mirrors are not
         tau = rng.standard_normal(mt) + 1j * rng.standard_normal(mt)
-        carrier = (0.5, -2.0, 3.0)
         dense = SpaceTimeField(g, spatial[:, :, None] * tau[None, None, :], FOURIER, *carrier)
         got = separable_xsb_norm(g, spatial, tau, carrier, 0.7, -0.4)
         assert got == pytest.approx(xsb_norm(dense, 0.7, -0.4), rel=1e-13)
-
-    def test_weight_rows_are_rows_of_the_full_weight(self):
-        g = knapp_grid(8, time_samples=8)
-        carrier = (0.0, 8.0, -64.0)
-        full = xsb_weight_squared(g, 0.6, 0.51, 1, carrier)
-        rows = np.array([0, 5, 17, 63])
-        assert np.array_equal(xsb_weight_squared(g, 0.6, 0.51, 1, carrier, rows=rows), full[rows])
-        assert np.array_equal(
-            xsb_weight_squared(g, 0.6, 0.51, 1, carrier, rows=slice(8, 24)), full[8:24]
-        )
 
 
 class TestKnappSweep:
