@@ -25,7 +25,6 @@ from .spectral_core import (
     FOURIER,
     GridSpec,
     SpectralField,
-    free_evolve,
     sobolev_norm,
     to_fourier,
 )
@@ -37,7 +36,7 @@ from .ds_solver import (
     sample_stream,
     sample_steps,
 )
-from .smoothing_diagnostics import RoughDataSpec, make_rough_data
+from .smoothing_diagnostics import RoughDataSpec, duhamel_remainder, make_rough_data
 
 __all__ = [
     "EnsembleConfig",
@@ -324,10 +323,11 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
     """Split v = u + g into damped free flow plus a smoother remainder.
 
     With g = (1 - Lap)^{-1} f and w the solution of i w_t + Lap w + i delta w
-    = 0 from v(0), the remainder n = v - w is measured in H^{1+a}.  Under
-    refinement sup_t ||n||_{H^{1+a}} is expected to stabilize while the free
-    part keeps the datum's roughness and grows.  Also records pairwise H^1
-    distances of the ensemble at the probe times.
+    = 0 from v(0), the remainder n = v - w (duhamel_remainder of v against
+    v(0) at damping delta) is measured in H^{1+a}.  Under refinement
+    sup_t ||n||_{H^{1+a}} is expected to stabilize while the free part keeps
+    the datum's roughness and grows.  Also records pairwise H^1 distances of
+    the ensemble at the probe times.
 
     Every probe time is checked against the sample schedule before the first
     step (ValueError otherwise).  Members are streamed one after another;
@@ -349,9 +349,8 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
             if step == 0:
                 v0 = SpectralField(ens.grid, u_hat + g_hat, FOURIER)
                 free_part.append(sobolev_norm(v0, s_up))
-            w_hat = free_evolve(v0, float(t), ens.delta).values
-            n_hat = u_hat + g_hat - w_hat
-            best = max(best, sobolev_norm(SpectralField(ens.grid, n_hat, FOURIER), s_up))
+            n = duhamel_remainder(u_hat + g_hat, v0, float(t), ens.delta)
+            best = max(best, sobolev_norm(n, s_up))
             if step in wanted:
                 kept[step] = u_hat
         sup_n.append(best)

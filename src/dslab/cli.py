@@ -166,6 +166,14 @@ def _content_hash(command: str, sections: dict) -> str:
     return digest.hexdigest()
 
 
+def _count(get: _Reader, key: str, default: int) -> int:
+    """An int key that counts something and so must be at least 1."""
+    value = get(key, int, default)
+    if value < 1:
+        raise ConfigError(f"[{get.section}] {key} must be >= 1, got {value}")
+    return value
+
+
 def _forcing(get: _Reader, grid: GridSpec, seed: int):
     """The section's drive f, or None when forcing_amplitude is not positive.
 
@@ -281,14 +289,19 @@ def cmd_blocks(get: _Reader, seed: int, threads: int):
     cases = [
         part.strip() for part in get("cases", str, ",".join(CASES)).split(",") if part.strip()
     ]
-    per_case = get("per_case", int, 2)
+    if not cases or not set(cases) <= set(CASES):
+        raise ConfigError(
+            f"[blocks] cases must be one or more of {', '.join(CASES)}, "
+            f"got '{', '.join(cases)}'"
+        )
+    per_case = _count(get, "per_case", 2)
     lattice = BlockLattice(
         xi_step=get("xi_step", float, 0.5),
         tau_step=get("tau_step", float, 0.5),
         max_support=get("max_support", int, 400_000),
     )
-    restarts = get("restarts", int, 6)
-    iters = get("iters", int, 60)
+    restarts = _count(get, "restarts", 6)
+    iters = _count(get, "iters", 60)
     get.check_all_read()
     specs = []
     for k, case in enumerate(cases):
@@ -324,7 +337,7 @@ def _attractor_ensemble(get: _Reader, seed: int) -> EnsembleConfig:
     length = get("domain_length", float, 2.0 * np.pi)
     grid = GridSpec(modes, length)
     member_s = get("member_s", float, 1.0)
-    count = get("member_count", int, 8)
+    count = _count(get, "member_count", 8)
     h1_min = get("h1_min", float, 0.5)
     h1_max = get("h1_max", float, 5.0)
     # the datum law fixes the H^1 norm per unit amplitude, so target norms

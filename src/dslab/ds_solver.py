@@ -30,8 +30,6 @@ and keeps them.  Trajectory.fields hold Fourier coefficients
 """
 from __future__ import annotations
 
-import os
-import struct
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -348,48 +346,3 @@ def evolve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
         interaction=inter,
         drive=drive,
     )
-
-
-_CHECKPOINT_MAGIC = b"DSLABCK1"
-# magic, endianness tag, then M (u64), domain length and time (f64)
-_CHECKPOINT_HEADER_BYTES = 33
-
-
-def save_checkpoint(path, field: SpectralField, t: float) -> None:
-    """Binary dump of (grid, time, complex modes); bit-exact round-trip."""
-    hat = to_fourier(field)
-    m = field.grid.modes_per_axis
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(b"<")
-        fh.write(struct.pack("<Q", m))
-        fh.write(struct.pack("<d", field.grid.domain_length))
-        fh.write(struct.pack("<d", t))
-        fh.write(np.ascontiguousarray(hat.values, dtype="<c16").tobytes())
-
-
-def load_checkpoint(path) -> tuple[SpectralField, float]:
-    """Inverse of save_checkpoint; a cut header or a payload that is not M*M
-    modes raises ValueError."""
-    with open(path, "rb") as fh:
-        header = fh.read(_CHECKPOINT_HEADER_BYTES)
-        if len(header) < _CHECKPOINT_HEADER_BYTES:
-            raise ValueError(
-                f"checkpoint header needs {_CHECKPOINT_HEADER_BYTES} bytes; "
-                f"the file holds {len(header)}"
-            )
-        magic = header[:8]
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        endian = header[8:9]
-        if endian not in (b"<", b">"):
-            raise ValueError(f"bad endianness tag {endian!r}")
-        order = endian.decode()
-        m, length, t = struct.unpack(f"{order}Qdd", header[9:])
-        expected = m * m * 16
-        found = os.fstat(fh.fileno()).st_size - fh.tell()
-        if expected != found:
-            raise ValueError(f"M = {m} needs {expected} payload bytes; the file holds {found}")
-        values = np.frombuffer(fh.read(found), dtype=f"{order}c16").reshape(m, m)
-    grid = GridSpec(m, length)
-    return SpectralField(grid, values.astype(np.complex128), FOURIER), t

@@ -1,14 +1,18 @@
 """Duhamel-split smoothing diagnostics on rough data.
 
-The flow is split as u(t) = e^{it Lap} u0 + N(t).  For data whose spectrum
-decays like <xi>^{-s-1} (so u0 sits in H^{s'} exactly for s' < s), the linear
-part keeps the data's roughness while N(t) is measurably smoother.  On the
-periodic box each tail mode of the plain remainder carries the resonant
-lattice dressing (e^{-i sigma(xi) t} - 1) e^{it Lap} u0, so the plain
-remainder refines like the linear part; it is the gauged remainder (see
-resonant_gauge_phase) whose H^{s+a} norm converges under grid refinement
-although the linear part's diverges like M^a.  The growth in time of the
-gauged remainder is compared against the envelope C <t>^{1 + beta(s) (3 + 2/s)}.
+The flow is split as u(t) = e^{it Lap} u0 + N(t).  duhamel_remainder is the
+one place that computes N(t), against the free flow with optional damping
+and resonant gauge phase; the refinement study here and the compactness
+probe in attractor_lab (which passes the shifted state) both call it.  For
+data whose spectrum decays like <xi>^{-s-1} (so u0 sits in H^{s'} exactly
+for s' < s), the linear part keeps the data's roughness while N(t) is
+measurably smoother.  On the periodic box each tail mode of the plain
+remainder carries the resonant lattice dressing
+(e^{-i sigma(xi) t} - 1) e^{it Lap} u0, so the plain remainder refines like
+the linear part; it is the gauged remainder (see resonant_gauge_phase) whose
+H^{s+a} norm converges under grid refinement although the linear part's
+diverges like M^a.  The growth in time of the gauged remainder is compared
+against the envelope C <t>^{1 + beta(s) (3 + 2/s)}.
 """
 from __future__ import annotations
 
@@ -105,17 +109,26 @@ def make_rough_data(spec: RoughDataSpec, grid: GridSpec) -> SpectralField:
     return SpectralField(grid, magnitude * np.exp(1j * phases), FOURIER)
 
 
-def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float, sigma=0.0) -> SpectralField:
-    """Duhamel remainder u(t) - e^{-i sigma t} e^{it Lap} u0 at a sampled time.
+def duhamel_remainder(
+    u_hat: np.ndarray, datum: SpectralField, t: float, delta: float = 0.0, sigma=0.0
+) -> SpectralField:
+    """Duhamel remainder u_hat - e^{-i sigma t} e^{-delta t} e^{it Lap} datum.
 
-    sigma = 0 gives the plain remainder; sigma = resonant_gauge_phase(u0, c1,
-    c2) gives the gauged one, whose comparison flow carries the lattice
-    dressing of the datum tail and so leaves the grid-convergent remainder.
+    u_hat holds the Fourier coefficients of the state at time t.  delta > 0
+    compares against the damped free flow.  sigma = 0 gives the plain
+    remainder; sigma = resonant_gauge_phase(datum, c1, c2) gives the gauged
+    one, whose comparison flow carries the lattice dressing of the datum tail
+    and so leaves the grid-convergent remainder.
     """
-    u_t = to_fourier(traj.field_at(t))
-    linear = free_evolve(to_fourier(u0), t).values
+    linear = free_evolve(to_fourier(datum), t, delta).values
     linear *= np.exp(-1j * sigma * t)  # free_evolve returned a fresh array
-    return SpectralField(u0.grid, u_t.values - linear, FOURIER)
+    return SpectralField(datum.grid, u_hat - linear, FOURIER)
+
+
+def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float, sigma=0.0) -> SpectralField:
+    """u(t) - e^{-i sigma t} e^{it Lap} u0 at a sampled time: the undamped
+    duhamel_remainder of the trajectory's state."""
+    return duhamel_remainder(to_fourier(traj.field_at(t)).values, u0, t, sigma=sigma)
 
 
 def smoothing_report(
@@ -244,12 +257,3 @@ def refinement_study(
         "nonlinear_slope": column_slope("norm_nonlinear"),
         "gauged_slope": column_slope("norm_nonlinear_gauged"),
     }
-
-
-def local_time(h_s_norm: float, s: float, kappa: float = 1.0, C0: float = 1.0) -> float:
-    """Guaranteed existence time kappa * (C0 + ||u0||_{H^s})^{-2/s}."""
-    if h_s_norm < 0:
-        raise ValueError("norm must be nonnegative")
-    if not s > 0:
-        raise ValueError("s must be positive")
-    return kappa * (C0 + h_s_norm) ** (-2.0 / s)

@@ -142,9 +142,6 @@ class SpectralField:
         if self.values.dtype != np.complex128:
             self.values = self.values.astype(np.complex128)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.values.copy(), self.representation)
-
     @classmethod
     def zeros(cls, grid: GridSpec, representation: str = PHYSICAL) -> "SpectralField":
         m = grid.modes_per_axis

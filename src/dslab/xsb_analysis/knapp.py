@@ -25,9 +25,9 @@ ladder point, so no (M, M, M_t) array is built. An X^{s,b} norm of B (x) c
 folds the xi1 rows that share a weight (the weight sees xi1 only through
 (xi1 + c0)^2, so at c0 = 0 rows k1 and -k1 fold), then contracts |c|^2 with
 the b-weight chunk by chunk in one reused tau-major buffer.
-trilinear_output_spectrum, trilinear_ratio, output_ratio and xsb_norm are
-the general-field oracle on dense fields; knapp_triple expands the factors
-into those fields.
+trilinear_output_spectrum, trilinear_ratio, output_ratio and xsb_norm (with
+its dense weight) are the general-field oracle on dense fields; knapp_triple
+expands the factors into those fields.
 """
 from __future__ import annotations
 

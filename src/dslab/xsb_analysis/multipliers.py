@@ -55,11 +55,6 @@ class Gamma3Multiplier:
     def is_empty(self) -> bool:
         return self.size == 0
 
-    def restrict(self, keep: np.ndarray) -> "Gamma3Multiplier":
-        return Gamma3Multiplier(
-            self.points1[keep], self.points2[keep], self.points3[keep], self.values[keep]
-        )
-
 
 def _slot_labels(points: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank of each row among the distinct rows after rounding to 1e-9, and

@@ -6,6 +6,11 @@ envelope and every weight is evaluated at lattice-plus-offset. This keeps
 high-frequency wave packets representable on a small envelope grid without
 losing exactness, since the carrier phase never has to be sampled.
 
+xsb_norm weights a field by <xi>^s <tau + |xi|^2>^b, the modulation from the
+characteristic surface tau = -|xi|^2 of e^{it Lap}.  It builds that weight
+as one dense (M, M, M_t) array, so it is the general-field oracle for the
+separable engine in knapp.
+
 Fourier values are Fourier-series coefficients, as in spectral_core: every
 forward transform is called with norm="forward", which divides by the mode
 count (M^2 M_t for the space-time transform, M_t for a time series), and
@@ -18,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..spectral_core import FOURIER, PHYSICAL, GridSpec, SpectralField, to_fourier
+from ..spectral_core import FOURIER, PHYSICAL, GridSpec
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,6 @@ class SpaceTimeGrid:
     def taus(self) -> np.ndarray:
         return self.tau_numbers * self.tau_step
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.time_samples) * (self.time_window / self.time_samples)
-
 
 @dataclass
 class SpaceTimeField:
@@ -103,9 +105,6 @@ class SpaceTimeField:
         m = grid.spatial.modes_per_axis
         return cls(grid, np.zeros((m, m, grid.time_samples), dtype=np.complex128), FOURIER)
 
-    def copy(self) -> "SpaceTimeField":
-        return replace(self, values=self.values.copy())
-
     @property
     def carrier(self) -> tuple:
         return (self.xi1_offset, self.xi2_offset, self.tau_offset)
@@ -123,49 +122,17 @@ def to_physical3(F: SpaceTimeField) -> SpaceTimeField:
     return replace(F, values=np.fft.ifftn(F.values, norm="forward"), representation=PHYSICAL)
 
 
-def xsb_weight_squared(
-    grid: SpaceTimeGrid,
-    s: float,
-    b: float,
-    sign: int,
-    carrier: tuple = (0.0, 0.0, 0.0),
-) -> np.ndarray:
-    """Squared weight <xi>^{2s} <tau + sign |xi|^2>^{2b} at true frequencies,
-    as a dense (M, M, M_t) array."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    sp = grid.spatial
-    xi1 = sp.xi1 + carrier[0]
-    xi2 = sp.xi2 + carrier[1]
-    xi_sq = xi1**2 + xi2**2
-    taus = grid.taus + carrier[2]
-    tau_plus = taus[None, None, :] + sign * xi_sq[:, :, None]
-    return ((1.0 + xi_sq) ** s)[:, :, None] * (1.0 + tau_plus**2) ** b
-
-
-def xsb_norm(F: SpaceTimeField, s: float, b: float, sign: int = 1) -> float:
-    """Weighted L^2 norm with weight <xi>^s <tau + sign |xi|^2>^b.
+def xsb_norm(F: SpaceTimeField, s: float, b: float) -> float:
+    """Weighted L^2 norm with weight <xi>^s <tau + |xi|^2>^b at true frequencies.
 
     Plancherel-consistent: at s = b = 0 this is the space-time L^2 norm,
     and a single mode of amplitude A contributes A * sqrt(volume) * weight.
     """
     hat = to_fourier3(F)
-    w2 = xsb_weight_squared(F.grid, s, b, sign, F.carrier)
+    sp = F.grid.spatial
+    xi_sq = (sp.xi1 + F.xi1_offset) ** 2 + (sp.xi2 + F.xi2_offset) ** 2
+    taus = F.grid.taus + F.tau_offset
+    tau_plus = taus[None, None, :] + xi_sq[:, :, None]
+    w2 = ((1.0 + xi_sq) ** s)[:, :, None] * (1.0 + tau_plus**2) ** b
     total = np.sum(w2 * (hat.values.real**2 + hat.values.imag**2))
     return float(np.sqrt(F.grid.volume * total))
-
-
-def free_solution_field(
-    g: SpectralField, grid: SpaceTimeGrid, delta: float = 0.0
-) -> SpaceTimeField:
-    """Sample the free (optionally damped) flow of g over the time window."""
-    if g.grid != grid.spatial:
-        raise ValueError("spatial grids differ")
-    ghat = to_fourier(g).values
-    times = grid.times()
-    phases = np.exp(
-        (-1j * grid.spatial.xi_squared[:, :, None] - delta) * times[None, None, :]
-    )
-    samples = ghat[:, :, None] * phases
-    hat_t = np.fft.fft(samples, axis=2, norm="forward")
-    return SpaceTimeField(grid, hat_t, FOURIER)

@@ -39,6 +39,10 @@ def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
 
 
+def refuse_call(*args, **kwargs):
+    raise AssertionError("called before the config was checked")
+
+
 class TestConfigText:
     def test_parse_sections_and_values(self):
         cfg = parse_config("[a]\nx = 1\ny = two words\n\n[b]\nz = 3.5\n")
@@ -157,11 +161,8 @@ class TestConfigKeys:
     ):
         section, solvers = self.SOLVERS[command]
 
-        def solve(*args, **kwargs):
-            raise AssertionError("solver called before the config was checked")
-
         for name in solvers:
-            monkeypatch.setattr(dslab.cli, name, solve)
+            monkeypatch.setattr(dslab.cli, name, refuse_call)
         cfg = write_config(tmp_path, section + "delat = 0.1\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "unknown keys: delat" in capsys.readouterr().err
@@ -308,6 +309,14 @@ class TestAttractor:
         assert main(["attractor", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "sideways" in capsys.readouterr().err
 
+    def test_zero_member_count_exits_two_before_solving(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dslab.cli, "make_rough_data", refuse_call)
+        cfg = write_config(tmp_path, self.ATTR.replace("member_count = 2", "member_count = 0"))
+        out = tmp_path / "o"
+        assert main(["attractor", "--config", cfg, "--out", str(out)]) == 2
+        assert "member_count must be >= 1, got 0" in capsys.readouterr().err
+        assert output_files(out) == []
+
 
 class TestBlocks:
     def test_sampled_sweep_is_deterministic(self, tmp_path):
@@ -326,6 +335,24 @@ class TestBlocks:
         lines = (out1 / entry["path"]).read_text(encoding="utf-8").splitlines()
         assert len(lines) - 1 == entry["rows"] == 2
         assert lines[1].startswith("plus_plus_plus,") and lines[2].startswith("coherent,")
+
+    @pytest.mark.parametrize("key", ["per_case", "restarts", "iters"])
+    def test_zero_count_exits_two_before_sampling(self, key, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dslab.cli, "sample_block_specs", refuse_call)
+        cfg = write_config(tmp_path, f"[blocks]\ncases = generic\n{key} = 0\n")
+        out = tmp_path / "o"
+        assert main(["blocks", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+        assert output_files(out) == []
+
+    @pytest.mark.parametrize("cases", ["generic, no_such_case", ","])
+    def test_unknown_case_exits_two_before_sampling(self, cases, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dslab.cli, "sample_block_specs", refuse_call)
+        cfg = write_config(tmp_path, f"[blocks]\ncases = {cases}\nper_case = 1\n")
+        out = tmp_path / "o"
+        assert main(["blocks", "--config", cfg, "--out", str(out)]) == 2
+        assert f"got '{cases.strip(',')}'" in capsys.readouterr().err
+        assert output_files(out) == []
 
     def test_too_small_max_support_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[blocks]\ncases = generic\nper_case = 1\nmax_support = 10\n")

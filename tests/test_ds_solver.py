@@ -1,5 +1,4 @@
 """Split-step integrator checks: collapse limits, conservation, order, damping."""
-import struct
 import tracemalloc
 
 import numpy as np
@@ -21,11 +20,9 @@ from dslab.ds_solver import (
     Trajectory,
     energy_functional,
     evolve,
-    load_checkpoint,
     nonlinear_potential,
     sample_steps,
     sample_stream,
-    save_checkpoint,
     strang_step,
 )
 from dslab.smoothing_diagnostics import RoughDataSpec, make_rough_data
@@ -411,55 +408,3 @@ class TestEnergy:
         phys = to_physical(two_mode).values
         quad = 2.0 * np.real(np.sum(0.2 * np.conj(phys))) * grid.physical_step**2
         assert gap == pytest.approx(quad, rel=1e-10, abs=1e-10)
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, grid, two_mode, tmp_path):
-        path = tmp_path / "state.ck"
-        save_checkpoint(path, two_mode, 1.375)
-        restored, t = load_checkpoint(path)
-        assert t == 1.375
-        assert restored.grid == grid
-        assert np.array_equal(restored.values, to_fourier(two_mode).values)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.ck"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    # the 64 x 64 payload is 65536 bytes after a 33-byte header
-
-    def test_trailing_bytes_rejected(self, two_mode, tmp_path):
-        path = tmp_path / "padded.ck"
-        save_checkpoint(path, two_mode, 0.5)
-        with open(path, "ab") as fh:
-            fh.write(b"\x00" * 32)
-        with pytest.raises(ValueError, match="65536 payload bytes; the file holds 65568"):
-            load_checkpoint(path)
-
-    def test_truncated_payload_rejected(self, two_mode, tmp_path):
-        path = tmp_path / "short.ck"
-        save_checkpoint(path, two_mode, 0.5)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ValueError, match="65536 payload bytes; the file holds 65520"):
-            load_checkpoint(path)
-
-    def test_cut_header_rejected(self, two_mode, tmp_path):
-        path = tmp_path / "state.ck"
-        save_checkpoint(path, two_mode, 0.5)
-        raw = path.read_bytes()
-        cut = tmp_path / "cut.ck"
-        for n in range(33):
-            cut.write_bytes(raw[:n])
-            with pytest.raises(ValueError, match=f"header needs 33 bytes; the file holds {n}$"):
-                load_checkpoint(cut)
-
-    def test_oversized_header_rejected_before_reading(self, two_mode, tmp_path):
-        path = tmp_path / "huge.ck"
-        save_checkpoint(path, two_mode, 0.5)
-        raw = bytearray(path.read_bytes())
-        raw[9:17] = struct.pack("<Q", 2**31)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match=f"{2**62 * 16} payload bytes; the file holds 65536"):
-            load_checkpoint(path)

@@ -9,13 +9,14 @@ from dslab.spectral_core import (
     free_evolve,
     sobolev_norm,
     to_fourier,
+    to_physical,
 )
 from dslab.ds_solver import SolverConfig, evolve
 from dslab.smoothing_diagnostics import (
     RoughDataSpec,
     beta_growth,
+    duhamel_remainder,
     envelope_exponent,
-    local_time,
     make_rough_data,
     nonlinear_part,
     refinement_study,
@@ -193,6 +194,25 @@ class TestNonlinearPart:
         assert 20.0 <= gaps[0] / gaps[1] <= 45.0
 
 
+class TestDuhamelRemainder:
+    def test_single_mode_closed_form(self):
+        # the comparison flow of one mode is e^{-i (sigma + |xi|^2) t - delta t}
+        # times its coefficient; every other mode of u_hat passes through
+        grid = GridSpec(16, TWO_PI)
+        hat = np.zeros((16, 16), dtype=np.complex128)
+        hat[2, 3] = 0.6 - 0.2j  # xi = (2, 3), |xi|^2 = 13
+        u_hat = np.zeros((16, 16), dtype=np.complex128)
+        u_hat[1, 1] = 0.25
+        t, delta, sigma = 0.7, 0.3, 1.9
+        datum = to_physical(SpectralField(grid, hat, FOURIER))
+        got = duhamel_remainder(u_hat, datum, t, delta, sigma)
+        expected = u_hat.copy()
+        expected[2, 3] = -hat[2, 3] * np.exp(-1j * (sigma + 13.0) * t - delta * t)
+        assert got.representation == FOURIER
+        assert np.max(np.abs(got.values - expected)) <= 1e-15
+        assert u_hat[2, 3] == 0.0
+
+
 class TestResonantGauge:
     def test_single_mode_phase_rate(self):
         grid = GridSpec(16, TWO_PI)
@@ -343,25 +363,3 @@ class TestRefinementStudy:
         assert -0.1 <= out["gauged_slope"] <= 0.15
         for row in out["rows"]:
             assert row["norm_nonlinear_gauged"] < row["norm_nonlinear"]
-
-
-class TestLocalTime:
-    def test_reference_value(self):
-        assert local_time(1.0, 1.0, kappa=1.0, C0=1.0) == pytest.approx(0.25)
-
-    def test_monotone_decreasing_in_norm(self):
-        times = [local_time(r, 0.6) for r in (0.0, 1.0, 5.0, 50.0, 1e6)]
-        assert all(a > b for a, b in zip(times, times[1:]))
-        assert times[-1] < 1e-10
-
-    def test_doubling_scaling(self):
-        s = 0.8
-        base = local_time(3.0, s, kappa=2.0, C0=1.0)
-        doubled = local_time(7.0, s, kappa=2.0, C0=1.0)  # C0 + norm doubles
-        assert doubled / base == pytest.approx(2.0 ** (-2.0 / s), rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            local_time(-1.0, 0.6)
-        with pytest.raises(ValueError):
-            local_time(1.0, 0.0)

@@ -102,12 +102,6 @@ class TestGamma3Multiplier:
                 assert np.array_equal(lab, inv.ravel())
                 assert size == len(uniq)
 
-    def test_restrict(self):
-        m = diagonal_multiplier([1.0, 2.0, 3.0, 4.0])
-        sub = m.restrict(np.array([0, 2]))
-        assert sub.size == 2
-        assert estimate_3Z_norm(sub) == pytest.approx(3.0, abs=1e-9)
-
 
 class TestEstimate3Z:
     def test_single_point_norm_one(self):

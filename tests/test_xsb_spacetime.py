@@ -5,12 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from dslab.spectral_core import FOURIER, PHYSICAL, GridSpec, SpectralField
+from dslab.spectral_core import FOURIER, GridSpec
 from dslab.xsb_analysis import (
     KnappConfig,
     SpaceTimeField,
     SpaceTimeGrid,
-    free_solution_field,
     knapp_factors,
     knapp_grid,
     knapp_sweep,
@@ -48,9 +47,6 @@ class TestSpaceTimeGrid:
         assert g.tau_nyquist == pytest.approx(16.0)
         assert g.volume == pytest.approx((4 * np.pi) ** 2 * 4 * np.pi)
         assert np.array_equal(np.sort(g.tau_numbers), np.arange(-32, 32))
-        t = g.times()
-        assert len(t) == 64 and t[0] == 0.0
-        assert np.allclose(np.diff(t), g.time_window / g.time_samples)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -87,10 +83,7 @@ class TestSpaceTimeField:
         g = small_grid()
         f = SpaceTimeField.zeros(g)
         assert f.carrier == (0.0, 0.0, 0.0)
-        f.values[0, 0, 0] = 1.0
-        c = f.copy()
-        c.values[0, 0, 0] = 2.0
-        assert f.values[0, 0, 0] == 1.0
+        assert not np.any(f.values)
 
     def test_roundtrip_and_noop(self):
         g = small_grid()
@@ -101,9 +94,9 @@ class TestSpaceTimeField:
 
 
 class TestXsbNorm:
-    @pytest.mark.parametrize("s,b,sign", [(0.6, 0.51, 1), (1.4, -0.49, 1), (0.6, 0.51, -1), (0.0, 0.0, 1)])
+    @pytest.mark.parametrize("s,b", [(0.6, 0.51), (1.4, -0.49), (0.0, 0.0)])
     @pytest.mark.parametrize("carrier", [(0.0, 0.0, 0.0), (0.0, 8.0, -64.0)])
-    def test_single_mode_oracle(self, s, b, sign, carrier):
+    def test_single_mode_oracle(self, s, b, carrier):
         g = small_grid()
         f = SpaceTimeField.zeros(g)
         f.xi1_offset, f.xi2_offset, f.tau_offset = carrier
@@ -119,9 +112,9 @@ class TestXsbNorm:
             abs(amp)
             * np.sqrt(g.volume)
             * (1 + xi_sq) ** (s / 2)
-            * (1 + (tau + sign * xi_sq) ** 2) ** (b / 2)
+            * (1 + (tau + xi_sq) ** 2) ** (b / 2)
         )
-        assert xsb_norm(f, s, b, sign) == pytest.approx(expected, rel=1e-12)
+        assert xsb_norm(f, s, b) == pytest.approx(expected, rel=1e-12)
 
     def test_plancherel_at_zero_exponents(self):
         g = small_grid()
@@ -134,47 +127,6 @@ class TestXsbNorm:
         cell = g.volume / (m * m * g.time_samples)
         quad = np.sqrt(cell * np.sum(np.abs(phys.values) ** 2))
         assert xsb_norm(phys, 0.0, 0.0) == pytest.approx(quad, rel=1e-10)
-
-    def test_sign_validation(self):
-        f = SpaceTimeField.zeros(small_grid())
-        with pytest.raises(ValueError):
-            xsb_norm(f, 0.5, 0.5, sign=2)
-
-
-class TestFreeSolutionField:
-    @pytest.mark.parametrize("delta", [0.0, 0.3])
-    def test_matches_direct_time_series(self, delta):
-        g = small_grid(m=8, mt=32, length=2 * np.pi, window=2 * np.pi)
-        mt = g.time_samples
-        rng = np.random.default_rng(5)
-        ghat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        datum = SpectralField(g.spatial, ghat.astype(complex), FOURIER)
-        out = free_solution_field(datum, g, delta=delta)
-        xi_sq = g.spatial.xi_squared
-        t = g.times()
-        oracle = np.zeros((8, 8, mt), dtype=complex)
-        for k in range(mt):
-            tau = g.taus[k]
-            phases = np.exp((-1j * xi_sq[:, :, None] - delta) * t[None, None, :])
-            series = ghat[:, :, None] * phases
-            oracle[:, :, k] = np.sum(series * np.exp(-1j * tau * t)[None, None, :], axis=2) / mt
-        assert np.max(np.abs(out.values - oracle)) < 1e-12 * np.max(np.abs(oracle))
-
-    def test_energy_concentrates_on_dispersive_surface(self):
-        g = small_grid(m=16, mt=256, length=2 * np.pi, window=4 * np.pi)
-        ghat = np.zeros((16, 16), dtype=complex)
-        ghat[3, 2] = 1.0  # |xi|^2 = 13
-        out = free_solution_field(SpectralField(g.spatial, ghat, FOURIER), g)
-        profile = np.abs(out.values[3, 2, :])
-        peak_tau = g.taus[np.argmax(profile)]
-        xi_sq = 13.0
-        assert abs(peak_tau + xi_sq) <= g.tau_step
-
-    def test_grid_mismatch(self):
-        g = small_grid()
-        other = SpectralField(GridSpec(8), np.zeros((8, 8), dtype=complex), FOURIER)
-        with pytest.raises(ValueError):
-            free_solution_field(other, g)
 
 
 class TestKnappGeometry:
