@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multipliers import Gamma3Multiplier, estimate_3Z_norm
+from .multipliers import Gamma3Multiplier, estimate_3Z_norm, upper_3Z_bound
 
 PLUS_PLUS_PLUS = "plus_plus_plus"
 HIGH_PARALLEL = "high_parallel"
@@ -290,7 +290,11 @@ def check_block_bounds(
 
     C* is the smallest single constant with estimate <= C* * bound over the
     sweep (i.e. the max ratio); c_fit is the geometric mean ratio, a robust
-    center to measure spread against.
+    center to measure spread against. The estimates are lower bounds; each
+    row's ``upper`` is the certified upper_3Z_bound, and c_star_upper the
+    max of upper / bound, so the sweep's true constant lies in
+    [c_star, c_star_upper]. Raises ValueError on an empty spec list, and
+    when an estimate exceeds its upper bound by more than 1e-12 relative.
     """
     if lattice is None:
         lattice = BlockLattice()
@@ -303,20 +307,30 @@ def check_block_bounds(
         est = estimate_3Z_norm(
             m, restarts=restarts, iters=iters, seed=seed + k, workers=workers
         )
+        upper = upper_3Z_bound(m)
+        if est > upper * (1 + 1e-12):
+            raise ValueError(
+                f"spec #{k}: estimate {est!r} exceeds the upper bound {upper!r}"
+            )
         rows.append(
             {
                 "spec": spec,
                 "case": case,
                 "support": m.size,
                 "estimate": est,
+                "upper": upper,
                 "bound": bound,
                 "ratio": est / bound,
             }
         )
+    if not rows:
+        raise ValueError("check_block_bounds needs at least one spec")
     ratios = [r["ratio"] for r in rows if r["support"] > 0]
     c_star = max(ratios) if ratios else 0.0
+    # an empty support's upper bound is 0, so it cannot raise the max
+    c_star_upper = max(r["upper"] / r["bound"] for r in rows)
     c_fit = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-    return {"rows": rows, "c_star": c_star, "c_fit": c_fit}
+    return {"rows": rows, "c_star": c_star, "c_star_upper": c_star_upper, "c_fit": c_fit}
 
 
 def sample_block_specs(case: str, count: int, seed: int = 0, lattice=None):

@@ -6,6 +6,14 @@ an injective tensor norm (NP-hard for k >= 3), so k = 3 is estimated from
 below by alternating maximization over the three test functions; exact
 oracles exist for k = 2 (largest singular value) and for product multipliers
 via the TT* identity, and those anchor the estimator's accuracy in tests.
+
+Each slot update of the estimator costs one gather (the updated test
+function onto the support rows, kept until it changes again), one product
+(the row weights, values times the other two gathered functions) and one
+bincount (the partial contraction). When every value is exactly 1, as on
+every dyadic block, the values drop out of the product; the sums keep
+their bits either way. upper_3Z_bound gives the matching certified upper
+bound, min over slots of the largest per-label l2 mass of the multiplier.
 """
 from __future__ import annotations
 
@@ -85,30 +93,46 @@ def _interleaved(labels: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _contract(pairs, size, values, other1, other2) -> np.ndarray:
+def _contract(pairs, size, weights) -> np.ndarray:
     """Partial contraction of the form against two fixed test functions.
 
-    pairs is _interleaved(labels); one bincount sums the real and imaginary
-    parts of each label's rows, in row order, into adjacent bins.
+    weights holds, per row, the multiplier value times the other two test
+    functions on that row's labels; pairs is _interleaved(labels). One
+    bincount sums the real and imaginary parts of each label's rows, in row
+    order, into adjacent bins.
     """
-    w = values * other1 * other2
-    sums = np.bincount(pairs, weights=w.view(np.float64), minlength=2 * size)
+    sums = np.bincount(pairs, weights=weights.view(np.float64), minlength=2 * size)
     return sums.view(np.complex128)
 
 
-def _als_run(labels, pairs, sizes, values, fs, iters: int, tol: float) -> float:
+def _als_run(labels, pairs, sizes, values_c, fs, iters: int, tol: float) -> float:
+    """One restart of the alternating maximization, updating fs in place.
+
+    g[k] is fs[k] gathered onto the support rows, refreshed once right after
+    fs[k] changes; vg[k] is values_c * g[k], or g[k] itself when values_c is
+    None (unit values). Slot j's row weight vg[j1] * g[j2] is the product
+    values * f_j1 * f_j2 in that order, so the sums match a loop that
+    gathers both test functions on every update, to the last bit.
+    """
+
+    def gather(k):
+        g[k] = fs[k][labels[k]]
+        vg[k] = g[k] if values_c is None else values_c * g[k]
+
+    g, vg = [None] * 3, [None] * 3
+    for k in range(3):
+        gather(k)
     best = 0.0
     for _ in range(iters):
         previous = best
         for j in range(3):
             j1, j2 = (j + 1) % 3, (j + 2) % 3
-            t = _contract(
-                pairs[j], sizes[j], values, fs[j1][labels[j1]], fs[j2][labels[j2]]
-            )
+            t = _contract(pairs[j], sizes[j], vg[j1] * g[j2])
             norm = np.linalg.norm(t)
             if norm == 0.0:
                 return best
             fs[j] = np.conj(t) / norm
+            gather(j)
             best = norm
         if abs(best - previous) <= tol * max(best, 1e-300):
             break
@@ -129,10 +153,12 @@ def estimate_3Z_norm(
     partial contraction, so each sweep is monotone; restarts guard the
     nonconvexity. Includes one deterministic all-ones start.
     """
-    if m.is_empty:
-        return 0.0
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    if m.is_empty:
+        return 0.0
     rng = np.random.default_rng(seed)
     starts = []
     for r in range(restarts):
@@ -146,9 +172,11 @@ def estimate_3Z_norm(
         starts.append(fs)
 
     pairs = [_interleaved(labels) for labels in m.labels]
+    # (1 + 0j) * z == z up to the sign of exact zeros, which no norm sees
+    values_c = None if np.all(m.values == 1.0) else m.values.astype(np.complex128)
 
     def run(fs):
-        return _als_run(m.labels, pairs, m.slot_sizes, m.values, fs, iters, tol)
+        return _als_run(m.labels, pairs, m.slot_sizes, values_c, fs, iters, tol)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -156,6 +184,32 @@ def estimate_3Z_norm(
     else:
         results = [run(fs) for fs in starts]
     return max(results)
+
+
+def upper_3Z_bound(m: Gamma3Multiplier) -> float:
+    """Certified upper bound on the [3;Z] norm: min over slots j of
+    sqrt(max_l sum of |m|^2 over the rows whose slot-j label is l).
+
+    Cauchy-Schwarz in slot j's label, then in the rows, bounds the form by
+    U_j prod ||f_k|| provided the other two labels identify each row; that
+    is checked per slot on the sorted pair keys (O(n) memory, unlike a
+    bincount over the product of two slot sizes). Raises ValueError on a
+    repeated pair, i.e. a duplicated row.
+    """
+    if m.is_empty:
+        return 0.0
+    weights = np.abs(m.values) ** 2
+    bounds = []
+    for j in range(3):
+        j1, j2 = (j + 1) % 3, (j + 2) % 3
+        key = np.sort(m.labels[j1] * m.slot_sizes[j2] + m.labels[j2])
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError(
+                f"slots {j1} and {j2} repeat a label pair: the support has a duplicated row"
+            )
+        mass = np.bincount(m.labels[j], weights=weights, minlength=m.slot_sizes[j])
+        bounds.append(np.sqrt(mass.max()))
+    return float(min(bounds))
 
 
 def gamma2_matrix(n: int, entry) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from dslab.attractor_lab import (
     EnsembleConfig,
@@ -104,6 +105,7 @@ def test_criterion_02_free_flow_isometry():
     ])
 
 
+@pytest.mark.slow
 def test_criterion_03_conservation_and_energy_order():
     start = time.time()
     grid = GridSpec(128, TWO_PI)
@@ -147,6 +149,7 @@ def test_criterion_04_damped_decay_closed_form():
     ])
 
 
+@pytest.mark.slow
 def test_criterion_05_smoothing_refinement():
     # On the periodic box each tail mode of the plain remainder
     # u(t) - exp(it Lap) u0 carries the lattice dressing
@@ -238,6 +241,7 @@ def test_criterion_08_ttstar_identity():
     ])
 
 
+@pytest.mark.slow
 def test_criterion_09_block_bounds_single_constant():
     start = time.time()
     specs = []
@@ -262,6 +266,7 @@ def test_criterion_09_block_bounds_single_constant():
     ])
 
 
+@pytest.mark.slow
 def test_criterion_10_absorbing_ball():
     start = time.time()
     grid = GridSpec(64, TWO_PI)
@@ -305,6 +310,7 @@ def test_criterion_10_absorbing_ball():
     ])
 
 
+@pytest.mark.slow
 def test_criterion_11_compactness_refinement():
     start = time.time()
     results = {}

@@ -25,6 +25,7 @@ from dslab.xsb_analysis import (
     resonance_h,
     sample_block_specs,
     ttstar_pair,
+    upper_3Z_bound,
 )
 
 
@@ -116,6 +117,12 @@ class TestEstimate3Z:
         with pytest.raises(ValueError):
             estimate_3Z_norm(diagonal_multiplier([1.0]), restarts=0)
 
+    def test_iters_below_one_raises(self):
+        # zero sweeps used to return 0.0, a silent non-estimate
+        for iters in (0, -1):
+            with pytest.raises(ValueError, match="iters"):
+                estimate_3Z_norm(diagonal_multiplier([1.0]), iters=iters)
+
     def test_diagonal_support_attains_max(self):
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(7) + 1j * rng.standard_normal(7)
@@ -159,7 +166,7 @@ class TestEstimate3Z:
             n = len(labels)
             others = complex_normal(n), complex_normal(n)
             fast = multipliers._contract(
-                multipliers._interleaved(labels), size, values, *others
+                multipliers._interleaved(labels), size, values * others[0] * others[1]
             )
             slow = self.two_bincount_contract(labels, size, values, *others)
             assert fast.dtype == np.complex128 and fast.shape == (size,)
@@ -172,6 +179,119 @@ class TestEstimate3Z:
         vals = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         m = Gamma3Multiplier(p1, p2, p3, vals)
         assert estimate_3Z_norm(m, workers=3) == estimate_3Z_norm(m)
+
+
+def reference_3Z_estimate(m, restarts, iters, tol=1e-8, seed=0):
+    """The alternating maximization as first written: both other test
+    functions gathered on every update, weights values * other1 * other2,
+    one interleaved bincount. The oracle of estimate_3Z_norm's bits."""
+
+    def contract(pairs, size, values, other1, other2):
+        w = values * other1 * other2
+        sums = np.bincount(pairs, weights=w.view(np.float64), minlength=2 * size)
+        return sums.view(np.complex128)
+
+    def als_run(labels, pairs, sizes, values, fs):
+        best = 0.0
+        for _ in range(iters):
+            previous = best
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                t = contract(
+                    pairs[j], sizes[j], values, fs[j1][labels[j1]], fs[j2][labels[j2]]
+                )
+                norm = np.linalg.norm(t)
+                if norm == 0.0:
+                    return best
+                fs[j] = np.conj(t) / norm
+                best = norm
+            if abs(best - previous) <= tol * max(best, 1e-300):
+                break
+        return float(best)
+
+    rng = np.random.default_rng(seed)
+    pairs = [multipliers._interleaved(labels) for labels in m.labels]
+    results = []
+    for r in range(restarts):
+        if r == 0:
+            fs = [np.ones(n, dtype=np.complex128) / np.sqrt(n) for n in m.slot_sizes]
+        else:
+            fs = []
+            for n in m.slot_sizes:
+                f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                fs.append(f / np.linalg.norm(f))
+        results.append(als_run(m.labels, pairs, m.slot_sizes, m.values, fs))
+    return max(results)
+
+
+@pytest.fixture(scope="module")
+def sampled_blocks():
+    """One sampled block per case, with its 0/1 multiplier."""
+    return [
+        block_multiplier(sample_block_specs(case, 1, seed=1)[0], BlockLattice())
+        for case in (PLUS_PLUS_PLUS, HIGH_PARALLEL, COHERENT, GENERIC)
+    ]
+
+
+class TestEstimateBitIdentity:
+    # a converged run can hide a last-bit difference, so each case is also
+    # compared after 3 sweeps, where the estimate still moves
+    @pytest.mark.parametrize("iters", [3, 30])
+    def test_unit_blocks_match_reference_loop(self, sampled_blocks, iters):
+        for k, m in enumerate(sampled_blocks):
+            assert np.all(m.values == 1.0)
+            fast = estimate_3Z_norm(m, restarts=3, iters=iters, seed=k)
+            assert fast == reference_3Z_estimate(m, restarts=3, iters=iters, seed=k)
+
+    @pytest.mark.parametrize("iters", [3, 30])
+    def test_non_unit_values_match_reference_loop(self, sampled_blocks, iters):
+        rng = np.random.default_rng(4)
+        base = sampled_blocks[2]
+        n = base.size
+        for values in (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            rng.uniform(0.2, 2.0, n),
+        ):
+            m = Gamma3Multiplier(base.points1, base.points2, base.points3, values)
+            fast = estimate_3Z_norm(m, restarts=3, iters=iters, seed=9)
+            assert fast == reference_3Z_estimate(m, restarts=3, iters=iters, seed=9)
+
+    @pytest.mark.parametrize("iters", [3, 30])
+    def test_threaded_restarts_match_reference_loop(self, sampled_blocks, iters):
+        m = sampled_blocks[1]
+        reference = reference_3Z_estimate(m, restarts=4, iters=iters, seed=2)
+        assert estimate_3Z_norm(m, restarts=4, iters=iters, seed=2, workers=2) == reference
+        assert estimate_3Z_norm(m, restarts=4, iters=iters, seed=2) == reference
+
+
+class TestUpperBound:
+    def test_diagonal_bound_is_attained(self):
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        m = diagonal_multiplier(vals)
+        peak = np.max(np.abs(vals))
+        assert upper_3Z_bound(m) == pytest.approx(peak, rel=1e-14)
+        assert estimate_3Z_norm(m) == pytest.approx(peak, abs=1e-9)
+
+    def test_bounds_the_estimate_on_sampled_blocks(self, sampled_blocks):
+        for m in sampled_blocks:
+            est = estimate_3Z_norm(m, restarts=2, iters=30)
+            upper = upper_3Z_bound(m)
+            assert 0 < est <= upper * (1 + 1e-12)
+
+    def test_empty_support_bound_is_zero(self):
+        empty = Gamma3Multiplier(
+            np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)), np.empty(0)
+        )
+        assert upper_3Z_bound(empty) == 0.0
+
+    def test_duplicated_row_raises(self):
+        rng = np.random.default_rng(6)
+        p1, p2, p3 = random_closed_support(rng, 5)
+        twice = [np.vstack([p, p[:1]]) for p in (p1, p2, p3)]
+        m = Gamma3Multiplier(*twice, np.ones(6))
+        with pytest.raises(ValueError, match="duplicated row"):
+            upper_3Z_bound(m)
 
 
 class TestTwoSlotNorms:
@@ -436,12 +556,26 @@ class TestBlockBounds:
             assert row["estimate"] > 0
             assert row["ratio"] == pytest.approx(row["estimate"] / row["bound"], rel=1e-12)
         assert report["c_star"] == pytest.approx(max(r["ratio"] for r in rows), rel=1e-12)
+        for row in rows:
+            assert row["estimate"] <= row["upper"] * (1 + 1e-12)
+        assert report["c_star_upper"] == max(r["upper"] / r["bound"] for r in rows)
+        assert report["c_star_upper"] >= report["c_star"]
         logs = np.log([r["ratio"] for r in rows])
         assert report["c_fit"] == pytest.approx(float(np.exp(np.mean(logs))), rel=1e-12)
 
     def test_check_rejects_inadmissible(self):
         with pytest.raises(ValueError, match="vanishing"):
             check_block_bounds([DyadicBlockSpec(8, 1, 1, 1, 1, 1, 1)])
+
+    def test_check_rejects_empty_spec_list(self):
+        # no spec used to report C* = 0.0, as if every bound held with room
+        with pytest.raises(ValueError, match="at least one spec"):
+            check_block_bounds([])
+
+    def test_check_raises_when_an_estimate_exceeds_its_upper_bound(self, monkeypatch):
+        monkeypatch.setattr(blocks, "upper_3Z_bound", lambda m: 0.5)
+        with pytest.raises(ValueError, match="exceeds the upper bound"):
+            check_block_bounds([DyadicBlockSpec(1, 2, 2, 1, 8, 8, 4)], restarts=1, iters=5)
 
 
 class TestSampler:
