@@ -29,6 +29,7 @@ from .spectral_core import (
     to_fourier,
 )
 from .ds_solver import (
+    SAMPLE_TIME_TOL,
     SolverConfig,
     Trajectory,
     energy_functional,
@@ -310,7 +311,7 @@ def _probe_steps(ens: EnsembleConfig, cfg: SolverConfig) -> dict:
     found = {}
     for t in ens.probe_times:
         idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > 1e-9:
+        if abs(times[idx] - t) > SAMPLE_TIME_TOL:
             raise ValueError(
                 f"probe time {t} is not a sample time (nearest: {times[idx]:.12g}); "
                 f"samples are every {cfg.sample_every * cfg.dt:.12g}"

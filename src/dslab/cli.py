@@ -221,17 +221,17 @@ def cmd_smoothing(get: _Reader, seed: int, threads: int):
     resolutions = get("modes", _int_list, [64, 128, 256])
     s = get("s", float, 0.6)
     a = get("a", float, 0.3)
-    t_probe = get("t_probe", float, 2.0)
     cfg = SolverConfig(
         c1=get("c1", float, 1.0),
         c2=get("c2", float, 1.0),
         dt=get("dt", float, 0.01),
-        t_end=t_probe,
-        sample_every=get("sample_every", int, 10),
+        t_end=get("t_probe", float, 2.0),
     )
     spec = RoughDataSpec(s, get("amplitude", float), seed)
     length = get("domain_length", float, None)
     get.check_all_read()
+    per_grid = int(round(cfg.t_end / cfg.dt))
+    cfg.sample_every = max(1, per_grid)  # the study reads one state per grid: one advance
     exploratory = not a < min(0.5, s - 0.5)
     if exploratory:
         warnings.warn(
@@ -239,7 +239,7 @@ def cmd_smoothing(get: _Reader, seed: int, threads: int):
             "proceeding with the result flagged exploratory",
             stacklevel=2,
         )
-    study = refinement_study(spec, resolutions, t_probe, s, a, cfg, domain_length=length)
+    study = refinement_study(spec, resolutions, s, a, cfg, domain_length=length)
     rows = [
         (r["M"], r["norm_linear"], r["norm_nonlinear"], r["norm_nonlinear_gauged"])
         for r in study["rows"]
@@ -252,8 +252,7 @@ def cmd_smoothing(get: _Reader, seed: int, threads: int):
         "exploratory": exploratory,
     }
     grid_info = {"modes": resolutions, "s": s, "a": a}
-    steps = len(resolutions) * int(round(t_probe / cfg.dt))
-    return grid_info, tables, None, details, steps
+    return grid_info, tables, None, details, len(resolutions) * per_grid
 
 
 def cmd_knapp(get: _Reader, seed: int, threads: int):

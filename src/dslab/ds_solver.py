@@ -47,6 +47,8 @@ from .spectral_core import (
     to_physical,
 )
 
+SAMPLE_TIME_TOL = 1e-9  # how far a time may lie from a sample time and still name it
+
 
 class IntegrationAbort(RuntimeError):
     """Raised when the state turns non-finite; carries the failing step."""
@@ -120,9 +122,9 @@ class Trajectory:
         if len(self.times) and np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
 
-    def field_at(self, t: float, tol: float = 1e-9) -> SpectralField:
+    def field_at(self, t: float) -> SpectralField:
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > tol:
+        if abs(self.times[idx] - t) > SAMPLE_TIME_TOL:
             raise KeyError(f"t = {t} was not sampled (nearest: {self.times[idx]})")
         return self.fields[idx]
 

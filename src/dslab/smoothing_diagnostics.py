@@ -22,8 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import spectral_core
 from ._rng import uniform_phases
-from .ds_solver import SolverConfig, Trajectory, evolve
+from .ds_solver import SolverConfig, Trajectory, sample_stream
 from .spectral_core import (
     DEFAULT_DOMAIN_LENGTH,
     FOURIER,
@@ -192,30 +193,30 @@ def resonant_gauge_phase(datum: SpectralField, c1: float, c2: float) -> np.ndarr
     L grows), so it is the leading finite-volume artifact in smoothing
     measurements.
     """
-    hat = to_fourier(datum)
-    rho = np.abs(hat.values) ** 2
-    conv = np.real(np.fft.ifft2(np.fft.fft2(datum.grid.alpha_symbol) * np.fft.fft2(rho)))
+    rho = np.abs(to_fourier(datum).values) ** 2
+    conv = spectral_core.fft2_into(datum.grid.alpha_symbol, np.empty_like(rho, np.complex128))
+    conv *= spectral_core.fft2_into(rho, np.empty_like(rho, np.complex128))
+    # norm="forward" leaves a net 1/M^2; M is a power of two, so undoing it is exact
+    conv = spectral_core.ifft2_into(conv, conv).real * float(datum.grid.modes_per_axis**2)
     return 2.0 * c1 * float(np.sum(rho)) + c2 * conv
 
 
 def refinement_study(
     spec: RoughDataSpec,
     resolutions: Sequence[int],
-    t_probe: float,
     s: float,
     a: float,
     cfg: SolverConfig,
     domain_length: Optional[float] = None,
 ) -> dict:
-    """Grid-refinement comparison of linear and nonlinear H^{s+a} norms.
+    """Grid-refinement comparison of linear and nonlinear H^{s+a} norms at cfg.t_end.
 
     Runs the same datum law at each resolution (same L, nested phases) and
-    returns per-resolution norms plus fitted log-log slopes.  The linear part
-    picks up mass like M^a.  Two nonlinear columns are reported: the plain
-    remainder u(t) - e^{it Lap} u0, whose tail inherits the resonant lattice
-    dressing and therefore tracks the linear column's growth, and the gauged
-    remainder with that dressing removed, which is the grid-convergent
-    smoothing observable (slope near zero).
+    returns per-resolution norms plus fitted log-log slopes: the linear part
+    (slope near a), the plain remainder (which tracks it) and the gauged one
+    (slope near zero; see the module docstring).  Each grid streams through
+    sample_stream and keeps two fields, whatever cfg.sample_every is: the
+    step-0 state (the datum as integrated) and the last one.
     """
     if len(resolutions) < 3:
         raise ValueError("need at least three resolutions for a slope fit")
@@ -226,15 +227,15 @@ def refinement_study(
     grids = [GridSpec(m, length) for m in resolutions]
     rows = []
     for m, grid in zip(resolutions, grids):
-        u0 = make_rough_data(spec, grid)
-        traj = evolve(u0, cfg)
-        # split against the trajectory's own first sample so the comparison
-        # matches the datum actually integrated (dealiasing masks it)
-        datum = traj.fields[0]
-        linear = sobolev_norm(free_evolve(datum, t_probe), s + a)
+        stream = sample_stream(make_rough_data(spec, grid), cfg)
+        # split against the datum actually integrated (dealiasing masks it)
+        datum = SpectralField(grid, next(stream)[2], FOURIER)
+        for _, _, u_hat in stream:  # the last state is the one at cfg.t_end
+            pass
+        linear = sobolev_norm(free_evolve(datum, cfg.t_end), s + a)
         sigma = resonant_gauge_phase(datum, cfg.c1, cfg.c2)
-        nonlinear = sobolev_norm(nonlinear_part(traj, datum, t_probe), s + a)
-        gauged = sobolev_norm(nonlinear_part(traj, datum, t_probe, sigma), s + a)
+        nonlinear = sobolev_norm(duhamel_remainder(u_hat, datum, cfg.t_end), s + a)
+        gauged = sobolev_norm(duhamel_remainder(u_hat, datum, cfg.t_end, sigma=sigma), s + a)
         rows.append(
             {
                 "M": m,
@@ -250,9 +251,6 @@ def refinement_study(
 
     return {
         "rows": rows,
-        "t_probe": t_probe,
-        "s": s,
-        "a": a,
         "linear_slope": column_slope("norm_linear"),
         "nonlinear_slope": column_slope("norm_nonlinear"),
         "gauged_slope": column_slope("norm_nonlinear_gauged"),

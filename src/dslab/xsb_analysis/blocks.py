@@ -293,8 +293,9 @@ def check_block_bounds(
     center to measure spread against. The estimates are lower bounds; each
     row's ``upper`` is the certified upper_3Z_bound, and c_star_upper the
     max of upper / bound, so the sweep's true constant lies in
-    [c_star, c_star_upper]. Raises ValueError on an empty spec list, and
-    when an estimate exceeds its upper bound by more than 1e-12 relative.
+    [c_star, c_star_upper]. Raises ValueError unless some spec has a
+    nonempty support, and when an estimate exceeds its upper bound by more
+    than 1e-12 relative.
     """
     if lattice is None:
         lattice = BlockLattice()
@@ -323,13 +324,13 @@ def check_block_bounds(
                 "ratio": est / bound,
             }
         )
-    if not rows:
-        raise ValueError("check_block_bounds needs at least one spec")
     ratios = [r["ratio"] for r in rows if r["support"] > 0]
-    c_star = max(ratios) if ratios else 0.0
+    if not ratios:
+        raise ValueError("check_block_bounds needs at least one spec with a nonempty support")
+    c_star = max(ratios)
     # an empty support's upper bound is 0, so it cannot raise the max
     c_star_upper = max(r["upper"] / r["bound"] for r in rows)
-    c_fit = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
+    c_fit = float(np.exp(np.mean(np.log(ratios))))
     return {"rows": rows, "c_star": c_star, "c_star_upper": c_star_upper, "c_fit": c_fit}
 
 

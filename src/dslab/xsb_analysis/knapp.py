@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import spectral_core
 from ..spectral_core import FOURIER, GridSpec, loglog_slope
 from .spacetime import (
     SpaceTimeField,
@@ -229,9 +230,9 @@ def separable_output_spectrum(
     d1 = u.carrier[0] - v.carrier[0]
     d2 = u.carrier[1] - v.carrier[1]
     pair_hat = np.outer(p1, p2) * _pair_symbol(grid.spatial, d1, d2, c1, c2)
-    acted = np.fft.ifft2(pair_hat, norm="forward")
+    acted = spectral_core.ifft2_into(pair_hat, pair_hat)
     acted *= np.outer(w1, w2)
-    spatial = np.fft.fft2(acted, norm="forward")
+    spatial = spectral_core.fft2_into(acted, acted)
     tau = np.fft.fft(u3 * np.conj(v3) * w3, norm="forward")
     if not (np.all(np.isfinite(spatial)) and np.all(np.isfinite(tau))):
         raise ValueError("values must be finite")

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ALS_TOL = 1e-8  # an ALS restart stops once a sweep moves its estimate by less, relative
+
 
 @dataclass
 class Gamma3Multiplier:
@@ -105,7 +107,7 @@ def _contract(pairs, size, weights) -> np.ndarray:
     return sums.view(np.complex128)
 
 
-def _als_run(labels, pairs, sizes, values_c, fs, iters: int, tol: float) -> float:
+def _als_run(labels, pairs, sizes, values_c, fs, iters: int) -> float:
     """One restart of the alternating maximization, updating fs in place.
 
     g[k] is fs[k] gathered onto the support rows, refreshed once right after
@@ -134,7 +136,7 @@ def _als_run(labels, pairs, sizes, values_c, fs, iters: int, tol: float) -> floa
             fs[j] = np.conj(t) / norm
             gather(j)
             best = norm
-        if abs(best - previous) <= tol * max(best, 1e-300):
+        if abs(best - previous) <= ALS_TOL * max(best, 1e-300):
             break
     return float(best)
 
@@ -143,7 +145,6 @@ def estimate_3Z_norm(
     m: Gamma3Multiplier,
     restarts: int = 16,
     iters: int = 200,
-    tol: float = 1e-8,
     seed: int = 0,
     workers: int = 1,
 ) -> float:
@@ -176,7 +177,7 @@ def estimate_3Z_norm(
     values_c = None if np.all(m.values == 1.0) else m.values.astype(np.complex128)
 
     def run(fs):
-        return _als_run(m.labels, pairs, m.slot_sizes, values_c, fs, iters, tol)
+        return _als_run(m.labels, pairs, m.slot_sizes, values_c, fs, iters)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

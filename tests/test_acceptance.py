@@ -160,9 +160,7 @@ def test_criterion_05_smoothing_refinement():
     start = time.time()
     spec = RoughDataSpec(s=0.6, amplitude=0.01, seed=20)
     cfg = SolverConfig(c1=1.0, c2=1.0, dt=1.25e-3, t_end=2.0, sample_every=400)
-    out = refinement_study(
-        spec, [64, 128, 256, 512], 2.0, 0.6, 0.3, cfg, domain_length=TWO_PI
-    )
+    out = refinement_study(spec, [64, 128, 256, 512], 0.6, 0.3, cfg, domain_length=TWO_PI)
 
     def change(key: str) -> float:
         norms = [row[key] for row in out["rows"]]

@@ -4,14 +4,15 @@ The unit suites never run benchmarks/layers.py, so deleting a function it
 calls, or a keyword it passes, would only show when the benchmark runs.
 These tests read layers.py and workloads.py with ast: every name taken from
 an imported dslab module must exist, and every call of such a name must
-pass only keywords its signature accepts.  The workload configs must also
-pass the command line's config checks.
+pass only keywords its signature accepts.  The workload configs, and the
+README's ini examples, must also pass the command line's config checks.
 """
 import ast
 import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 import sys
 
 import pytest
@@ -136,10 +137,9 @@ _WORK = [
 ]
 
 
-@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
-@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
-def test_workload_configs_pass_the_config_checks(workload, smoke, tmp_path, monkeypatch):
-    wl = WORKLOADS.WORKLOADS[workload]
+def _passes_config_checks(command: str, text: str, tmp_path, monkeypatch, *flags) -> None:
+    """Run main on the config text with every _WORK call replaced, and
+    require that it gets past the config checks to the first of them."""
 
     def accepted(*args, **kwargs):
         raise _ConfigAccepted
@@ -147,7 +147,42 @@ def test_workload_configs_pass_the_config_checks(workload, smoke, tmp_path, monk
     for name in _WORK:
         monkeypatch.setattr(dslab.cli, name, accepted)
     path = tmp_path / "run.ini"
-    path.write_text(WORKLOADS.config_text(wl.smoke_config if smoke else wl.config), encoding="utf-8")
-    argv = [wl.command, "--config", str(path), "--out", str(tmp_path / "o")]
+    path.write_text(text, encoding="utf-8")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), *flags]
     with pytest.raises(_ConfigAccepted):
-        main(argv + ["--seed", "0", "--threads", str(wl.threads)])
+        main(argv)
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_workload_configs_pass_the_config_checks(workload, smoke, tmp_path, monkeypatch):
+    wl = WORKLOADS.WORKLOADS[workload]
+    text = WORKLOADS.config_text(wl.smoke_config if smoke else wl.config)
+    _passes_config_checks(
+        wl.command, text, tmp_path, monkeypatch, "--seed", "0", "--threads", str(wl.threads)
+    )
+
+
+def _readme_examples() -> list:
+    """(command, text) of every ```ini block in README.md; the command is the
+    block's one section other than [run]."""
+    text = (BENCHMARKS.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```ini\n(.*?)```", text, flags=re.S):
+        (command,) = set(re.findall(r"^\[(\w+)\]", block, flags=re.M)) - {"run"}
+        examples.append((command, block))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_an_example_per_command():
+    assert sorted(command for command, _ in README_EXAMPLES) == sorted(dslab.cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "command,text", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES]
+)
+def test_readme_configs_pass_the_config_checks(command, text, tmp_path, monkeypatch):
+    _passes_config_checks(command, text, tmp_path, monkeypatch)

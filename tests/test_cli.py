@@ -215,6 +215,36 @@ class TestSmoothing:
             assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 0
         assert read_manifest(out)["details"]["exploratory"] is False
 
+    def test_sample_every_is_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        # the study reads one state per grid at t_probe, so there is no
+        # sample spacing to set: the key is unknown, not silently ignored
+        monkeypatch.setattr(dslab.cli, "refinement_study", refuse_call)
+        cfg = write_config(tmp_path, "[smoothing]\namplitude = 0.01\nsample_every = 10\n")
+        out = tmp_path / "o"
+        assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown keys: sample_every" in capsys.readouterr().err
+        assert output_files(out) == []
+
+    def test_one_advance_per_grid(self, tmp_path, monkeypatch):
+        # the manifest counts every step; the study takes them in one advance
+        seen = []
+        original = dslab.cli.refinement_study
+
+        def spy(spec, resolutions, s, a, cfg, **kwargs):
+            seen.append(cfg.sample_every)
+            return original(spec, resolutions, s, a, cfg, **kwargs)
+
+        monkeypatch.setattr(dslab.cli, "refinement_study", spy)
+        cfg = write_config(
+            tmp_path,
+            "[smoothing]\nmodes = 16,32,64\ns = 1.4\na = 0.3\namplitude = 0.01\n"
+            "t_probe = 0.5\ndt = 0.025\ndomain_length = 6.283185307179586\n",
+        )
+        out = tmp_path / "o"
+        assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 0
+        assert seen == [20]
+        assert read_manifest(out)["step_count"] == 3 * 20
+
     def test_repeated_modes_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -1,4 +1,6 @@
 """Rough-data construction, Duhamel split, and refinement-slope checks."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -328,26 +330,26 @@ class TestRefinementStudy:
         spec = RoughDataSpec(s=0.6, amplitude=0.01, seed=20)
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=0.1)
         with pytest.raises(ValueError):
-            refinement_study(spec, [64, 128], 0.1, 0.6, 0.3, cfg)
+            refinement_study(spec, [64, 128], 0.6, 0.3, cfg)
 
     @pytest.mark.parametrize("resolutions", [[16, 16, 16], [16, 32, 24]])
     def test_bad_resolutions_rejected_before_any_solve(self, monkeypatch, resolutions):
         # one repeated size leaves no slope to fit, and 24 is no valid grid
         calls = []
         monkeypatch.setattr(
-            "dslab.smoothing_diagnostics.evolve", lambda *args: calls.append(args)
+            "dslab.smoothing_diagnostics.sample_stream", lambda *args: calls.append(args)
         )
         spec = RoughDataSpec(s=0.6, amplitude=0.01, seed=20)
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=0.1)
         with pytest.raises(ValueError):
-            refinement_study(spec, resolutions, 0.1, 0.6, 0.3, cfg)
+            refinement_study(spec, resolutions, 0.6, 0.3, cfg)
         assert calls == []
 
     def test_free_flow_zero_nonlinear_column(self):
         spec = RoughDataSpec(s=0.6, amplitude=0.05, seed=21)
         with pytest.warns(UserWarning):
             cfg = SolverConfig(c1=0.0, c2=0.0, dt=0.01, t_end=0.1)
-        out = refinement_study(spec, [16, 32, 64], 0.1, 0.6, 0.3, cfg, domain_length=TWO_PI)
+        out = refinement_study(spec, [16, 32, 64], 0.6, 0.3, cfg, domain_length=TWO_PI)
         for row in out["rows"]:
             assert row["norm_nonlinear"] <= 1e-12 * row["norm_linear"]
 
@@ -357,9 +359,50 @@ class TestRefinementStudy:
         # while the gauged remainder is grid-convergent
         spec = RoughDataSpec(s=0.6, amplitude=0.01, seed=20)
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=5e-3, t_end=2.0, sample_every=100)
-        out = refinement_study(spec, [64, 128, 256], 2.0, 0.6, 0.3, cfg, domain_length=TWO_PI)
+        out = refinement_study(spec, [64, 128, 256], 0.6, 0.3, cfg, domain_length=TWO_PI)
         assert abs(out["linear_slope"] - 0.3) <= 0.1
         assert out["nonlinear_slope"] > 0.2
         assert -0.1 <= out["gauged_slope"] <= 0.15
         for row in out["rows"]:
             assert row["norm_nonlinear_gauged"] < row["norm_nonlinear"]
+
+    @pytest.mark.parametrize("sample_every", [1, 7, 100])
+    def test_rows_match_the_stored_trajectory_split(self, sample_every):
+        # the streamed study equals the split of a stored trajectory at t_end
+        spec = RoughDataSpec(s=0.6, amplitude=0.05, seed=3)
+        cfg = SolverConfig(c1=1.0, c2=0.7, dt=0.01, t_end=0.5, sample_every=sample_every)
+        out = refinement_study(spec, [16, 32, 64], 0.6, 0.3, cfg, domain_length=TWO_PI)
+        for row in out["rows"]:
+            traj = evolve(make_rough_data(spec, GridSpec(row["M"], TWO_PI)), cfg)
+            datum = traj.fields[0]
+            sigma = resonant_gauge_phase(datum, cfg.c1, cfg.c2)
+            order = 0.6 + 0.3  # as the study forms s + a, to the last bit
+            assert row == {
+                "M": row["M"],
+                "norm_linear": sobolev_norm(free_evolve(datum, 0.5), order),
+                "norm_nonlinear": sobolev_norm(nonlinear_part(traj, datum, 0.5), order),
+                "norm_nonlinear_gauged": sobolev_norm(
+                    nonlinear_part(traj, datum, 0.5, sigma), order
+                ),
+            }
+
+    def test_peak_memory_does_not_grow_with_the_sample_count(self):
+        # only the datum and the last state are kept: sampling every step of
+        # 100 must cost what one advance costs, not one field per sample
+        spec = RoughDataSpec(s=0.6, amplitude=0.01, seed=20)
+
+        def peak(sample_every: int) -> int:
+            cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=sample_every)
+            tracemalloc.start()
+            try:
+                refinement_study(spec, [16, 32, 64], 0.6, 0.3, cfg, domain_length=TWO_PI)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call allocations (FFT plans, cached grid arrays)
+        field_bytes = 64 * 64 * 16
+        one_advance = peak(100)
+        every_step = peak(1)
+        # a stored trajectory would add 100 fields of the finest grid
+        assert every_step <= one_advance + 2 * field_bytes

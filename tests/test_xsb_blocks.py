@@ -572,6 +572,22 @@ class TestBlockBounds:
         with pytest.raises(ValueError, match="at least one spec"):
             check_block_bounds([])
 
+    def test_check_rejects_specs_whose_supports_are_all_empty(self):
+        # admissible but empty on the lattice: C*, c_fit and c_star_upper
+        # used to come back 0.0, as if every bound held with room
+        empty = DyadicBlockSpec(1, 1, 1, 1, 1, 8, 8)
+        assert empty.is_admissible
+        assert block_multiplier(empty, BlockLattice()).is_empty
+        with pytest.raises(ValueError, match="nonempty support"):
+            check_block_bounds([empty], restarts=1, iters=2)
+        # one nonempty block is enough, and the empty row does not count
+        report = check_block_bounds(
+            [empty, DyadicBlockSpec(1, 2, 2, 1, 8, 8, 4)], restarts=1, iters=5
+        )
+        assert report["rows"][0]["support"] == 0
+        assert report["c_star"] == report["rows"][1]["ratio"]
+        assert report["c_fit"] == pytest.approx(report["c_star"], rel=1e-12)
+
     def test_check_raises_when_an_estimate_exceeds_its_upper_bound(self, monkeypatch):
         monkeypatch.setattr(blocks, "upper_3Z_bound", lambda m: 0.5)
         with pytest.raises(ValueError, match="exceeds the upper bound"):
