@@ -12,12 +12,18 @@ A exp(-B t) + C and checked against the ball of radius 1.1 C), and a
 compactness probe (subtracting the damped free flow of the shifted datum
 leaves a remainder that stays bounded in a strictly smoother norm while the
 free part does not).
+
+Both experiments step the whole ensemble as one (K, M, M) stack through
+ensemble_stream, in one pass, and read each sample as it comes: the norms of
+all members in one reduction, and member 0's energy parts for the balance
+audit.  Memory grows with K x M^2 (about five fields per member), not with
+the number of samples.
 """
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,15 +32,18 @@ from .spectral_core import (
     GridSpec,
     SpectralField,
     sobolev_norm,
+    sobolev_norms,
     to_fourier,
 )
 from .ds_solver import (
     SAMPLE_TIME_TOL,
     SolverConfig,
     Trajectory,
+    _DensityKernel,
+    _energy_parts,
     energy_functional,
+    ensemble_stream,
     evolve,
-    sample_stream,
     sample_steps,
 )
 from .smoothing_diagnostics import RoughDataSpec, duhamel_remainder, make_rough_data
@@ -155,7 +164,12 @@ def energy_balance_residual(traj: Trajectory, cfg: SolverConfig) -> EnergyReport
     is refused rather than silently producing an O(spacing^2) artifact.
     Interior samples only.
     """
-    t = np.asarray(traj.times, dtype=float)
+    return _balance(traj.times, traj.energy, traj.interaction, traj.drive, cfg)
+
+
+def _balance(times, energy, interaction, drive, cfg: SolverConfig) -> EnergyReport:
+    """energy_balance_residual on the scalar series alone."""
+    t = np.asarray(times, dtype=float)
     if len(t) < 3:
         raise ValueError("need at least three samples for a centered difference")
     spacing = float(np.max(np.diff(t)))
@@ -164,8 +178,8 @@ def energy_balance_residual(traj: Trajectory, cfg: SolverConfig) -> EnergyReport
             f"sample spacing {spacing:.6g} exceeds 10 * dt = {10.0 * cfg.dt:.6g}; "
             "record more often to audit the balance"
         )
-    e = np.asarray(traj.energy, dtype=float)
-    source = -cfg.delta * traj.interaction + cfg.delta * traj.drive
+    e = np.asarray(energy, dtype=float)
+    source = -cfg.delta * interaction + cfg.delta * drive
     dedt = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
     residuals = dedt + 2.0 * cfg.delta * e[1:-1] - source[1:-1]
     return EnergyReport(
@@ -181,7 +195,7 @@ def run_ensemble(ens: EnsembleConfig, workers: int = 1) -> list:
     """Integrate every member under the shared config and keep every
     trajectory; members are independent, so they run concurrently when
     workers > 1 with bit-identical results.  The experiments below do not
-    use it: they stream each member and keep only what they read."""
+    use it: they stream the ensemble and keep only what they read."""
     cfg = ens.solver_config()
 
     def one(spec: RoughDataSpec) -> Trajectory:
@@ -193,12 +207,27 @@ def run_ensemble(ens: EnsembleConfig, workers: int = 1) -> list:
     return [one(spec) for spec in ens.members]
 
 
-def _member_h1(ens: EnsembleConfig, spec: RoughDataSpec, cfg: SolverConfig) -> np.ndarray:
-    """H^1 norm of one member at every sample, without keeping its states."""
-    stream = sample_stream(make_rough_data(spec, ens.grid), cfg)
-    return np.array(
-        [sobolev_norm(SpectralField(ens.grid, u_hat, FOURIER), 1.0) for _, _, u_hat in stream]
-    )
+def _audited_stream(ens: EnsembleConfig, cfg: SolverConfig, parts: list) -> Iterator[tuple]:
+    """ensemble_stream of the members; appends (t, grad, interaction, drive)
+    of member 0 to parts at every sample, from its own one-field density
+    kernel (two transforms per sample), before yielding the sample."""
+    f_hat = to_fourier(cfg.forcing).values if cfg.forcing is not None else None
+    density = _DensityKernel(ens.grid, cfg.c1, cfg.c2)
+    stream = ensemble_stream([make_rough_data(spec, ens.grid) for spec in ens.members], cfg)
+    for step, t, stack in stream:
+        member0 = SpectralField(ens.grid, stack[0], FOURIER)
+        parts.append((t, *_energy_parts(member0, f_hat, density)))
+        yield step, t, stack
+
+
+def _audit(parts: list, cfg: SolverConfig) -> Optional[EnergyReport]:
+    """The balance audit of the parts _audited_stream recorded, or None when
+    the samples are too few or too sparse for energy_balance_residual."""
+    t, grad, inter, drive = np.array(parts).T
+    try:
+        return _balance(t, grad + 0.5 * inter + drive, inter, drive, cfg)
+    except ValueError:
+        return None
 
 
 def _fit_member(times: np.ndarray, h1: np.ndarray):
@@ -240,22 +269,21 @@ def absorbing_experiment(ens: EnsembleConfig) -> EnergyReport:
     taken over the members that did fit; when every fit fails, absorbed is
     False.
 
-    Members run one after another.  Member 0 alone goes through evolve, whose
-    energy parts feed the balance audit; every other member is streamed and
-    keeps only its H^1 norm per sample, so no other state is stored.
+    The members are stepped as one stack in one pass that keeps only scalar
+    series: every member's H^1 norm per sample, and member 0's energy parts,
+    which feed the balance audit when the sampling is dense enough for it
+    (otherwise the balance series are empty and max_residual is 0.0).
     """
     cfg = ens.solver_config()
-    audited = evolve(make_rough_data(ens.members[0], ens.grid), cfg)
-    # the audit rides along when the sampling is dense enough for it
-    try:
-        balance = energy_balance_residual(audited, cfg)
-    except ValueError:
+    parts, h1 = [], []
+    for _, _, stack in _audited_stream(ens, cfg, parts):
+        h1.append(sobolev_norms(ens.grid, stack, 1.0))
+    balance = _audit(parts, cfg)
+    if balance is None:
         empty = np.zeros(0)
         balance = EnergyReport(empty, empty, empty, empty, 0.0)
-    times = np.asarray(audited.times, dtype=float)
-    h1_series = (np.asarray(audited.h1_norm, dtype=float),)
-    del audited  # only its scalar series are read from here on
-    h1_series += tuple(_member_h1(ens, spec, cfg) for spec in ens.members[1:])
+    times = np.array([p[0] for p in parts])
+    h1_series = tuple(np.array(h1).T.copy())  # one contiguous row per member
 
     fits = [_fit_member(times, h1) for h1 in h1_series]
     radii = tuple(c for (_, _, c) in fits)
@@ -328,12 +356,13 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
     v(0) at damping delta) is measured in H^{1+a}.  Under refinement
     sup_t ||n||_{H^{1+a}} is expected to stabilize while the free part keeps
     the datum's roughness and grows.  Also records pairwise H^1 distances of
-    the ensemble at the probe times.
+    the ensemble at the probe times, and max_balance_residual: the balance
+    audit of member 0 (None when the sampling is too sparse for it).
 
     Every probe time is checked against the sample schedule before the first
-    step (ValueError otherwise).  Members are streamed one after another;
-    each keeps v(0), the running sup of the remainder and its states at the
-    probe times, nothing else.
+    step (ValueError otherwise).  The members are stepped as one stack in
+    one pass that keeps v(0), the running sup of each remainder, the states
+    at the probe times and member 0's energy parts, nothing else.
     """
     cfg = ens.solver_config()
     probe_steps = _probe_steps(ens, cfg)
@@ -342,24 +371,21 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
     g_hat = g.values
     s_up = 1.0 + ens.a
 
-    sup_n, free_part, snaps = [], [], []
-    for spec in ens.members:
-        best = 0.0
-        kept = {}
-        for step, t, u_hat in sample_stream(make_rough_data(spec, ens.grid), cfg):
-            if step == 0:
-                v0 = SpectralField(ens.grid, u_hat + g_hat, FOURIER)
-                free_part.append(sobolev_norm(v0, s_up))
-            n = duhamel_remainder(u_hat + g_hat, v0, float(t), ens.delta)
-            best = max(best, sobolev_norm(n, s_up))
-            if step in wanted:
-                kept[step] = u_hat
-        sup_n.append(best)
-        snaps.append(kept)
+    parts, kept = [], {}
+    sup_n = np.zeros(len(ens.members))
+    for step, t, stack in _audited_stream(ens, cfg, parts):
+        if step == 0:
+            v0 = SpectralField(ens.grid, stack + g_hat, FOURIER)
+            free_part = sobolev_norms(ens.grid, v0.values, s_up)
+        n = duhamel_remainder(stack + g_hat, v0, float(t), ens.delta)
+        sup_n = np.maximum(sup_n, sobolev_norms(ens.grid, n.values, s_up))
+        if step in wanted:
+            kept[step] = stack
+    balance = _audit(parts, cfg)
 
     pairwise = {}
     for t in ens.probe_times:
-        fields = [kept[probe_steps[t]] for kept in snaps]
+        fields = kept[probe_steps[t]]
         dists = [
             sobolev_norm(SpectralField(ens.grid, fields[i] - fields[j], FOURIER), 1.0)
             for i in range(len(fields))
@@ -369,8 +395,9 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
 
     return {
         "a": ens.a,
-        "remainder_h1a": np.array(sup_n),
-        "free_h1a": np.array(free_part),
+        "remainder_h1a": sup_n,
+        "free_h1a": free_part,
         "shift_h1a": sobolev_norm(g, s_up),
         "pairwise_h1": pairwise,
+        "max_balance_residual": None if balance is None else balance.max_residual,
     }

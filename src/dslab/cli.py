@@ -362,6 +362,18 @@ def _attractor_ensemble(get: _Reader, seed: int) -> EnsembleConfig:
     )
 
 
+def _balance_residual(value: Optional[float]) -> Optional[float]:
+    """summary.json's max_balance_residual: null, with a warning, when the
+    run was not audited."""
+    if value is None:
+        warnings.warn(
+            "the samples are too few or further apart than 10 * dt to audit "
+            "the energy balance; max_balance_residual is null",
+            stacklevel=3,
+        )
+    return value
+
+
 def cmd_attractor(get: _Reader, seed: int, threads: int):
     experiment = get("experiment", str, "absorbing")
     ens = _attractor_ensemble(get, seed)
@@ -384,7 +396,10 @@ def cmd_attractor(get: _Reader, seed: int, threads: int):
             entry_times=list(report.entry_times),
             absorbed=report.absorbed,
             fit_failures=list(report.fit_failures),
-            max_balance_residual=report.max_residual,
+            # an audited run has at least one interior residual
+            max_balance_residual=_balance_residual(
+                report.max_residual if len(report.residuals) else None
+            ),
         )
     elif experiment == "compactness":
         table = compactness_probe(ens)
@@ -399,6 +414,7 @@ def cmd_attractor(get: _Reader, seed: int, threads: int):
             pairwise_h1_median={
                 str(t): float(np.median(d)) for t, d in table["pairwise_h1"].items()
             },
+            max_balance_residual=_balance_residual(table["max_balance_residual"]),
         )
     else:
         raise ConfigError(
@@ -433,7 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="root seed; overrides the config")
         cmd.add_argument(
             "--threads", type=int, default=None,
-            help="worker cap for the ALS restarts of blocks; other commands run serially",
+            help=(
+                "worker cap for the ALS restarts of blocks; other commands run serially "
+                "(attractor steps its members together as one stack)"
+            ),
         )
     return parser
 

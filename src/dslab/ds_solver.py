@@ -24,15 +24,19 @@ spectral_core's *_into transforms, and the density, its half spectrum and
 the potential live in buffers the density kernel owns.  Only the array that
 advance returns is fresh.
 
-sample_stream yields the sampled states one at a time; evolve consumes it
-and keeps them.  Trajectory.fields hold Fourier coefficients
-(representation FOURIER); to_physical converts them on demand.
+The kernels step one M x M field or a (K, M, M) stack of K fields; every
+operation acts on each field alone, so a member of a stack gets the bits it
+would get stepped by itself.  sample_stream yields one field's sampled
+states one at a time, ensemble_stream a stack's, through the same loop;
+evolve consumes sample_stream and keeps the states.  Trajectory.fields hold
+Fourier coefficients (representation FOURIER); to_physical converts them on
+demand.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,12 +55,23 @@ SAMPLE_TIME_TOL = 1e-9  # how far a time may lie from a sample time and still na
 
 
 class IntegrationAbort(RuntimeError):
-    """Raised when the state turns non-finite; carries the failing step."""
+    """Raised when the state turns non-finite; carries the failing step and,
+    for a stack, the first failing member (None for one field)."""
 
-    def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite values at step {step} (t = {t:.6g})")
+    def __init__(self, step: int, t: float, member: Optional[int] = None):
+        where = "" if member is None else f" in member {member}"
+        super().__init__(f"non-finite values at step {step} (t = {t:.6g}){where}")
         self.step = step
         self.t = t
+        self.member = member
+
+
+def _require_finite(finite, step: int, dt: float) -> None:
+    """Raise IntegrationAbort at step unless every flag of finite is set;
+    finite holds one flag per member of a stack, or one for one field."""
+    if not np.all(finite):
+        member = int(np.argmin(finite)) if np.ndim(finite) else None
+        raise IntegrationAbort(step, step * dt, member)
 
 
 @dataclass
@@ -136,19 +151,21 @@ class _DensityKernel:
     symbol c1 + c2 alpha is applied; V comes back real by construction.  The
     same half-spectrum density gives the interaction energy int V |u|^2.
 
-    The kernel owns three buffers and allocates nothing per call: rho (the
-    density, then the potential), scratch (|Im u|^2) and rho_hat (the half
-    spectrum).  Both methods return one of them, valid until the next call.
+    The kernel owns three buffers, shaped for one field (stack = ()) or a
+    stack of K fields (stack = (K,)), and allocates nothing per call: rho
+    (the density, then the potential), scratch (|Im u|^2) and rho_hat (the
+    half spectrum).  density_hat and potential return one of them, valid
+    until the next call; interaction takes one field's half spectrum.
     """
 
-    def __init__(self, grid: GridSpec, c1: float, c2: float):
+    def __init__(self, grid: GridSpec, c1: float, c2: float, stack: tuple = ()):
         m = grid.modes_per_axis
         self.grid = grid
         # stored complex, so rho_hat *= symbol casts nothing through a ufunc buffer
         self.symbol = (c1 + c2 * grid.alpha_symbol[:, : m // 2 + 1]).astype(np.complex128)
-        self.rho = np.empty((m, m))
-        self.scratch = np.empty((m, m))
-        self.rho_hat = np.empty((m, m // 2 + 1), dtype=np.complex128)
+        self.rho = np.empty(stack + (m, m))
+        self.scratch = np.empty(stack + (m, m))
+        self.rho_hat = np.empty(stack + (m, m // 2 + 1), dtype=np.complex128)
 
     def density_hat(self, u: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients of |u|^2 for physical values u, in rho_hat."""
@@ -198,10 +215,11 @@ class _StepKernel:
     exactly into u -> P^2 u + (P + 1) F.  The 2/3 mask is 0/1, so folding it
     into the propagators that follow the gauge gives the same values as
     masking the field first.  A step writes only the field advance returns,
-    the density kernel's buffers and the gauge phase buffer.
+    the density kernel's buffers and the gauge phase buffer, all shaped for
+    one field (stack = ()) or a stack of K fields (stack = (K,)).
     """
 
-    def __init__(self, grid: GridSpec, cfg: SolverConfig, dt: float):
+    def __init__(self, grid: GridSpec, cfg: SolverConfig, dt: float, stack: tuple = ()):
         self.dt = dt
         lam = -1j * grid.xi_squared - cfg.delta
         half_prop = np.exp(lam * (dt / 2.0))
@@ -218,15 +236,14 @@ class _StepKernel:
             self.force_full = (half_prop + 1.0) * self.force
         else:
             self.force = self.force_full = None
-        self.density = _DensityKernel(grid, cfg.c1, cfg.c2)
-        self.phase = np.empty(self.lead.shape, dtype=np.complex128)
+        self.density = _DensityKernel(grid, cfg.c1, cfg.c2, stack)
+        self.phase = np.empty(stack + self.lead.shape, dtype=np.complex128)
 
     def _gauge(self, u: np.ndarray, step: int) -> None:
         """u <- exp(-i dt V) u in place; a non-finite density aborts the step."""
         rho_hat = self.density.density_hat(u)
-        # rho >= 0: any non-finite value makes its mean non-finite
-        if not np.isfinite(rho_hat[0, 0]):
-            raise IntegrationAbort(step, step * self.dt)
+        # rho >= 0: any non-finite value makes its member's mean non-finite
+        _require_finite(np.isfinite(rho_hat[..., 0, 0]), step, self.dt)
         theta = self.density.potential(rho_hat)  # the density kernel's rho buffer
         theta *= -self.dt
         g = self.phase
@@ -301,22 +318,36 @@ def sample_stream(u0: SpectralField, cfg: SolverConfig) -> Iterator[tuple]:
     Fourier-coefficient array that the consumer may keep.
     Non-finite values abort with the failing step.
     """
-    return _samples(_StepKernel(u0.grid, cfg, cfg.dt), u0, cfg)
+    return _samples(_StepKernel(u0.grid, cfg, cfg.dt), to_fourier(u0).values.copy(), cfg)
 
 
-def _samples(kernel: _StepKernel, u0: SpectralField, cfg: SolverConfig) -> Iterator[tuple]:
-    """sample_stream on a given kernel, so evolve can share its density kernel."""
+def ensemble_stream(fields: Sequence[SpectralField], cfg: SolverConfig) -> Iterator[tuple]:
+    """sample_stream of K fields on one grid, stepped together as one stack.
+
+    Yields (step, t, stack) with stack a fresh (K, M, M) array whose slice j
+    is bit for bit the u_hat that sample_stream yields for fields[j].  The
+    stack aborts at the earliest step at which any member turns non-finite;
+    IntegrationAbort.member names the first such member.
+    """
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("ensemble members must share one grid")
+    stack = np.stack([to_fourier(f).values for f in fields])
+    return _samples(_StepKernel(grid, cfg, cfg.dt, stack.shape[:1]), stack, cfg)
+
+
+def _samples(kernel: _StepKernel, u_hat: np.ndarray, cfg: SolverConfig) -> Iterator[tuple]:
+    """The sample loop on a given kernel from the fresh datum coefficients
+    u_hat (one field or a stack), so evolve can share its density kernel."""
     steps = sample_steps(cfg)
-    u_hat = to_fourier(u0).values.copy()
     if cfg.dealias:
-        u_hat *= u0.grid.dealias_mask
+        u_hat *= kernel.density.grid.dealias_mask
     done = 0
     for step in steps:
         if step > done:
             u_hat = kernel.advance(u_hat, step - done, done + 1)
             done = step
-        if not np.all(np.isfinite(u_hat)):
-            raise IntegrationAbort(step, step * cfg.dt)
+        _require_finite(np.isfinite(u_hat).all(axis=(-2, -1)), step, cfg.dt)
         yield step, step * cfg.dt, u_hat
 
 
@@ -331,7 +362,7 @@ def evolve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     kernel = _StepKernel(u0.grid, cfg, cfg.dt)
     f_hat = to_fourier(cfg.forcing).values if cfg.forcing is not None else None
     times, fields, mass, h1, parts = [], [], [], [], []
-    for _, t, u_hat in _samples(kernel, u0, cfg):
+    for _, t, u_hat in _samples(kernel, to_fourier(u0).values.copy(), cfg):
         snap = SpectralField(u0.grid, u_hat, FOURIER)
         times.append(t)
         fields.append(snap)

@@ -115,11 +115,12 @@ def duhamel_remainder(
 ) -> SpectralField:
     """Duhamel remainder u_hat - e^{-i sigma t} e^{-delta t} e^{it Lap} datum.
 
-    u_hat holds the Fourier coefficients of the state at time t.  delta > 0
-    compares against the damped free flow.  sigma = 0 gives the plain
-    remainder; sigma = resonant_gauge_phase(datum, c1, c2) gives the gauged
-    one, whose comparison flow carries the lattice dressing of the datum tail
-    and so leaves the grid-convergent remainder.
+    u_hat holds the Fourier coefficients of the state at time t; u_hat and
+    datum may hold a stack of K states and their K data, which share one
+    free-flow phase.  delta > 0 compares against the damped free flow.
+    sigma = 0 gives the plain remainder; sigma = resonant_gauge_phase(datum,
+    c1, c2) gives the gauged one, whose comparison flow carries the lattice
+    dressing of the datum tail and so leaves the grid-convergent remainder.
     """
     linear = free_evolve(to_fourier(datum), t, delta).values
     linear *= np.exp(-1j * sigma * t)  # free_evolve returned a fresh array

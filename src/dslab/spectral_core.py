@@ -19,9 +19,13 @@ Every 2D transform of an M x M grid array goes through the four functions
 fft2_into, ifft2_into, rfft2_into and irfft2_into, which write into a buffer
 the caller owns (in place for the complex pair): the solver's kernels pass
 their own buffers, to_fourier and to_physical a fresh output.  Each is two
-1D np.fft passes with out= (an argument numpy has had since 2.0), in numpy's
-own axis order, so the results are bit-identical to
-np.fft.fft2/ifft2/rfft2/irfft2 without an M x M temporary per pass.
+1D np.fft passes with out= (an argument numpy has had since 2.0), over the
+last two axes in numpy's own order, so the results are bit-identical to
+np.fft.fft2/ifft2/rfft2/irfft2 without an M x M temporary per pass, and a
+(K, M, M) stack of K fields transforms slice by slice with the same bits.
+A SpectralField may hold such a stack; the transforms, apply_K, free_evolve
+and sobolev_norms act on each field of it, while sobolev_norm and
+lebesgue_norm take one field.
 np.fft.ifft2 and np.fft.irfft2 cannot stand in: numpy 2.4 accepts their out=
 argument but returns a fresh array and leaves out untouched.  Callers look
 the four up as spectral_core.<name> at call time, never bind them at import,
@@ -122,7 +126,10 @@ class GridSpec:
 
 @dataclass
 class SpectralField:
-    """Complex field snapshot on a grid, tagged physical or fourier."""
+    """Complex field snapshot on a grid, tagged physical or fourier.
+
+    values is M x M, or K x M x M for a stack of K fields on the grid.
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -130,7 +137,7 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         m = self.grid.modes_per_axis
-        if self.values.shape != (m, m):
+        if self.values.ndim not in (2, 3) or self.values.shape[-2:] != (m, m):
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid ({m}, {m})"
             )
@@ -146,26 +153,26 @@ class SpectralField:
 
 
 def fft2_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out <- Fourier coefficients of the M x M array a (real or complex); out may be a."""
+    """out <- Fourier coefficients of a (M x M or a stack, real or complex); out may be a."""
     np.fft.fft(a, axis=-1, norm="forward", out=out)
-    return np.fft.fft(out, axis=0, norm="forward", out=out)
+    return np.fft.fft(out, axis=-2, norm="forward", out=out)
 
 
 def ifft2_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out <- physical values of the coefficients a; out may be a."""
     np.fft.ifft(a, axis=-1, norm="forward", out=out)
-    return np.fft.ifft(out, axis=0, norm="forward", out=out)
+    return np.fft.ifft(out, axis=-2, norm="forward", out=out)
 
 
 def rfft2_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out (M x M/2+1 complex) <- half-spectrum coefficients of the real M x M x."""
+    """out (... x M x M/2+1 complex) <- half-spectrum coefficients of the real ... x M x M x."""
     np.fft.rfft(x, axis=-1, norm="forward", out=out)
-    return np.fft.fft(out, axis=0, norm="forward", out=out)
+    return np.fft.fft(out, axis=-2, norm="forward", out=out)
 
 
 def irfft2_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out (real M x M) <- the field of the half spectrum a, which is overwritten."""
-    np.fft.ifft(a, axis=0, norm="forward", out=a)
+    """out (real ... x M x M) <- the field of the half spectrum a, which is overwritten."""
+    np.fft.ifft(a, axis=-2, norm="forward", out=a)
     return np.fft.irfft(a, n=out.shape[-1], axis=-1, norm="forward", out=out)
 
 
@@ -216,24 +223,33 @@ def free_evolve(field: SpectralField, t: float, delta: float = 0.0) -> SpectralF
     return result if field.representation == FOURIER else to_physical(result)
 
 
-def sobolev_norm(field: SpectralField, s: float) -> float:
-    """H^s norm: L * sqrt(sum <xi>^{2s} |u_hat|^2).
+def sobolev_norms(grid: GridSpec, hats: np.ndarray, s: float) -> np.ndarray:
+    """H^s norm L * sqrt(sum <xi>^{2s} |u_hat|^2) of each M x M slice of the
+    Fourier coefficients hats, in one reduction; shape hats.shape[:-2].
 
     The quadrature weight makes s = 0 reproduce the physical L^2 norm on the
     torus (Plancherel); a single mode of amplitude A at xi0 has norm
     A * L * <xi0>^s.
     """
-    hat = to_fourier(field)
-    sq = np.abs(hat.values) ** 2
+    sq = np.abs(hats) ** 2
     if s != 0.0:
-        sq = sq * (1.0 + field.grid.xi_squared) ** s
-    return float(field.grid.domain_length * np.sqrt(np.sum(sq)))
+        sq = sq * (1.0 + grid.xi_squared) ** s
+    return grid.domain_length * np.sqrt(np.sum(sq, axis=(-2, -1)))
+
+
+def sobolev_norm(field: SpectralField, s: float) -> float:
+    """H^s norm of one field: sobolev_norms of its coefficients."""
+    if field.values.ndim != 2:
+        raise ValueError("sobolev_norm takes one field; sobolev_norms takes a stack")
+    return float(sobolev_norms(field.grid, to_fourier(field).values, s))
 
 
 def lebesgue_norm(field: SpectralField, p: float) -> float:
     """Physical-space L^p quadrature norm; constant c has norm |c|*L^{2/p}."""
     if not p > 0:
         raise ValueError("p must be positive")
+    if field.values.ndim != 2:
+        raise ValueError("lebesgue_norm takes one field")
     phys = to_physical(field)
     dx = field.grid.physical_step
     return float(np.sum(np.abs(phys.values) ** p) ** (1.0 / p) * dx ** (2.0 / p))

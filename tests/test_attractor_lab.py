@@ -446,16 +446,33 @@ class TestCompactnessProbe:
             grid, [RoughDataSpec(1.0, 0.1, 1)], horizon=2.0, probe_times=(1.0, 1.03)
         )
         streams = [0]
+        original = attractor_lab.ensemble_stream
 
         def counted(*args):
             streams[0] += 1
-            return attractor_lab.sample_stream(*args)
+            return original(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(attractor_lab, "sample_stream", counted)
+            patch.setattr(attractor_lab, "ensemble_stream", counted)
             with pytest.raises(ValueError, match=r"probe time 1\.03 .*nearest: 1(\.0)?\b"):
                 compactness_probe(ens)
         assert streams[0] == 0
+        # the patched name is the one the probe steps through
+        ens = small_ensemble(grid, [RoughDataSpec(1.0, 0.1, 1)], horizon=2.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(attractor_lab, "ensemble_stream", counted)
+            compactness_probe(ens)
+        assert streams[0] == 1
+
+    def test_balance_audit_of_member_zero(self):
+        grid = GridSpec(32, TWO_PI)
+        ens = forced_trio(grid, probe_times=(1.0, 2.0))
+        cfg = ens.solver_config()
+        audited = evolve(make_rough_data(ens.members[0], grid), cfg)
+        table = compactness_probe(ens)
+        assert table["max_balance_residual"] == energy_balance_residual(audited, cfg).max_residual
+        sparse = forced_trio(grid, sample_every=20, probe_times=(1.0, 2.0))
+        assert compactness_probe(sparse)["max_balance_residual"] is None
 
 
 def forced_trio(grid, **overrides):
@@ -535,7 +552,7 @@ class TestStreamedMembersMatchEvolve:
 class TestAbsorbingCost:
     """Energy parts for the audited member only, and no stored ensemble."""
 
-    def test_four_per_member_step_two_per_audited_sample(self, count_transforms):
+    def test_four_per_stack_step_two_per_audited_sample(self, count_transforms):
         grid = GridSpec(16, TWO_PI)
 
         def run(steps: int, every: int) -> int:
@@ -544,12 +561,13 @@ class TestAbsorbingCost:
             )
             return count_transforms(lambda: absorbing_experiment(ens))
 
-        # differences of runs cancel the fixed setup cost; K = 3 members
+        # differences of runs cancel the fixed setup cost; each call
+        # transforms all K = 3 members of the stack at once
         sparse10, sparse20, dense10 = run(10, 10), run(20, 20), run(10, 1)
-        assert sparse20 - sparse10 == 4 * 3 * 10
+        assert sparse20 - sparse10 == 4 * 10
         assert dense10 - sparse10 == 2 * 9
 
-    def test_peak_memory_below_two_stored_members(self):
+    def test_peak_memory_below_one_stored_member(self):
         grid = GridSpec(32, TWO_PI)
         ens = forced_trio(grid, horizon=1.0, sample_every=1, probe_times=(1.0,))
         samples = 101
@@ -561,4 +579,4 @@ class TestAbsorbingCost:
         finally:
             tracemalloc.stop()
         assert len(report.sample_times) == samples and len(report.h1_series) == 3
-        assert peak < 2 * one_member
+        assert peak < one_member

@@ -317,6 +317,36 @@ class TestAttractor:
         assert lines[0] == "member,remainder_h1a,free_h1a"
         assert len(lines) - 1 == 2
 
+    @pytest.mark.parametrize("experiment", ["absorbing", "compactness"])
+    def test_unaudited_run_writes_null_residual_and_warns(self, tmp_path, experiment):
+        # samples every 0.2 > 10 * dt: too sparse for the balance audit
+        text = self.ATTR.replace("sample_every = 10", "sample_every = 20")
+        cfg = write_config(tmp_path, text + f"experiment = {experiment}\n")
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="max_balance_residual is null"):
+            assert main(["attractor", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["max_balance_residual"] is None
+
+    def test_audited_compactness_run_reports_its_residual(self, tmp_path):
+        cfg = write_config(tmp_path, self.ATTR + "experiment = compactness\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["attractor", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert 0.0 < summary["max_balance_residual"] < 1e-2
+
+    def test_abort_names_the_failing_member(self, tmp_path, capsys):
+        text = self.ATTR.replace("h1_max = 1.5", "h1_max = 1e200")
+        cfg = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the overflow on the way down is the point
+            code = main(["attractor", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "in member 1" in capsys.readouterr().err
+        assert output_files(tmp_path / "o") == []
+
     def test_off_schedule_probes_exit_two_only_where_probed(self, tmp_path, capsys):
         # samples every 0.1; the compactness probe reads the states at the
         # probe times, the absorbing fit does not

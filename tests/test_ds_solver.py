@@ -19,6 +19,7 @@ from dslab.ds_solver import (
     SolverConfig,
     Trajectory,
     energy_functional,
+    ensemble_stream,
     evolve,
     nonlinear_potential,
     sample_steps,
@@ -301,6 +302,56 @@ class TestSampleStream:
             assert np.array_equal(u_hat, field.values)
         # every yielded array is the consumer's to keep
         assert len({id(u_hat) for _, _, u_hat in stream}) == len(stream)
+
+
+class TestEnsembleStream:
+    """A stacked stream steps each member to the bits it gets alone."""
+
+    @pytest.mark.parametrize("m", [16, 32, 128, 256])
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_members_equal_their_own_sample_streams(self, m, forced, dealias):
+        grid = GridSpec(m, 2.0 * np.pi)
+        forcing = make_rough_data(RoughDataSpec(2.0, 0.05, 9), grid) if forced else None
+        cfg = cubic_config(
+            delta=0.2, forcing=forcing, dealias=dealias, t_end=0.05, sample_every=2
+        )
+        members = [
+            make_rough_data(RoughDataSpec(1.0, amp, seed), grid)
+            for amp, seed in ((0.3, 1), (0.2, 2), (0.1, 3))
+        ]
+        alone = [list(sample_stream(u0, cfg)) for u0 in members]
+        for k in (1, 2, 3):
+            stacked = list(ensemble_stream(members[:k], cfg))
+            assert [(step, t) for step, t, _ in stacked] == [(s, t) for s, t, _ in alone[0]]
+            for j in range(k):
+                for (_, _, stack), (_, _, u_hat) in zip(stacked, alone[j]):
+                    assert stack.shape == (k, m, m)
+                    assert np.array_equal(stack[j], u_hat)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_member_aborts_the_stack_naming_it(self, grid, two_mode):
+        bad = to_fourier(two_mode).values.copy()
+        bad[3, 5] = np.nan
+        fields = [two_mode, SpectralField(grid, bad, FOURIER), two_mode]
+        cfg = cubic_config(t_end=0.1)
+        with pytest.raises(IntegrationAbort, match="at step 0 .* in member 1") as err:
+            list(ensemble_stream(fields, cfg))
+        assert err.value.step == 0 and err.value.member == 1
+        # a density that overflows in the first step aborts there, in the gauge
+        huge = SpectralField(grid, 1e160 * two_mode.values)
+        with pytest.raises(IntegrationAbort) as err:
+            list(ensemble_stream([two_mode, two_mode, huge], cfg))
+        assert err.value.step == 1 and err.value.member == 2
+        # one field names no member
+        with pytest.raises(IntegrationAbort) as err:
+            list(sample_stream(SpectralField(grid, bad, FOURIER), cfg))
+        assert err.value.member is None and "member" not in str(err.value)
+
+    def test_members_must_share_one_grid(self, two_mode):
+        other = SpectralField.zeros(GridSpec(64, 2.0 * np.pi))
+        with pytest.raises(ValueError, match="one grid"):
+            ensemble_stream([two_mode, other], cubic_config(t_end=0.1))
 
 
 class TestKernelBuffers:

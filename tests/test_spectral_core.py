@@ -16,6 +16,7 @@ from dslab.spectral_core import (
     loglog_slope,
     rfft2_into,
     sobolev_norm,
+    sobolev_norms,
     to_fourier,
     to_physical,
 )
@@ -70,6 +71,9 @@ class TestGridSpec:
     def test_field_shape_mismatch_rejected(self, grid):
         with pytest.raises(ValueError):
             SpectralField(grid, np.zeros((32, 32), dtype=np.complex128))
+        with pytest.raises(ValueError):
+            SpectralField(grid, np.zeros((2, 2, 64, 64), dtype=np.complex128))
+        assert SpectralField(grid, np.zeros((2, 64, 64))).values.shape == (2, 64, 64)
 
     def test_bad_representation_tag_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -137,6 +141,25 @@ class TestBufferTransforms:
         expected = np.fft.irfft2(h, s=(m, m), norm="forward")
         assert irfft2_into(h, real) is real
         assert np.array_equal(real, expected)
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_a_stack_transforms_slice_by_slice(self, m):
+        rng = np.random.default_rng(m)
+        z = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
+        x = rng.standard_normal((3, m, m))
+        stacked = {
+            "fft2": fft2_into(z.copy(), np.empty_like(z)),
+            "ifft2": ifft2_into(z.copy(), np.empty_like(z)),
+            "rfft2": rfft2_into(x, np.empty((3, m, m // 2 + 1), dtype=np.complex128)),
+            "irfft2": irfft2_into(z[..., : m // 2 + 1].copy(), np.empty((3, m, m))),
+        }
+        for k in range(3):
+            h = z[k, :, : m // 2 + 1].copy()
+            assert np.array_equal(stacked["fft2"][k], np.fft.fft2(z[k], norm="forward"))
+            assert np.array_equal(stacked["ifft2"][k], np.fft.ifft2(z[k], norm="forward"))
+            assert np.array_equal(stacked["rfft2"][k], np.fft.rfft2(x[k], norm="forward"))
+            expected = np.fft.irfft2(h, s=(m, m), norm="forward")
+            assert np.array_equal(stacked["irfft2"][k], expected)
 
 
 class TestApplyK:
@@ -252,6 +275,29 @@ class TestNorms:
         x1, x2 = grid.coordinates()
         u = SpectralField(grid, np.exp(1j * grid.frequency_step * (x1 + 2 * x2)))
         assert lebesgue_norm(u, 4.0) == pytest.approx(np.sqrt(grid.domain_length), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [16, 32, 64, 128, 256])
+    def test_stacked_norms_equal_one_field_norms(self, m):
+        grid = GridSpec(m)
+        rng = np.random.default_rng(m)
+        hats = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
+        for s in (0.0, 1.0, 1.4):
+            norms = sobolev_norms(grid, hats, s)
+            assert norms.shape == (3,)
+            for k in range(3):
+                assert norms[k] == sobolev_norm(SpectralField(grid, hats[k], FOURIER), s)
+                # the one-field formula, written out
+                sq = np.abs(hats[k]) ** 2
+                if s != 0.0:
+                    sq = sq * (1.0 + grid.xi_squared) ** s
+                assert norms[k] == float(grid.domain_length * np.sqrt(np.sum(sq)))
+
+    def test_scalar_norms_take_one_field(self, grid):
+        stack = SpectralField(grid, np.ones((2, 64, 64), dtype=np.complex128), FOURIER)
+        with pytest.raises(ValueError, match="sobolev_norms"):
+            sobolev_norm(stack, 1.0)
+        with pytest.raises(ValueError, match="one field"):
+            lebesgue_norm(stack, 2.0)
 
     def test_nonpositive_exponent_rejected(self, grid):
         with pytest.raises(ValueError):
