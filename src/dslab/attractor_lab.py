@@ -15,15 +15,15 @@ free part does not).
 
 Both experiments step the whole ensemble as one (K, M, M) stack through
 ensemble_stream, in one pass, and read each sample as it comes: the norms of
-all members in one reduction, and member 0's energy parts for the balance
-audit.  Memory grows with K x M^2 (about five fields per member), not with
-the number of samples.
+all members in one reduction, and member 0's SampleRecorder series for the
+balance audit.  Memory grows with K x M^2 (about five fields per member), not
+with the number of samples.
 """
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,10 +37,10 @@ from .spectral_core import (
 )
 from .ds_solver import (
     SAMPLE_TIME_TOL,
+    SampleRecorder,
+    SampleSeries,
     SolverConfig,
     Trajectory,
-    _DensityKernel,
-    _energy_parts,
     energy_functional,
     ensemble_stream,
     evolve,
@@ -154,22 +154,17 @@ class EnergyReport:
             raise ValueError("fitted decay rate must be positive")
 
 
-def energy_balance_residual(traj: Trajectory, cfg: SolverConfig) -> EnergyReport:
-    """Audit dE/dt + 2 delta E = F along a sampled trajectory.
+def energy_balance_residual(traj: SampleSeries, cfg: SolverConfig) -> EnergyReport:
+    """Audit dE/dt + 2 delta E = F along recorded per-sample series.
 
     F = -delta * interaction + delta * drive is built from the energy parts
-    evolve recorded per sample, so no field is transformed here; cfg must be
-    the config the trajectory was run with.  dE/dt is a centered difference,
-    so the sample spacing must resolve the energy: spacing above 10 * cfg.dt
-    is refused rather than silently producing an O(spacing^2) artifact.
-    Interior samples only.
+    SampleRecorder recorded per sample (a Trajectory from evolve is one such
+    series), so no field is transformed here; cfg must be the config the run
+    used.  dE/dt is a centered difference, so the sample spacing must resolve
+    the energy: spacing above 10 * cfg.dt is refused rather than silently
+    producing an O(spacing^2) artifact.  Interior samples only.
     """
-    return _balance(traj.times, traj.energy, traj.interaction, traj.drive, cfg)
-
-
-def _balance(times, energy, interaction, drive, cfg: SolverConfig) -> EnergyReport:
-    """energy_balance_residual on the scalar series alone."""
-    t = np.asarray(times, dtype=float)
+    t = np.asarray(traj.times, dtype=float)
     if len(t) < 3:
         raise ValueError("need at least three samples for a centered difference")
     spacing = float(np.max(np.diff(t)))
@@ -178,8 +173,8 @@ def _balance(times, energy, interaction, drive, cfg: SolverConfig) -> EnergyRepo
             f"sample spacing {spacing:.6g} exceeds 10 * dt = {10.0 * cfg.dt:.6g}; "
             "record more often to audit the balance"
         )
-    e = np.asarray(energy, dtype=float)
-    source = -cfg.delta * interaction + cfg.delta * drive
+    e = np.asarray(traj.energy, dtype=float)
+    source = -cfg.delta * traj.interaction + cfg.delta * traj.drive
     dedt = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
     residuals = dedt + 2.0 * cfg.delta * e[1:-1] - source[1:-1]
     return EnergyReport(
@@ -207,27 +202,19 @@ def run_ensemble(ens: EnsembleConfig, workers: int = 1) -> list:
     return [one(spec) for spec in ens.members]
 
 
-def _audited_stream(ens: EnsembleConfig, cfg: SolverConfig, parts: list) -> Iterator[tuple]:
-    """ensemble_stream of the members; appends (t, grad, interaction, drive)
-    of member 0 to parts at every sample, from its own one-field density
-    kernel (two transforms per sample), before yielding the sample."""
-    f_hat = to_fourier(cfg.forcing).values if cfg.forcing is not None else None
-    density = _DensityKernel(ens.grid, cfg.c1, cfg.c2)
-    stream = ensemble_stream([make_rough_data(spec, ens.grid) for spec in ens.members], cfg)
-    for step, t, stack in stream:
-        member0 = SpectralField(ens.grid, stack[0], FOURIER)
-        parts.append((t, *_energy_parts(member0, f_hat, density)))
-        yield step, t, stack
+def _member_stream(ens: EnsembleConfig, cfg: SolverConfig):
+    """ensemble_stream of the members, realized on the ensemble grid."""
+    return ensemble_stream([make_rough_data(spec, ens.grid) for spec in ens.members], cfg)
 
 
-def _audit(parts: list, cfg: SolverConfig) -> Optional[EnergyReport]:
-    """The balance audit of the parts _audited_stream recorded, or None when
-    the samples are too few or too sparse for energy_balance_residual."""
-    t, grad, inter, drive = np.array(parts).T
+def _audit(series: SampleSeries, cfg: SolverConfig) -> EnergyReport:
+    """energy_balance_residual, or a report with no residuals (max_residual
+    0.0) when the samples are too few or too sparse for it."""
     try:
-        return _balance(t, grad + 0.5 * inter + drive, inter, drive, cfg)
+        return energy_balance_residual(series, cfg)
     except ValueError:
-        return None
+        empty = np.zeros(0)
+        return EnergyReport(empty, empty, empty, empty, 0.0)
 
 
 def _fit_member(times: np.ndarray, h1: np.ndarray):
@@ -270,19 +257,18 @@ def absorbing_experiment(ens: EnsembleConfig) -> EnergyReport:
     False.
 
     The members are stepped as one stack in one pass that keeps only scalar
-    series: every member's H^1 norm per sample, and member 0's energy parts,
-    which feed the balance audit when the sampling is dense enough for it
-    (otherwise the balance series are empty and max_residual is 0.0).
+    series: every member's H^1 norm per sample, and member 0's recorded
+    series, which feed the balance audit when the sampling is dense enough
+    for it (otherwise the balance series are empty and max_residual is 0.0).
     """
     cfg = ens.solver_config()
-    parts, h1 = [], []
-    for _, _, stack in _audited_stream(ens, cfg, parts):
+    member0, h1 = SampleRecorder(ens.grid, cfg.c1, cfg.c2, cfg.forcing), []
+    for _, t, stack in _member_stream(ens, cfg):
+        member0.record(t, stack[0])
         h1.append(sobolev_norms(ens.grid, stack, 1.0))
-    balance = _audit(parts, cfg)
-    if balance is None:
-        empty = np.zeros(0)
-        balance = EnergyReport(empty, empty, empty, empty, 0.0)
-    times = np.array([p[0] for p in parts])
+    series = member0.series()
+    balance = _audit(series, cfg)
+    times = series.times
     h1_series = tuple(np.array(h1).T.copy())  # one contiguous row per member
 
     fits = [_fit_member(times, h1) for h1 in h1_series]
@@ -362,7 +348,7 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
     Every probe time is checked against the sample schedule before the first
     step (ValueError otherwise).  The members are stepped as one stack in
     one pass that keeps v(0), the running sup of each remainder, the states
-    at the probe times and member 0's energy parts, nothing else.
+    at the probe times and member 0's recorded series, nothing else.
     """
     cfg = ens.solver_config()
     probe_steps = _probe_steps(ens, cfg)
@@ -371,9 +357,10 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
     g_hat = g.values
     s_up = 1.0 + ens.a
 
-    parts, kept = [], {}
+    member0, kept = SampleRecorder(ens.grid, cfg.c1, cfg.c2, cfg.forcing), {}
     sup_n = np.zeros(len(ens.members))
-    for step, t, stack in _audited_stream(ens, cfg, parts):
+    for step, t, stack in _member_stream(ens, cfg):
+        member0.record(t, stack[0])
         if step == 0:
             v0 = SpectralField(ens.grid, stack + g_hat, FOURIER)
             free_part = sobolev_norms(ens.grid, v0.values, s_up)
@@ -381,7 +368,7 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
         sup_n = np.maximum(sup_n, sobolev_norms(ens.grid, n.values, s_up))
         if step in wanted:
             kept[step] = stack
-    balance = _audit(parts, cfg)
+    balance = _audit(member0.series(), cfg)
 
     pairwise = {}
     for t in ens.probe_times:
@@ -399,5 +386,6 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
         "free_h1a": free_part,
         "shift_h1a": sobolev_norm(g, s_up),
         "pairwise_h1": pairwise,
-        "max_balance_residual": None if balance is None else balance.max_residual,
+        # an audited run has at least one interior residual
+        "max_balance_residual": balance.max_residual if len(balance.residuals) else None,
     }

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from ._rng import hash_u64
 from .spectral_core import DEFAULT_DOMAIN_LENGTH, GridSpec, sobolev_norm
-from .ds_solver import IntegrationAbort, SolverConfig, evolve
+from .ds_solver import IntegrationAbort, SampleRecorder, SolverConfig, sample_stream
 from .smoothing_diagnostics import RoughDataSpec, make_rough_data, refinement_study
 from .xsb_analysis import knapp_grid, knapp_sweep
 from .xsb_analysis.blocks import BlockLattice, CASES, check_block_bounds, sample_block_specs
@@ -210,8 +210,11 @@ def cmd_simulate(get: _Reader, seed: int, threads: int):
         sample_every=get("sample_every", int, 1),
     )
     get.check_all_read()
-    traj = evolve(datum, cfg)
-    rows = list(zip(traj.times, traj.mass, traj.h1_norm, traj.energy))
+    recorder = SampleRecorder(grid, cfg.c1, cfg.c2, cfg.forcing)
+    for _, t, u_hat in sample_stream(datum, cfg):  # keeps no sampled field
+        recorder.record(t, u_hat)
+    series = recorder.series()
+    rows = list(zip(series.times, series.mass, series.h1_norm, series.energy))
     tables = {"simulate.csv": (["t", "mass", "h1", "energy"], rows)}
     grid_info = {"modes": modes, "domain_length": length}
     return grid_info, tables, None, {}, int(round(cfg.t_end / cfg.dt))

@@ -27,10 +27,10 @@ advance returns is fresh.
 The kernels step one M x M field or a (K, M, M) stack of K fields; every
 operation acts on each field alone, so a member of a stack gets the bits it
 would get stepped by itself.  sample_stream yields one field's sampled
-states one at a time, ensemble_stream a stack's, through the same loop;
-evolve consumes sample_stream and keeps the states.  Trajectory.fields hold
-Fourier coefficients (representation FOURIER); to_physical converts them on
-demand.
+states one at a time, ensemble_stream a stack's, through the same loop.
+SampleRecorder owns the per-sample scalars; evolve records sample_stream
+with it and keeps the states as Trajectory.fields, Fourier coefficients
+(representation FOURIER) that to_physical converts on demand.
 """
 from __future__ import annotations
 
@@ -79,8 +79,10 @@ class SolverConfig:
     """Physical constants and stepping controls.
 
     delta = 0 with no forcing is the conservative mode; delta > 0 is the
-    dissipative mode.  dt <= 0.1 is enforced for splitting accuracy (the
-    linear part is exact, so there is no stability constraint).
+    dissipative mode.  dt <= 0.1, for splitting accuracy, is the only bound
+    on dt enforced.  The exact linear part does not make every dt stable: on
+    a forced background a retained shell |k|^2 goes unstable when
+    (|k|^2 + omega) dt is near n pi, omega the mean nonlinear frequency.
     """
 
     c1: float
@@ -101,6 +103,7 @@ class SolverConfig:
             raise ValueError("delta must be nonnegative")
         if self.sample_every < 1 or int(self.sample_every) != self.sample_every:
             raise ValueError("sample_every must be a positive integer")
+        self.sample_every = int(self.sample_every)  # 2.0 would break range()
         if self.forcing is not None and self.delta == 0.0:
             raise ValueError("conservative mode (delta = 0) requires forcing absent")
         if self.delta == 0.0:
@@ -117,16 +120,14 @@ class SolverConfig:
 
 
 @dataclass
-class Trajectory:
-    """Sampled solution history with per-sample scalar diagnostics.
+class SampleSeries:
+    """Per-sample scalar diagnostics of one field, as SampleRecorder records them.
 
-    fields holds one Fourier-representation SpectralField per sample time.
     Next to energy, interaction holds c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2
     and drive holds 2 Re int f conj(u) (zero without forcing) per sample.
     """
 
     times: np.ndarray
-    fields: list
     mass: np.ndarray
     h1_norm: np.ndarray
     energy: np.ndarray
@@ -136,6 +137,13 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.times) and np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
+
+
+@dataclass
+class Trajectory(SampleSeries):
+    """A SampleSeries that keeps the sampled states, one Fourier field per sample."""
+
+    fields: list
 
     def field_at(self, t: float) -> SpectralField:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -194,17 +202,36 @@ def nonlinear_potential(u: SpectralField, cfg: SolverConfig) -> SpectralField:
     return SpectralField(u.grid, v.astype(np.complex128), PHYSICAL)
 
 
-def _energy_parts(u: SpectralField, f_hat, density: _DensityKernel) -> tuple:
-    """(||grad u||^2, c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2, 2 Re int f conj(u)),
-    with the kernel's c1, c2 and forcing coefficients f_hat (None: drive 0.0)."""
-    hat = to_fourier(u).values
-    l_sq = density.grid.domain_length**2
-    grad = l_sq * float(np.sum(density.grid.xi_squared * np.abs(hat) ** 2))
-    inter = density.interaction(density.density_hat(to_physical(u).values))
-    drive = 0.0
-    if f_hat is not None:
-        drive = 2.0 * l_sq * float(np.real(np.sum(f_hat * np.conj(hat))))
-    return grad, inter, drive
+class SampleRecorder:
+    """Every per-sample scalar of one field, in one place: record(t, u_hat)
+    appends t, the mass and H^1 norms and the energy parts of the Fourier
+    coefficients u_hat, at two transforms on the recorder's own density
+    kernel and keeping no field; series() returns what was recorded."""
+
+    def __init__(self, grid: GridSpec, c1: float, c2: float, forcing: Optional[SpectralField]):
+        self.grid, self.rows = grid, []
+        self.density = _DensityKernel(grid, c1, c2)
+        self.f_hat = to_fourier(forcing).values if forcing is not None else None
+
+    def energy_parts(self, u: SpectralField) -> tuple:
+        """(E, c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2, 2 Re int f conj(u)) of
+        one field; the drive is 0.0 without forcing."""
+        hat = to_fourier(u).values
+        l_sq = self.grid.domain_length**2
+        grad = l_sq * float(np.sum(self.grid.xi_squared * np.abs(hat) ** 2))
+        inter = self.density.interaction(self.density.density_hat(to_physical(u).values))
+        drive = 0.0
+        if self.f_hat is not None:
+            drive = 2.0 * l_sq * float(np.real(np.sum(self.f_hat * np.conj(hat))))
+        return grad + 0.5 * inter + drive, inter, drive
+
+    def record(self, t: float, u_hat: np.ndarray) -> None:
+        snap = SpectralField(self.grid, u_hat, FOURIER)
+        norms = sobolev_norm(snap, 0.0), sobolev_norm(snap, 1.0)
+        self.rows.append((t, *norms, *self.energy_parts(snap)))
+
+    def series(self) -> SampleSeries:
+        return SampleSeries(*np.array(self.rows).T.copy())  # one contiguous row per series
 
 
 class _StepKernel:
@@ -293,9 +320,7 @@ def energy_functional(
     Conserved by the conservative flow; the quartic and K terms together are
     the interaction part, L^2 * sum (c1 + c2 alpha) |rho_hat|^2 for rho = |u|^2.
     """
-    f_hat = to_fourier(f).values if f is not None else None
-    grad, inter, drive = _energy_parts(u, f_hat, _DensityKernel(u.grid, c1, c2))
-    return grad + 0.5 * inter + drive
+    return SampleRecorder(u.grid, c1, c2, f).energy_parts(u)[0]
 
 
 def sample_steps(cfg: SolverConfig) -> list:
@@ -337,8 +362,8 @@ def ensemble_stream(fields: Sequence[SpectralField], cfg: SolverConfig) -> Itera
 
 
 def _samples(kernel: _StepKernel, u_hat: np.ndarray, cfg: SolverConfig) -> Iterator[tuple]:
-    """The sample loop on a given kernel from the fresh datum coefficients
-    u_hat (one field or a stack), so evolve can share its density kernel."""
+    """The sample loop of sample_stream and ensemble_stream, on a given
+    kernel from the fresh datum coefficients u_hat (one field or a stack)."""
     steps = sample_steps(cfg)
     if cfg.dealias:
         u_hat *= kernel.density.grid.dealias_mask
@@ -352,30 +377,12 @@ def _samples(kernel: _StepKernel, u_hat: np.ndarray, cfg: SolverConfig) -> Itera
 
 
 def evolve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
-    """Fixed-step integration to cfg.t_end, recording every sample of
-    sample_stream as a Fourier field with its diagnostics.
-
-    Per sample it keeps the field, mass, H^1 norm and the energy parts, which
-    use the step's density kernel; consumers that need less read
-    sample_stream directly.  Non-finite values abort with the failing step.
-    """
-    kernel = _StepKernel(u0.grid, cfg, cfg.dt)
-    f_hat = to_fourier(cfg.forcing).values if cfg.forcing is not None else None
-    times, fields, mass, h1, parts = [], [], [], [], []
-    for _, t, u_hat in _samples(kernel, to_fourier(u0).values.copy(), cfg):
-        snap = SpectralField(u0.grid, u_hat, FOURIER)
-        times.append(t)
-        fields.append(snap)
-        mass.append(sobolev_norm(snap, 0.0))
-        h1.append(sobolev_norm(snap, 1.0))
-        parts.append(_energy_parts(snap, f_hat, kernel.density))
-    grad, inter, drive = np.array(parts).T
-    return Trajectory(
-        times=np.array(times),
-        fields=fields,
-        mass=np.array(mass),
-        h1_norm=np.array(h1),
-        energy=grad + 0.5 * inter + drive,
-        interaction=inter,
-        drive=drive,
-    )
+    """Fixed-step integration to cfg.t_end: the SampleRecorder series of
+    sample_stream plus every sampled state as a Fourier field, one M x M
+    array per sample.  Non-finite values abort with the failing step."""
+    recorder = SampleRecorder(u0.grid, cfg.c1, cfg.c2, cfg.forcing)
+    fields = []
+    for _, t, u_hat in sample_stream(u0, cfg):
+        recorder.record(t, u_hat)
+        fields.append(SpectralField(u0.grid, u_hat, FOURIER))
+    return Trajectory(**vars(recorder.series()), fields=fields)

@@ -126,7 +126,7 @@ class _ConfigAccepted(Exception):
 WORKLOADS = _workloads()
 # the library calls that start each command's work, all after its config checks
 _WORK = [
-    "evolve",
+    "sample_stream",
     "refinement_study",
     "knapp_grid",
     "knapp_sweep",

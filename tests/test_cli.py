@@ -1,5 +1,6 @@
 """Exit codes, manifests, and byte-level determinism of the command line."""
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import dslab.cli
 from dslab.cli import ConfigError, main, parse_config, serialize_config
+from dslab.ds_solver import evolve, sample_stream
 
 SIM_CONFIG = """
 [run]
@@ -93,6 +95,47 @@ class TestSimulate:
         # '.' decimal markers, no locale artifacts
         assert "," not in lines[1].replace(",", "", 3)
 
+    def test_csv_cells_are_evolves_series_bit_for_bit(self, tmp_path, monkeypatch):
+        # forced and dealiased: the forcing term sits outside the 2/3 mask
+        text = SIM_CONFIG + "delta = 0.1\nforcing_amplitude = 0.2\ndealias = true\n"
+        runs = []
+
+        def seen(u0, cfg):
+            runs.append((u0, cfg))
+            return sample_stream(u0, cfg)
+
+        monkeypatch.setattr(dslab.cli, "sample_stream", seen)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        ((u0, cfg),) = runs
+        assert cfg.forcing is not None and cfg.dealias
+        traj = evolve(u0, cfg)
+        lines = (out / "simulate.csv").read_text(encoding="utf-8").splitlines()[1:]
+        cells = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+        expected = np.array([traj.times, traj.mass, traj.h1_norm, traj.energy]).T
+        assert cells.shape == expected.shape and np.array_equal(cells, expected)
+
+    def test_peak_memory_does_not_grow_with_the_sample_count(self, tmp_path):
+        # M = 64, 101 samples against 2: keeping every sampled field would
+        # add 101 x 64 KiB
+        def peak(every: int) -> int:
+            text = (
+                "[simulate]\nmodes = 64\namplitude = 0.1\ndt = 0.01\nt_end = 1\n"
+                f"delta = 0.1\nforcing_amplitude = 0.05\nsample_every = {every}\n"
+            )
+            cfg = write_config(tmp_path, text, name=f"every{every}.ini")
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", cfg, "--out", str(tmp_path / str(every))]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sparse = peak(100)  # first, so it also carries any one-time cost
+        dense = peak(1)
+        field = 64 * 64 * np.dtype(np.complex128).itemsize
+        assert dense < sparse + 8 * field
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, SIM_CONFIG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -145,7 +188,7 @@ class TestConfigKeys:
 
     # each command with the library calls that do its work, all after the key check
     SOLVERS = {
-        "simulate": ("[simulate]\namplitude = 0.1\ndt = 0.01\nt_end = 1\n", ["evolve"]),
+        "simulate": ("[simulate]\namplitude = 0.1\ndt = 0.01\nt_end = 1\n", ["sample_stream"]),
         "smoothing": ("[smoothing]\namplitude = 0.1\n", ["refinement_study"]),
         "knapp": ("[knapp]\n", ["knapp_grid", "knapp_sweep"]),
         "blocks": ("[blocks]\n", ["sample_block_specs", "check_block_bounds"]),

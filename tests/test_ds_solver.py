@@ -67,6 +67,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             cubic_config(sample_every=0)
 
+    def test_integral_float_sample_every_is_stored_as_int(self):
+        cfg = cubic_config(t_end=0.1, sample_every=2.0)
+        assert type(cfg.sample_every) is int
+        assert sample_steps(cfg) == [0, 2, 4, 6, 8, 10]
+        with pytest.raises(ValueError, match="positive integer"):
+            cubic_config(sample_every=2.5)
+
     def test_forcing_requires_damping(self, grid):
         f = SpectralField.zeros(grid)
         with pytest.raises(ValueError):
