@@ -34,6 +34,7 @@ with it and keeps the states as Trajectory.fields, Fourier coefficients
 """
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -101,7 +102,11 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.sample_every < 1 or int(self.sample_every) != self.sample_every:
+        if not (
+            isinstance(self.sample_every, numbers.Real)
+            and self.sample_every >= 1
+            and float(self.sample_every).is_integer()
+        ):
             raise ValueError("sample_every must be a positive integer")
         self.sample_every = int(self.sample_every)  # 2.0 would break range()
         if self.forcing is not None and self.delta == 0.0:

@@ -258,9 +258,14 @@ def lebesgue_norm(field: SpectralField, p: float) -> float:
 def loglog_slope(x, y) -> float:
     """Least-squares slope of log(y) against log(x); x and y must be positive.
 
-    Raises ValueError unless x holds at least two distinct values: a line
-    through one abscissa has no slope.
+    Raises ValueError unless every x and y is finite and positive and x holds
+    at least two distinct values: a line through one abscissa has no slope.
     """
-    if np.unique(x).size < 2:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    for name, vals in (("x", x), ("y", y)):
+        if not np.all((vals > 0.0) & (vals < np.inf)):
+            raise ValueError(f"slope fit needs finite positive {name} values")
+    if x.size < 2 or x.min() == x.max():
         raise ValueError("slope fit needs at least two distinct x values")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -21,10 +21,23 @@ exactly B(xi1, xi2) c(tau), with every transform norm="forward":
 where u_i, v_i, w_i are the physical 1D factors and d is the spatial carrier
 difference of u and v. knapp_sweep runs on these factors (knapp_factors,
 separable_output_spectrum, separable_xsb_norm): two M x M transforms per
-ladder point, so no (M, M, M_t) array is built. An X^{s,b} norm of B (x) c
-folds the xi1 rows that share a weight (the weight sees xi1 only through
-(xi1 + c0)^2, so at c0 = 0 rows k1 and -k1 fold), then contracts |c|^2 with
-the b-weight chunk by chunk in one reused tau-major buffer.
+ladder point, so no (M, M, M_t) array is built.
+
+K is a Fourier multiplier, so B vanishes off S1 x S2 and c off S3, where
+each S is the cyclic support sum supp(u) - supp(v) + supp(w) mod M of one
+axis's factors. separable_output_spectrum sets exact zeros off them, where
+the transforms leave roundoff (at N = 64 on the criterion-6 grid, |c|^2 <=
+1.4e-30 off S3 against 1 to 144 on it, and |B|^2 <= 3.5e-20 off S1 x S2
+against 1 to 1.5e11 on it), and runs the last xi1 transform on the S2
+columns only. An X^{s,b} norm of B (x) c weights only the xi1 rows, xi2
+columns and tau samples that are not exactly zero, so a product of boxes
+costs its support and a dense field its whole grid. It folds the kept xi1
+rows that share a weight (the weight sees xi1 only through (xi1 + c0)^2,
+so at c0 = 0 rows k1 and -k1 fold), then contracts |c|^2 with the b-weight
+chunk by chunk in one reused tau-major buffer. At N = 64 on the
+criterion-6 grid the output's weight covers 192 x 10 x 32 points, not
+257 x 32 x 512.
+
 trilinear_output_spectrum, trilinear_ratio, output_ratio and xsb_norm (with
 its dense weight) are the general-field oracle on dense fields; knapp_triple
 expands the factors into those fields.
@@ -45,8 +58,11 @@ from .spacetime import (
     xsb_norm,
 )
 
-# folded xi1 rows per weight chunk of separable_xsb_norm: its one reused
-# (_ROW_CHUNK, M_t, M) buffer holds 2 MB at M = 512, M_t = 32
+# xi1 rows per chunk: of outer(w1, w2) in separable_output_spectrum, so no
+# second M x M array is built, and of folded rows per weight chunk in
+# separable_xsb_norm, whose one reused (_ROW_CHUNK, kept taus, kept columns)
+# buffer holds at most 2 MB at M = 512, M_t = 32, and 41 kB on the N = 64
+# Knapp output (10 taus, 32 columns)
 _ROW_CHUNK = 16
 
 
@@ -149,12 +165,13 @@ def _product_carrier(cu: tuple, cv: tuple, cw: tuple) -> tuple:
 
 def _pair_symbol(sp: GridSpec, d1: float, d2: float, c1: float, c2: float) -> np.ndarray:
     """c1 + c2 alpha on the lattice shifted by the carrier difference (d1, d2) of u and v."""
-    xi1 = (sp.frequencies + d1)[:, None]
-    xi2 = (sp.frequencies + d2)[None, :]
-    xi_sq = xi1**2 + xi2**2
-    with np.errstate(invalid="ignore"):
-        alpha = np.where(xi_sq > 0, xi1**2 / np.where(xi_sq > 0, xi_sq, 1.0), 0.0)
-    return c1 + c2 * alpha
+    xi1_sq = ((sp.frequencies + d1) ** 2)[:, None]
+    xi_sq = xi1_sq + (sp.frequencies + d2) ** 2
+    # alpha = 0 at xi = 0, where xi_sq stays 0
+    alpha = np.divide(xi1_sq, xi_sq, out=xi_sq, where=xi_sq > 0)
+    alpha *= c2
+    alpha += c1
+    return alpha
 
 
 def trilinear_output_spectrum(
@@ -210,6 +227,23 @@ def output_ratio(out: SpaceTimeField, s: float, a: float, b: float) -> float:
     return xsb_norm(out, s + a, b - 1.0)
 
 
+def _cyclic_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of (A + B) mod M for the index sets A, B given as boolean masks."""
+    full = np.convolve(a.astype(np.int64), b.astype(np.int64))
+    full[: a.size - 1] += full[a.size :]
+    return full[: a.size] > 0
+
+
+def _support_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Mask of supp(a) - supp(b) + supp(c) mod M: the support of a conj(b) c's spectrum.
+
+    Indices are FFT-ordered lattice indices of three 1D Fourier factors; the
+    conjugated factor's support is reflected, k -> -k mod M.
+    """
+    minus_b = np.roll(b[::-1] != 0, 1)
+    return _cyclic_sum(_cyclic_sum(a != 0, minus_b), c != 0)
+
+
 def separable_output_spectrum(
     u: BoxFactors,
     v: BoxFactors,
@@ -220,7 +254,8 @@ def separable_output_spectrum(
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(B, c, carrier): the Fourier data of (c1 I + c2 K)(u conj(v)) w is B (x) c.
 
-    Equals trilinear_output_spectrum on the dense expansions of u, v and w.
+    Equals trilinear_output_spectrum on the dense expansions of u, v and w,
+    and is exactly zero off the support sums of their factors.
     """
     u1, u2, u3 = u.physical()
     v1, v2, v3 = v.physical()
@@ -229,13 +264,25 @@ def separable_output_spectrum(
     p2 = np.fft.fft(u2 * np.conj(v2), norm="forward")
     d1 = u.carrier[0] - v.carrier[0]
     d2 = u.carrier[1] - v.carrier[1]
-    pair_hat = np.outer(p1, p2) * _pair_symbol(grid.spatial, d1, d2, c1, c2)
+    pair_hat = np.outer(p1, p2)
+    pair_hat *= _pair_symbol(grid.spatial, d1, d2, c1, c2)
     acted = spectral_core.ifft2_into(pair_hat, pair_hat)
-    acted *= np.outer(w1, w2)
-    spatial = spectral_core.fft2_into(acted, acted)
+    for start in range(0, acted.shape[0], _ROW_CHUNK):
+        acted[start : start + _ROW_CHUNK] *= np.outer(w1[start : start + _ROW_CHUNK], w2)
     tau = np.fft.fft(u3 * np.conj(v3) * w3, norm="forward")
-    if not (np.all(np.isfinite(spatial)) and np.all(np.isfinite(tau))):
+    if not (np.all(np.isfinite(acted)) and np.all(np.isfinite(tau))):
         raise ValueError("values must be finite")
+    # K is a Fourier multiplier, so the output lives on the support sums of
+    # the factors: the xi1 transform runs on the kept xi2 columns only, and
+    # what the transforms leave outside the sums is roundoff, set to zero
+    rows = _support_sum(u.xi1, v.xi1, w.xi1)
+    cols = _support_sum(u.xi2, v.xi2, w.xi2)
+    spatial = np.fft.fft(acted, axis=1, norm="forward", out=acted)
+    block = np.fft.fft(spatial[:, cols], axis=0, norm="forward")
+    block[~rows] = 0.0
+    spatial[...] = 0.0
+    spatial[:, cols] = block
+    tau[~_support_sum(u.tau, v.tau, w.tau)] = 0.0
     return spatial, tau, _product_carrier(u.carrier, v.carrier, w.carrier)
 
 
@@ -249,27 +296,43 @@ def separable_xsb_norm(
 ) -> float:
     """xsb_norm of the field with Fourier values spatial (x) tau and this carrier.
 
-    The weight depends on xi1 only through (xi1 + c0)^2, so the non-vanishing
-    xi1 rows are grouped by that value and |spatial|^2 is summed over each
-    group before weighting (every Knapp field has c0 = 0, so rows k1 and -k1
-    share one weight). Per chunk of _ROW_CHUNK groups the tau-major b-weight
-    <tau + |xi|^2>^{2b} is built in place in one (_ROW_CHUNK, M_t, M) buffer,
-    contracted with |tau|^2 and only then scaled by <xi>^{2s}.
+    Only the support is weighted: xi1 rows, xi2 columns and tau samples that
+    are exactly zero are skipped, so a field of product boxes costs its
+    support and a dense field its whole grid. The weight depends on xi1 only
+    through (xi1 + c0)^2, so the kept xi1 rows are grouped by that value and
+    |spatial|^2 is summed over each group before weighting (every Knapp field
+    has c0 = 0, so rows k1 and -k1 share one weight). Per chunk of _ROW_CHUNK
+    groups the tau-major b-weight <tau + |xi|^2>^{2b} is built in place in one
+    (_ROW_CHUNK, kept taus, kept columns) buffer, contracted with |tau|^2 and
+    only then scaled by <xi>^{2s}.
     """
-    sp = grid.spatial
-    spatial_sq = spatial.real**2 + spatial.imag**2
-    tau_sq = tau.real**2 + tau.imag**2
-    xi1_sq = (sp.frequencies + carrier[0]) ** 2
-    xi2_sq = (sp.frequencies + carrier[1]) ** 2
-    taus = (grid.taus + carrier[2])[:, None]
-    rows = np.flatnonzero(np.any(spatial_sq > 0.0, axis=1))
-    keys, first, group = np.unique(xi1_sq[rows], return_index=True, return_inverse=True)
-    heads = rows[first]
-    # fold each row into its group's first row, in place: no M x M copy
-    for row, head in zip(rows, heads[group]):
-        if row != head:
-            spatial_sq[head] += spatial_sq[row]
-    buf = np.empty((_ROW_CHUNK, grid.time_samples, sp.modes_per_axis))
+    rows = np.flatnonzero(np.any(spatial, axis=1))
+    cols = np.flatnonzero(np.any(spatial, axis=0))
+    return _block_norm(grid, rows, cols, spatial[np.ix_(rows, cols)], tau, carrier, s, b)
+
+
+def _block_norm(
+    grid: SpaceTimeGrid,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    block: np.ndarray,
+    tau: np.ndarray,
+    carrier: tuple,
+    s: float,
+    b: float,
+) -> float:
+    """separable_xsb_norm of a spatial factor whose nonzero values are block on rows x cols."""
+    kept = np.flatnonzero(tau)
+    spatial_sq = block.real**2 + block.imag**2
+    tau_sq = tau.real[kept] ** 2 + tau.imag[kept] ** 2
+    taus = (grid.taus[kept] + carrier[2])[:, None]
+    xi1_sq = (grid.spatial.frequencies[rows] + carrier[0]) ** 2
+    xi2_sq = (grid.spatial.frequencies[cols] + carrier[1]) ** 2
+    keys, group = np.unique(xi1_sq, return_inverse=True)
+    # each group's rows, summed in row order
+    folded = np.zeros((keys.size, cols.size))
+    np.add.at(folded, group, spatial_sq)
+    buf = np.empty((_ROW_CHUNK, kept.size, cols.size))
     total = 0.0
     for start in range(0, keys.size, _ROW_CHUNK):
         xi_sq = keys[start : start + _ROW_CHUNK, None] + xi2_sq
@@ -280,13 +343,16 @@ def separable_xsb_norm(
         np.power(w, b, out=w)
         contracted = tau_sq @ w
         contracted *= (1.0 + xi_sq) ** s
-        contracted *= spatial_sq[heads[start : start + _ROW_CHUNK]]
+        contracted *= folded[start : start + _ROW_CHUNK]
         total += float(np.sum(contracted))
     return float(np.sqrt(grid.volume * total))
 
 
 def _packet_norm(f: BoxFactors, grid: SpaceTimeGrid, s: float, b: float) -> float:
-    return separable_xsb_norm(grid, np.outer(f.xi1, f.xi2), f.tau, f.carrier, s, b)
+    """separable_xsb_norm of the packet, on the product of its factors' supports."""
+    rows, cols = np.flatnonzero(f.xi1), np.flatnonzero(f.xi2)
+    block = np.outer(f.xi1[rows], f.xi2[cols])
+    return _block_norm(grid, rows, cols, block, f.tau, f.carrier, s, b)
 
 
 @dataclass(frozen=True)

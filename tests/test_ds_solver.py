@@ -74,6 +74,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="positive integer"):
             cubic_config(sample_every=2.5)
 
+    @pytest.mark.parametrize("every", ["2", None, float("inf"), float("nan")])
+    def test_non_numeric_or_non_finite_sample_every_is_a_value_error(self, every):
+        with pytest.raises(ValueError, match="positive integer"):
+            SolverConfig(1, 1, 0.01, 1, sample_every=every)
+
     def test_forcing_requires_damping(self, grid):
         f = SpectralField.zeros(grid)
         with pytest.raises(ValueError):

@@ -313,3 +313,21 @@ class TestLoglogSlope:
     def test_needs_two_distinct_abscissae(self, x):
         with pytest.raises(ValueError, match="distinct"):
             loglog_slope(x, np.linspace(1.0, 2.0, len(x)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_refuses_non_finite_values(self, bad, axis, capfd):
+        x, y = np.array([8.0, 16.0, 32.0]), np.array([1.0, 0.5, 0.25])
+        (x if axis == "x" else y)[1] = bad
+        with pytest.raises(ValueError, match=f"finite positive {axis}"):
+            loglog_slope(x, y)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_refuses_non_positive_values(self, bad, axis, capfd):
+        x, y = np.array([8.0, 16.0, 32.0]), np.array([1.0, 0.5, 0.25])
+        (x if axis == "x" else y)[1] = bad
+        with pytest.raises(ValueError, match=f"finite positive {axis}"):
+            loglog_slope(x, y)
+        assert capfd.readouterr().err == ""

@@ -346,6 +346,67 @@ class TestSeparableEngine:
         assert np.max(np.abs(expanded - oracle.values)) <= 1e-12 * np.max(np.abs(oracle.values))
         assert carrier == oracle.carrier
 
+    @staticmethod
+    def support_sum(a, b, c):
+        """Brute-force mask of supp(a) - supp(b) + supp(c) mod M."""
+        m = a.size
+        sums = {
+            (i - j + k) % m
+            for i in np.flatnonzero(a)
+            for j in np.flatnonzero(b)
+            for k in np.flatnonzero(c)
+        }
+        return np.isin(np.arange(m), sorted(sums))
+
+    @pytest.mark.parametrize("n_max", [4, 8, 16])
+    def test_output_is_exactly_zero_outside_the_support_sum(self, n_max):
+        g = knapp_grid(n_max)
+        cfg = KnappConfig(N=n_max, s=0.6, a=0.3)
+        fu, fv = knapp_factors(cfg, g)
+        spatial, tau, _ = separable_output_spectrum(fu, fv, fv, g, 1.0, 1.0)
+        rows = self.support_sum(fu.xi1, fv.xi1, fv.xi1)
+        cols = self.support_sum(fu.xi2, fv.xi2, fv.xi2)
+        taus = self.support_sum(fu.tau, fv.tau, fv.tau)
+        assert not rows.all() and not cols.all() and not taus.all()
+        assert np.all(spatial[~rows] == 0.0) and np.all(spatial[:, ~cols] == 0.0)
+        assert np.all(tau[~taus] == 0.0)
+        # what was zeroed is roundoff in the dense oracle too
+        oracle = trilinear_output_spectrum(*knapp_triple(cfg, g), 1.0, 1.0).values
+        inside = rows[:, None, None] & cols[None, :, None] & taus[None, None, :]
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(np.where(inside, 0.0, oracle))) <= 1e-12 * scale
+        expanded = spatial[:, :, None] * tau[None, None, :]
+        assert np.max(np.abs(expanded - oracle)) <= 1e-12 * scale
+
+    def test_sparse_random_factors_wrap_around_and_match_dense_oracle(self):
+        # supports near both ends of each axis, so the sums wrap mod M
+        g = small_grid()
+        rng = np.random.default_rng(11)
+        m, mt = g.spatial.modes_per_axis, g.time_samples
+
+        def factors(carrier):
+            draw = []
+            for k in (m, m, mt):
+                vals = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                keep = np.zeros(k, dtype=bool)
+                keep[rng.choice(np.r_[0:3, k - 3 : k], size=3, replace=False)] = True
+                draw.append(np.where(keep, vals, 0.0))
+            return BoxFactors(*draw, carrier)
+
+        fu = factors((0.5, 2.0, -3.0))
+        fv = factors((-1.0, 0.25, 1.0))
+        fw = factors((0.0, -1.5, 2.0))
+        spatial, tau, _ = separable_output_spectrum(fu, fv, fw, g, 0.8, 1.7)
+        rows = self.support_sum(fu.xi1, fv.xi1, fw.xi1)
+        cols = self.support_sum(fu.xi2, fv.xi2, fw.xi2)
+        taus = self.support_sum(fu.tau, fv.tau, fw.tau)
+        assert np.all(spatial[~rows] == 0.0) and np.all(spatial[:, ~cols] == 0.0)
+        assert np.all(tau[~taus] == 0.0)
+        dense = [SpaceTimeField(g, f.dense(), FOURIER, *f.carrier) for f in (fu, fv, fw)]
+        oracle = trilinear_output_spectrum(*dense, 0.8, 1.7)
+        expanded = spatial[:, :, None] * tau[None, None, :]
+        assert np.max(np.abs(expanded - oracle.values)) <= 1e-12 * np.max(np.abs(oracle.values))
+
     # rows with equal (xi1 + c0)^2 are folded: k1 with -k1 at c0 = 0, and
     # k1 with -2 - k1 at c0 = 0.5, half the lattice step
     @pytest.mark.parametrize(
@@ -358,10 +419,35 @@ class TestSeparableEngine:
         # rows k1 and -k1 differ; row k1 = -M/2 (index M/2) has no mirror
         spatial = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         spatial[3:6] = 0.0  # vanishing rows are skipped, their mirrors are not
+        spatial[:, [0, 7, 8, 15]] = 0.0  # so are vanishing columns
         tau = rng.standard_normal(mt) + 1j * rng.standard_normal(mt)
+        tau[[0, 1, 30, 63]] = 0.0  # and vanishing tau samples
         dense = SpaceTimeField(g, spatial[:, :, None] * tau[None, None, :], FOURIER, *carrier)
         got = separable_xsb_norm(g, spatial, tau, carrier, 0.7, -0.4)
         assert got == pytest.approx(xsb_norm(dense, 0.7, -0.4), rel=1e-13)
+
+
+    def test_output_norm_weights_only_the_support(self, monkeypatch):
+        # the b-weight of the N = 64 output norm is built on the support sums
+        # (192 folded rows x 10 taus x 32 columns), not on all 257 folded
+        # rows x 32 taus x 512 columns of the grid
+        g = knapp_grid(64)
+        m, mt = g.spatial.modes_per_axis, g.time_samples
+        fu, fv = knapp_factors(KnappConfig(N=64, s=0.6, a=0.3), g)
+        spatial, tau, carrier = separable_output_spectrum(fu, fv, fv, g, 1.0, 1.0)
+        weighted = []
+        original = np.power
+
+        def counted(x, *args, **kwargs):
+            weighted.append(np.size(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "power", counted)
+        got = separable_xsb_norm(g, spatial, tau, carrier, 0.9, -0.49)
+        monkeypatch.undo()
+        assert 0 < sum(weighted) < (m // 2 + 1) * mt * m / 10
+        dense = SpaceTimeField(g, spatial[:, :, None] * tau[None, None, :], FOURIER, *carrier)
+        assert got == pytest.approx(xsb_norm(dense, 0.9, -0.49), rel=1e-13)
 
 
 class TestKnappSweep:
