@@ -34,6 +34,7 @@ with it and keeps the states as Trajectory.fields, Fourier coefficients
 """
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -96,12 +97,17 @@ class SolverConfig:
     sample_every: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_end", "delta"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.dt <= 0.1:
             raise ValueError(f"dt must lie in (0, 0.1], got {self.dt}")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        # NaN fails every comparison, so these refuse it too
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
         if not (
             isinstance(self.sample_every, numbers.Real)
             and self.sample_every >= 1

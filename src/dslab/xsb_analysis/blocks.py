@@ -24,6 +24,10 @@ CASES = (PLUS_PLUS_PLUS, HIGH_PARALLEL, COHERENT, GENERIC)
 
 SIGN_PATTERNS = ((1, 1, 1), (1, 1, -1))
 
+# Entries per array in one chunk of block_multiplier's enumeration; its
+# working set is a small multiple of this, whatever the block.
+CHUNK_ELEMENTS = 1 << 17
+
 
 def _is_dyadic(x: float) -> bool:
     if x <= 0:
@@ -103,8 +107,11 @@ class BlockLattice:
     max_support: int = 400_000
 
     def __post_init__(self) -> None:
-        if self.xi_step <= 0 or self.tau_step <= 0:
-            raise ValueError("steps must be positive")
+        for name in ("xi_step", "tau_step"):
+            value = getattr(self, name)
+            # NaN fails both comparisons, so this refuses it too
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _shell_points_2d(n: float, step: float) -> np.ndarray:
@@ -137,16 +144,37 @@ class SupportCapExceeded(ValueError):
     """A block support (or its shell-pair set) is larger than the lattice cap."""
 
 
-def _compress_tau(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row indices of the True columns of ok, left-packed in axis order.
+def _modulation_cut(lam: np.ndarray, l: float):
+    """Per row, the entries of lam in the l shell, left-packed in axis order.
 
-    Returns (index, valid), both (rows, W) with W the largest row count;
-    index holds increasing column numbers in its valid entries and column 0
-    in its padding.
+    Returns (values, index, valid), all (rows, W) with W the largest row
+    count; index holds increasing column numbers in its valid entries and
+    column 0 in its padding.
     """
+    ok = _bracket_shell(lam, l)
     width = int(ok.sum(axis=1).max())
-    index = np.argsort(~ok, axis=1, kind="stable")[:, :width]
-    return index, np.take_along_axis(ok, index, axis=1)
+    # a copy, so the full argsort does not outlive this call
+    index = np.ascontiguousarray(np.argsort(~ok, axis=1, kind="stable")[:, :width])
+    return (
+        np.take_along_axis(lam, index, axis=1),
+        index,
+        np.take_along_axis(ok, index, axis=1),
+    )
+
+
+def _shell_pairs(spec: DyadicBlockSpec, xi1, r1, xi2, r2):
+    """Index pairs (i1, i2), in C order, of the shell points whose xi3 and
+    resonance h pass their shells, and h on each pair; r_j = |xi_j|^2."""
+    s = spec.signs
+    # the components of -xi3; only their squares enter
+    x = xi1[:, None, 0] + xi2[None, :, 0]
+    y = xi1[:, None, 1] + xi2[None, :, 1]
+    br3_sq = 1.0 + (x * x + y * y)
+    ok = (br3_sq >= spec.n3**2) & (br3_sq < 4 * spec.n3**2)
+    h = s[0] * r1[:, None] + s[1] * r2[None, :] + s[2] * (br3_sq - 1.0)
+    ok &= _bracket_shell(h, spec.h)
+    i1, i2 = np.nonzero(ok)
+    return i1, i2, h[i1, i2]
 
 
 def block_multiplier(spec: DyadicBlockSpec, lattice: BlockLattice) -> Gamma3Multiplier:
@@ -160,6 +188,13 @@ def block_multiplier(spec: DyadicBlockSpec, lattice: BlockLattice) -> Gamma3Mult
     square. Rows come out ordered by (pair, tau1, tau2), the pairs in the
     C order of (xi1, xi2) shell indices and the taus increasing: the ALS
     sums in row order, so its estimate depends on that order at roundoff.
+
+    Every stage runs in chunks: blocks of xi1 rows for the shell pairs,
+    blocks of kept pairs for the modulation shells, each chunk's arrays
+    holding at most about CHUNK_ELEMENTS entries. The working set therefore
+    does not grow with the number of shell points or shell pairs; only the
+    kept pairs (at most ``lattice.max_support``) and the support itself are
+    held whole.
 
     Returns an empty multiplier (not an error) when no lattice point meets
     every shell; the vanishing conditions make that the expected outcome for
@@ -175,67 +210,61 @@ def block_multiplier(spec: DyadicBlockSpec, lattice: BlockLattice) -> Gamma3Mult
     if not len(xi1) or not len(xi2):
         return empty
 
-    xi3 = -(xi1[:, None, :] + xi2[None, :, :])
-    br3_sq = 1.0 + np.sum(xi3**2, axis=2)
-    pair_ok = (br3_sq >= spec.n3**2) & (br3_sq < 4 * spec.n3**2)
     s = spec.signs
-    h_pair = (
-        s[0] * np.sum(xi1**2, axis=1)[:, None]
-        + s[1] * np.sum(xi2**2, axis=1)[None, :]
-        + s[2] * (br3_sq - 1.0)
-    )
-    pair_ok &= _bracket_shell(h_pair, spec.h)
-    i1, i2 = np.nonzero(pair_ok)
-    if not len(i1):
+    r1 = np.sum(xi1**2, axis=1)
+    r2 = np.sum(xi2**2, axis=1)
+    kept, n_pairs = [], 0
+    rows = max(1, CHUNK_ELEMENTS // len(xi2))
+    for lo in range(0, len(xi1), rows):
+        i1, i2, h = _shell_pairs(spec, xi1[lo : lo + rows], r1[lo : lo + rows], xi2, r2)
+        n_pairs += len(i1)
+        # past the cap only the count matters, for the message
+        if n_pairs <= lattice.max_support:
+            kept.append((i1 + lo, i2, h))
+    if not n_pairs:
         return empty
-    if len(i1) > lattice.max_support:
-        raise SupportCapExceeded(f"{len(i1)} shell pairs exceed max_support")
+    if n_pairs > lattice.max_support:
+        raise SupportCapExceeded(f"{n_pairs} shell pairs exceed max_support")
+    i1, i2, h_vals = (np.concatenate(parts) for parts in zip(*kept))
 
-    p1 = xi1[i1]
-    p2 = xi2[i2]
-    h_vals = h_pair[i1, i2]
     tau1_axis = _tau_axis(spec.l1, spec.n1, lattice.tau_step)
     tau2_axis = _tau_axis(spec.l2, spec.n2, lattice.tau_step)
-    lam1 = tau1_axis[None, :] + s[0] * np.sum(p1**2, axis=1)[:, None]
-    lam2 = tau2_axis[None, :] + s[1] * np.sum(p2**2, axis=1)[:, None]
-    ok1 = _bracket_shell(lam1, spec.l1)
-    ok2 = _bracket_shell(lam2, spec.l2)
-    idx1, ok1 = _compress_tau(ok1)
-    idx2, ok2 = _compress_tau(ok2)
-    lam1 = np.take_along_axis(lam1, idx1, axis=1)
-    lam2 = np.take_along_axis(lam2, idx2, axis=1)
-
     hits_p, hits_t1, hits_t2 = [], [], []
     total = 0
-    chunk = max(1, 2_000_000 // (idx1.shape[1] * idx2.shape[1] + 1))
-    for lo in range(0, len(p1), chunk):
-        hi = min(lo + chunk, len(p1))
-        lam3 = (
-            h_vals[lo:hi, None, None]
-            - lam1[lo:hi, :, None]
-            - lam2[lo:hi, None, :]
+    chunk = max(1, CHUNK_ELEMENTS // max(len(tau1_axis), len(tau2_axis)))
+    for lo in range(0, n_pairs, chunk):
+        h = h_vals[lo : lo + chunk]
+        lam1, idx1, ok1 = _modulation_cut(
+            tau1_axis[None, :] + s[0] * r1[i1[lo : lo + chunk], None], spec.l1
         )
-        mask = ok1[lo:hi, :, None] & ok2[lo:hi, None, :]
-        mask &= _bracket_shell(lam3, spec.l3)
-        ip, j1, j2 = np.nonzero(mask)
-        if not len(ip):
-            continue
-        total += len(ip)
-        if total > lattice.max_support:
-            raise SupportCapExceeded(
-                f"block support exceeds max_support = {lattice.max_support}"
-            )
-        ip += lo
-        hits_p.append(ip)
-        hits_t1.append(idx1[ip, j1])
-        hits_t2.append(idx2[ip, j2])
+        lam2, idx2, ok2 = _modulation_cut(
+            tau2_axis[None, :] + s[1] * r2[i2[lo : lo + chunk], None], spec.l2
+        )
+        sub = max(1, CHUNK_ELEMENTS // max(1, idx1.shape[1] * idx2.shape[1]))
+        for a in range(0, len(lam1), sub):
+            b = a + sub
+            lam3 = h[a:b, None, None] - lam1[a:b, :, None] - lam2[a:b, None, :]
+            mask = ok1[a:b, :, None] & ok2[a:b, None, :]
+            mask &= _bracket_shell(lam3, spec.l3)
+            ip, j1, j2 = np.nonzero(mask)
+            if not len(ip):
+                continue
+            total += len(ip)
+            if total > lattice.max_support:
+                raise SupportCapExceeded(
+                    f"block support exceeds max_support = {lattice.max_support}"
+                )
+            ip += a
+            hits_p.append(ip + lo)
+            hits_t1.append(idx1[ip, j1])
+            hits_t2.append(idx2[ip, j2])
     if not total:
         return empty
     ip = np.concatenate(hits_p)
     t1 = tau1_axis[np.concatenate(hits_t1)]
     t2 = tau2_axis[np.concatenate(hits_t2)]
-    q1 = p1[ip]
-    q2 = p2[ip]
+    q1 = xi1[i1[ip]]
+    q2 = xi2[i2[ip]]
     return Gamma3Multiplier(
         np.column_stack([q1, t1]),
         np.column_stack([q2, t2]),

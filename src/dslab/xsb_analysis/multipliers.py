@@ -10,10 +10,11 @@ via the TT* identity, and those anchor the estimator's accuracy in tests.
 Each slot update of the estimator costs one gather (the updated test
 function onto the support rows, kept until it changes again), one product
 (the row weights, values times the other two gathered functions) and one
-bincount (the partial contraction). When every value is exactly 1, as on
-every dyadic block, the values drop out of the product; the sums keep
-their bits either way. upper_3Z_bound gives the matching certified upper
-bound, min over slots of the largest per-label l2 mass of the multiplier.
+np.add.at into a complex zero vector (the partial contraction, summed per
+label in row order). When every value is exactly 1, as on every dyadic
+block, the values drop out of the product; the sums keep their bits either
+way. upper_3Z_bound gives the matching certified upper bound, min over
+slots of the largest per-label l2 mass of the multiplier.
 """
 from __future__ import annotations
 
@@ -86,28 +87,20 @@ def _slot_labels(points: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, int(ranks[-1]) + 1 if len(ranks) else 0
 
 
-def _interleaved(labels: np.ndarray) -> np.ndarray:
-    """Labels 2l, 2l + 1 per row: the bins of the real and imaginary parts
-    of a complex weight array viewed as float64."""
-    pairs = np.empty(2 * len(labels), dtype=np.int64)
-    pairs[0::2] = 2 * labels
-    pairs[1::2] = 2 * labels + 1
-    return pairs
-
-
-def _contract(pairs, size, weights) -> np.ndarray:
+def _contract(labels, size, weights) -> np.ndarray:
     """Partial contraction of the form against two fixed test functions.
 
     weights holds, per row, the multiplier value times the other two test
-    functions on that row's labels; pairs is _interleaved(labels). One
-    bincount sums the real and imaginary parts of each label's rows, in row
-    order, into adjacent bins.
+    functions on that row's labels. np.add.at sums each label's rows into
+    its bin in row order, starting from 0.0, the real and imaginary parts
+    apart: the same sums, to the last bit, as one bincount per part.
     """
-    sums = np.bincount(pairs, weights=weights.view(np.float64), minlength=2 * size)
-    return sums.view(np.complex128)
+    sums = np.zeros(size, dtype=np.complex128)
+    np.add.at(sums, labels, weights)
+    return sums
 
 
-def _als_run(labels, pairs, sizes, values_c, fs, iters: int) -> float:
+def _als_run(labels, sizes, values_c, fs, iters: int) -> float:
     """One restart of the alternating maximization, updating fs in place.
 
     g[k] is fs[k] gathered onto the support rows, refreshed once right after
@@ -129,7 +122,7 @@ def _als_run(labels, pairs, sizes, values_c, fs, iters: int) -> float:
         previous = best
         for j in range(3):
             j1, j2 = (j + 1) % 3, (j + 2) % 3
-            t = _contract(pairs[j], sizes[j], vg[j1] * g[j2])
+            t = _contract(labels[j], sizes[j], vg[j1] * g[j2])
             norm = np.linalg.norm(t)
             if norm == 0.0:
                 return best
@@ -172,12 +165,11 @@ def estimate_3Z_norm(
                 fs.append(f / np.linalg.norm(f))
         starts.append(fs)
 
-    pairs = [_interleaved(labels) for labels in m.labels]
     # (1 + 0j) * z == z up to the sign of exact zeros, which no norm sees
     values_c = None if np.all(m.values == 1.0) else m.values.astype(np.complex128)
 
     def run(fs):
-        return _als_run(m.labels, pairs, m.slot_sizes, values_c, fs, iters)
+        return _als_run(m.labels, m.slot_sizes, values_c, fs, iters)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -5,12 +5,14 @@ calls, or a keyword it passes, would only show when the benchmark runs.
 These tests read layers.py and workloads.py with ast: every name taken from
 an imported dslab module must exist, and every call of such a name must
 pass only keywords its signature accepts.  The workload configs, and the
-README's ini examples, must also pass the command line's config checks.
+README's ini examples, must also pass the command line's config checks, and
+the blocks workload must reproduce its committed reference outputs.
 """
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 import re
 import sys
@@ -186,3 +188,18 @@ def test_readme_has_an_example_per_command():
 )
 def test_readme_configs_pass_the_config_checks(command, text, tmp_path, monkeypatch):
     _passes_config_checks(command, text, tmp_path, monkeypatch)
+
+
+def test_blocks_workload_matches_its_reference(tmp_path):
+    # the blocks workload takes about a second, so drift in the block engine's
+    # outputs fails here and not only in the benchmark
+    wl = WORKLOADS.WORKLOADS["blocks"]
+    seed = wl.dslab_seed(WORKLOADS.DEFAULT_SEED)
+    with open(WORKLOADS.reference_path(wl), encoding="utf-8") as fh:
+        assert json.load(fh)["seed"] == seed  # else check_outputs skips the comparison
+    path = tmp_path / "blocks.ini"
+    path.write_text(WORKLOADS.config_text(wl.config), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [wl.command, "--config", str(path), "--out", str(out)]
+    assert main([*argv, "--seed", str(seed), "--threads", str(wl.threads)]) == 0
+    assert WORKLOADS.check_outputs(wl, False, seed, str(out)) == []

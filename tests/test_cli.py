@@ -457,6 +457,17 @@ class TestBlocks:
         assert f"got '{cases.strip(',')}'" in capsys.readouterr().err
         assert output_files(out) == []
 
+    @pytest.mark.parametrize("key,value", [("xi_step", "nan"), ("tau_step", "inf")])
+    def test_non_finite_lattice_step_exits_two_naming_it(self, key, value, tmp_path, capsys, monkeypatch):
+        # these used to fail with "cannot convert float NaN to integer", and
+        # inf also with a RuntimeWarning
+        monkeypatch.setattr(dslab.cli, "sample_block_specs", refuse_call)
+        cfg = write_config(tmp_path, f"[blocks]\ncases = generic\n{key} = {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["blocks", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must be positive and finite, got {value}" in capsys.readouterr().err
+
     def test_too_small_max_support_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[blocks]\ncases = generic\nper_case = 1\nmax_support = 10\n")
         assert main(["blocks", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -63,6 +63,24 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             cubic_config(delta=-0.1)
 
+    @pytest.mark.parametrize("name", ["dt", "t_end", "delta"])
+    def test_non_numeric_time_or_damping_is_a_value_error(self, name):
+        # comparing a str against a float used to raise TypeError
+        with pytest.raises(ValueError, match=name):
+            cubic_config(**{name: "0.01"})
+
+    @pytest.mark.parametrize("t_end", [float("inf"), float("nan")])
+    def test_non_finite_t_end_rejected(self, t_end):
+        # inf used to pass here and overflow later in sample_steps
+        with pytest.raises(ValueError, match="t_end"):
+            cubic_config(t_end=t_end)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        # NaN used to be accepted silently
+        with pytest.raises(ValueError, match="delta"):
+            cubic_config(delta=delta)
+
     def test_sample_every_positive_integer(self):
         with pytest.raises(ValueError):
             cubic_config(sample_every=0)

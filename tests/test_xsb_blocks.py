@@ -1,5 +1,6 @@
 """Tests for multiplier-norm estimation and dyadic block bounds."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,9 +166,7 @@ class TestEstimate3Z:
         for labels, size, values in cases:
             n = len(labels)
             others = complex_normal(n), complex_normal(n)
-            fast = multipliers._contract(
-                multipliers._interleaved(labels), size, values * others[0] * others[1]
-            )
+            fast = multipliers._contract(labels, size, values * others[0] * others[1])
             slow = self.two_bincount_contract(labels, size, values, *others)
             assert fast.dtype == np.complex128 and fast.shape == (size,)
             assert fast.tobytes() == slow.tobytes()
@@ -185,6 +184,12 @@ def reference_3Z_estimate(m, restarts, iters, tol=1e-8, seed=0):
     """The alternating maximization as first written: both other test
     functions gathered on every update, weights values * other1 * other2,
     one interleaved bincount. The oracle of estimate_3Z_norm's bits."""
+
+    def interleaved(labels):
+        pairs = np.empty(2 * len(labels), dtype=np.int64)
+        pairs[0::2] = 2 * labels
+        pairs[1::2] = 2 * labels + 1
+        return pairs
 
     def contract(pairs, size, values, other1, other2):
         w = values * other1 * other2
@@ -210,7 +215,7 @@ def reference_3Z_estimate(m, restarts, iters, tol=1e-8, seed=0):
         return float(best)
 
     rng = np.random.default_rng(seed)
-    pairs = [multipliers._interleaved(labels) for labels in m.labels]
+    pairs = [interleaved(labels) for labels in m.labels]
     results = []
     for r in range(restarts):
         if r == 0:
@@ -360,6 +365,14 @@ class TestResonance:
         assert h > 0
 
 
+class TestBlockLattice:
+    @pytest.mark.parametrize("name", ["xi_step", "tau_step"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
+    def test_steps_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            BlockLattice(**{name: value})
+
+
 class TestDyadicBlockSpec:
     def test_dyadic_validation(self):
         with pytest.raises(ValueError, match="n1"):
@@ -496,6 +509,36 @@ class TestBlockMultiplier:
             block_multiplier(
                 DyadicBlockSpec(1, 1, 1, 1, 1, 1, 1), BlockLattice(max_support=100)
             )
+
+    @pytest.mark.parametrize(
+        "spec,capped",
+        [
+            # coherent, 37 x 608 shell points, support 122244 over the cap
+            (DyadicBlockSpec(1, 4, 4, 16, 2, 2, 16), True),
+            # plus_plus_plus, 608 x 608 shell points, empty support
+            (DyadicBlockSpec(4, 4, 2, 2, 32, 2, 16, signs=(1, 1, 1)), False),
+        ],
+        ids=["capped", "empty"],
+    )
+    def test_probe_working_set_is_bounded(self, spec, capped):
+        # two of the sampler's probes in the blocks benchmark; enumerating
+        # them whole peaked at 32.7 and 15.2 MiB
+        probe = BlockLattice(max_support=60_000)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            if capped:
+                with pytest.raises(SupportCapExceeded):
+                    block_multiplier(spec, probe)
+            else:
+                assert block_multiplier(spec, probe).is_empty
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_support_cap_boundary(self):
         # the cap trips exactly when the final support exceeds it, whatever
