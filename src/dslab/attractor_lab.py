@@ -154,25 +154,36 @@ class EnergyReport:
             raise ValueError("fitted decay rate must be positive")
 
 
+def _audit_refusal(times: np.ndarray, dt: float) -> Optional[str]:
+    """Why the balance cannot be audited on samples at these times, or None
+    when it can: the centered difference needs at least three samples, at
+    most 10 * dt apart, so that it resolves the energy rather than silently
+    producing an O(spacing^2) artifact."""
+    if len(times) < 3:
+        return "need at least three samples for a centered difference"
+    spacing = float(np.max(np.diff(times)))
+    if spacing > 10.0 * dt + 1e-12:
+        return (
+            f"sample spacing {spacing:.6g} exceeds 10 * dt = {10.0 * dt:.6g}; "
+            "record more often to audit the balance"
+        )
+    return None
+
+
 def energy_balance_residual(traj: SampleSeries, cfg: SolverConfig) -> EnergyReport:
     """Audit dE/dt + 2 delta E = F along recorded per-sample series.
 
     F = -delta * interaction + delta * drive is built from the energy parts
     SampleRecorder recorded per sample (a Trajectory from evolve is one such
     series), so no field is transformed here; cfg must be the config the run
-    used.  dE/dt is a centered difference, so the sample spacing must resolve
-    the energy: spacing above 10 * cfg.dt is refused rather than silently
-    producing an O(spacing^2) artifact.  Interior samples only.
+    used.  dE/dt is a centered difference over interior samples only; too
+    few or too sparse samples (_audit_refusal) and a non-finite residual
+    raise ValueError.
     """
     t = np.asarray(traj.times, dtype=float)
-    if len(t) < 3:
-        raise ValueError("need at least three samples for a centered difference")
-    spacing = float(np.max(np.diff(t)))
-    if spacing > 10.0 * cfg.dt + 1e-12:
-        raise ValueError(
-            f"sample spacing {spacing:.6g} exceeds 10 * dt = {10.0 * cfg.dt:.6g}; "
-            "record more often to audit the balance"
-        )
+    refusal = _audit_refusal(t, cfg.dt)
+    if refusal is not None:
+        raise ValueError(refusal)
     e = np.asarray(traj.energy, dtype=float)
     source = -cfg.delta * traj.interaction + cfg.delta * traj.drive
     dedt = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
@@ -209,12 +220,12 @@ def _member_stream(ens: EnsembleConfig, cfg: SolverConfig):
 
 def _audit(series: SampleSeries, cfg: SolverConfig) -> EnergyReport:
     """energy_balance_residual, or a report with no residuals (max_residual
-    0.0) when the samples are too few or too sparse for it."""
-    try:
-        return energy_balance_residual(series, cfg)
-    except ValueError:
+    0.0) when the samples are too few or too sparse for it.  Any other fault,
+    such as a non-finite residual, raises."""
+    if _audit_refusal(series.times, cfg.dt) is not None:
         empty = np.zeros(0)
         return EnergyReport(empty, empty, empty, empty, 0.0)
+    return energy_balance_residual(series, cfg)
 
 
 def _fit_member(times: np.ndarray, h1: np.ndarray):

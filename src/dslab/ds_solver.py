@@ -97,10 +97,14 @@ class SolverConfig:
     sample_every: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_end", "delta"):
+        for name in ("c1", "c2", "dt", "t_end", "delta"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+        for name in ("c1", "c2"):
+            # a NaN or infinite constant would only surface as a non-finite step
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.dt <= 0.1:
             raise ValueError(f"dt must lie in (0, 0.1], got {self.dt}")
         # NaN fails every comparison, so these refuse it too

@@ -2,17 +2,21 @@
 
 The flow is split as u(t) = e^{it Lap} u0 + N(t).  duhamel_remainder is the
 one place that computes N(t), against the free flow with optional damping
-and resonant gauge phase; the refinement study here and the compactness
-probe in attractor_lab (which passes the shifted state) both call it.  For
-data whose spectrum decays like <xi>^{-s-1} (so u0 sits in H^{s'} exactly
-for s' < s), the linear part keeps the data's roughness while N(t) is
-measurably smoother.  On the periodic box each tail mode of the plain
-remainder carries the resonant lattice dressing
+and resonant gauge phase; the refinement study and the growth report here
+and the compactness probe in attractor_lab (which passes the shifted state)
+all call it.  For data whose spectrum decays like <xi>^{-s-1} (so u0 sits
+in H^{s'} exactly for s' < s), the linear part keeps the data's roughness
+while N(t) is measurably smoother.  On the periodic box each tail mode of
+the plain remainder carries the resonant lattice dressing
 (e^{-i sigma(xi) t} - 1) e^{it Lap} u0, so the plain remainder refines like
 the linear part; it is the gauged remainder (see resonant_gauge_phase) whose
 H^{s+a} norm converges under grid refinement although the linear part's
 diverges like M^a.  The growth in time of the gauged remainder is compared
-against the envelope C <t>^{1 + beta(s) (3 + 2/s)}.
+against the envelope C <t>^{1 + beta(s) (3 + 2/s)} by smoothing_report.
+
+Both instruments take a datum and a SolverConfig, stream the run through
+sample_stream and split against its step-0 sample, the datum actually
+integrated; they hold that datum and the current state, never the run.
 """
 from __future__ import annotations
 
@@ -87,7 +91,6 @@ class SmoothingReport:
 
     times: np.ndarray
     nonlinear_norms: np.ndarray
-    solution_norms: np.ndarray
     s: float
     a: float
     beta: float
@@ -96,7 +99,7 @@ class SmoothingReport:
     violations: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.nonlinear_norms, self.solution_norms, self.envelope):
+        for arr in (self.nonlinear_norms, self.envelope):
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError("report series must be finite and nonnegative")
 
@@ -129,32 +132,37 @@ def duhamel_remainder(
 
 def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float, sigma=0.0) -> SpectralField:
     """u(t) - e^{-i sigma t} e^{it Lap} u0 at a sampled time: the undamped
-    duhamel_remainder of the trajectory's state."""
+    duhamel_remainder of a stored trajectory's state.  No dslab instrument
+    calls it; it stays because benchmarks/layers.py times it."""
     return duhamel_remainder(to_fourier(traj.field_at(t)).values, u0, t, sigma=sigma)
 
 
-def smoothing_report(
-    traj: Trajectory, u0: SpectralField, c1: float, c2: float, s: float, a: float
-) -> SmoothingReport:
-    """Measure the gauged ||N(t)||_{H^{s+a}} against C <t>^{1+beta(s)(3+2/s)}.
+def smoothing_report(u0: SpectralField, cfg: SolverConfig, s: float, a: float) -> SmoothingReport:
+    """Measure the gauged ||N(t)||_{H^{s+a}} of the run (u0, cfg) against
+    C <t>^{1+beta(s)(3+2/s)}.
 
-    N(t) is gauged by u0's resonant phase under c1, c2, built once per call.
-    C is fitted at the first probe time with a positive measurement; every
-    later sample exceeding the envelope is flagged.  a < min(1/2, s - 1/2)
-    is the regime the theory covers; other a values are allowed for sweeps.
+    The run streams through sample_stream and no sampled state outlives its
+    norm.  N(t) is split against the step-0 sample, the datum actually
+    integrated (dealiasing masks it), and gauged by that datum's resonant
+    phase under cfg.c1, cfg.c2, built once per call; the comparison flow is
+    damped at cfg.delta, so a damped linear flow leaves no remainder (the
+    gauge phase itself is the undamped sigma t).  C is fitted at the first
+    probe time with a positive measurement; every later sample exceeding the
+    envelope is flagged.  a < min(1/2, s - 1/2) is the regime the theory
+    covers; other a values are allowed for sweeps.
     """
-    if len(traj.times) == 0:
-        raise ValueError("empty trajectory")
     if not a < min(0.5, s - 0.5):
         warnings.warn(
             f"a = {a} is outside the guaranteed range for s = {s}", stacklevel=2
         )
-    times = np.asarray(traj.times, dtype=float)
-    sigma = resonant_gauge_phase(u0, c1, c2)
-    nonlinear = np.array(
-        [sobolev_norm(nonlinear_part(traj, u0, t, sigma), s + a) for t in times]
-    )
-    solution = np.array([sobolev_norm(f, s) for f in traj.fields])
+    times, norms = [], []
+    for step, t, u_hat in sample_stream(u0, cfg):
+        if step == 0:
+            datum = SpectralField(u0.grid, u_hat, FOURIER)
+            sigma = resonant_gauge_phase(datum, cfg.c1, cfg.c2)
+        times.append(t)
+        norms.append(sobolev_norm(duhamel_remainder(u_hat, datum, t, cfg.delta, sigma), s + a))
+    times, nonlinear = np.array(times), np.array(norms)
     exponent = envelope_exponent(s)
     bracket_t = np.sqrt(1.0 + times**2)
     positive = np.nonzero(nonlinear > 0)[0]
@@ -168,7 +176,6 @@ def smoothing_report(
     return SmoothingReport(
         times=times,
         nonlinear_norms=nonlinear,
-        solution_norms=solution,
         s=s,
         a=a,
         beta=beta_growth(s),

@@ -1,5 +1,6 @@
 """Energy balance audit, absorbing-ball fits, and the compactness probe."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ class TestEnergyBalance:
         traj = evolve(u0, cfg)
         with pytest.raises(ValueError, match="three samples"):
             energy_balance_residual(traj, cfg)
+
+    @pytest.mark.parametrize("experiment", [absorbing_experiment, compactness_probe])
+    def test_non_finite_residual_raises_in_the_experiments(self, experiment):
+        # dense enough to audit, but the energy of an H^1 ~ 1e80 member
+        # overflows: the experiments used to report it as unaudited
+        grid = GridSpec(16, TWO_PI)
+        ens = small_ensemble(
+            grid, [RoughDataSpec(1.0, 1e79, 1)], horizon=0.1, sample_every=1, probe_times=(0.1,)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the overflow is the point
+            with pytest.raises(ValueError, match="residual series must be finite"):
+                experiment(ens)
 
 
 class TestBalanceAuditReadsRecordedParts:

@@ -170,6 +170,22 @@ class TestSimulate:
         assert "non-finite" in capsys.readouterr().err
         assert output_files(tmp_path / "o") == []
 
+    @pytest.mark.parametrize(
+        "constants", ["c1 = nan", "c1 = inf", "c2 = nan\ndelta = 0.1", "c2 = -inf"]
+    )
+    def test_non_finite_constant_exits_two_before_stepping(
+        self, constants, tmp_path, capsys, monkeypatch
+    ):
+        # these used to step and abort with exit 3 at step 1 or 2
+        monkeypatch.setattr(dslab.cli, "sample_stream", refuse_call)
+        text = f"[simulate]\nmodes = 16\namplitude = 0.1\ndt = 0.01\nt_end = 0.1\n{constants}\n"
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert f"{constants[:2]} must be finite" in capsys.readouterr().err
+        assert output_files(out) == []
+
     def test_bad_value_exits_two(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "[simulate]\nmodes = 16\namplitude = lots\ndt = 0.01\nt_end = 1\n"
@@ -370,6 +386,23 @@ class TestAttractor:
             assert main(["attractor", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["max_balance_residual"] is None
+
+    @pytest.mark.parametrize("experiment", ["absorbing", "compactness"])
+    def test_non_finite_balance_residual_exits_two(self, tmp_path, capsys, experiment):
+        # the energy of an H^1 ~ 1e80 member overflows; this run used to exit
+        # 0 with a null residual, a negative fit_radius and a false warning
+        # that the samples were too sparse to audit
+        text = (
+            "[attractor]\nmodes = 16\nmember_count = 1\nh1_min = 1e80\nh1_max = 1e81\n"
+            "delta = 0.2\nhorizon = 0.1\ndt = 0.01\nsample_every = 1\nprobes = 0.1\n"
+            f"experiment = {experiment}\n"
+        )
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the overflow is the point
+            assert main(["attractor", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert "residual series must be finite" in capsys.readouterr().err
+        assert output_files(out) == []
 
     def test_audited_compactness_run_reports_its_residual(self, tmp_path):
         cfg = write_config(tmp_path, self.ATTR + "experiment = compactness\n")

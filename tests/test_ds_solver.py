@@ -81,6 +81,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="delta"):
             cubic_config(delta=delta)
 
+    @pytest.mark.parametrize("name", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_constant_rejected(self, name, value):
+        # these used to be accepted and abort the first steps as non-finite
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cubic_config(**{name: value})
+
+    @pytest.mark.parametrize("name", ["c1", "c2"])
+    def test_non_numeric_constant_is_a_value_error(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            cubic_config(**{name: "1.0"})
+
     def test_sample_every_positive_integer(self):
         with pytest.raises(ValueError):
             cubic_config(sample_every=0)

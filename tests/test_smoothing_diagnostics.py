@@ -13,7 +13,7 @@ from dslab.spectral_core import (
     to_fourier,
     to_physical,
 )
-from dslab.ds_solver import SolverConfig, evolve
+from dslab.ds_solver import SolverConfig, evolve, sample_steps, sample_stream
 from dslab.smoothing_diagnostics import (
     RoughDataSpec,
     beta_growth,
@@ -250,11 +250,31 @@ class TestResonantGauge:
             assert np.array_equal(got.values, plain)
 
 
+def stored_report(traj, c1, c2, s, a):
+    """(times, nonlinear_norms, envelope, violations) of the gauged growth
+    report built from a stored trajectory, split against its first field:
+    the evolve-based oracle for the streamed smoothing_report."""
+    datum = traj.fields[0]
+    sigma = resonant_gauge_phase(datum, c1, c2)
+    times = np.asarray(traj.times, dtype=float)
+    norms = np.array(
+        [
+            sobolev_norm(duhamel_remainder(f.values, datum, t, sigma=sigma), s + a)
+            for t, f in zip(times, traj.fields)
+        ]
+    )
+    exponent = envelope_exponent(s)
+    bracket_t = np.sqrt(1.0 + times**2)
+    i0 = np.nonzero(norms > 0)[0][0]
+    envelope = norms[i0] / bracket_t[i0] ** exponent * bracket_t**exponent
+    return times, norms, envelope, norms > envelope * (1.0 + 1e-12)
+
+
 class TestSmoothingReport:
     def test_zero_datum_all_zero(self):
         grid = GridSpec(32, TWO_PI)
-        traj = evolve(SpectralField.zeros(grid), SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=0.1))
-        rep = smoothing_report(traj, traj.fields[0], 1.0, 1.0, s=0.6, a=0.05)
+        cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=0.1)
+        rep = smoothing_report(SpectralField.zeros(grid), cfg, s=0.6, a=0.05)
         assert np.all(rep.nonlinear_norms == 0.0)
         assert rep.envelope_constant == 0.0
         assert not rep.violations.any()
@@ -263,9 +283,8 @@ class TestSmoothingReport:
         grid = GridSpec(32, TWO_PI)
         u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=25)
-        traj = evolve(u0, cfg)
         with pytest.warns(UserWarning):  # a beyond the guaranteed range
-            rep = smoothing_report(traj, traj.fields[0], cfg.c1, cfg.c2, s=0.6, a=0.3)
+            rep = smoothing_report(u0, cfg, s=0.6, a=0.3)
         assert rep.beta == pytest.approx(0.36)
         # envelope must equal C <t>^{3.28} with C anchored at the first probe
         t1 = rep.times[1]
@@ -278,51 +297,88 @@ class TestSmoothingReport:
         grid = GridSpec(64, TWO_PI)
         u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.3, seed=8), grid)
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=10.0, sample_every=125)
-        traj = evolve(u0, cfg)
         with pytest.warns(UserWarning):
-            rep = smoothing_report(traj, traj.fields[0], cfg.c1, cfg.c2, s=0.6, a=0.3)
+            rep = smoothing_report(u0, cfg, s=0.6, a=0.3)
         assert not rep.violations.any()
 
-    def test_series_is_the_gauged_remainder(self):
+    @pytest.mark.parametrize(
+        "c1,c2,sample_every,dealias",
+        [(1.0, 0.7, 10, True), (0.5, 1.5, 1, True), (1.0, 0.3, 1, False)],
+    )
+    def test_matches_the_stored_trajectory_report(self, c1, c2, sample_every, dealias):
+        # the streamed report equals, bit for bit, the gauged split of the
+        # stored trajectory against its first (dealiased) field
         grid = GridSpec(32, TWO_PI)
         u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
-        cfg = SolverConfig(c1=1.0, c2=0.7, dt=0.01, t_end=0.5, sample_every=10)
+        cfg = SolverConfig(
+            c1=c1, c2=c2, dt=0.01, t_end=0.5, sample_every=sample_every, dealias=dealias
+        )
+        rep = smoothing_report(u0, cfg, s=0.6, a=0.05)
         traj = evolve(u0, cfg)
-        datum = traj.fields[0]
-        rep = smoothing_report(traj, datum, cfg.c1, cfg.c2, s=0.6, a=0.05)
-        sigma = resonant_gauge_phase(datum, cfg.c1, cfg.c2)
-        for k, t in enumerate(traj.times):
-            assert rep.nonlinear_norms[k] == sobolev_norm(
-                nonlinear_part(traj, datum, t, sigma), 0.65
-            )
+        times, norms, envelope, violations = stored_report(traj, c1, c2, 0.6, 0.05)
+        assert len(times) == 50 // sample_every + 1
+        assert np.array_equal(rep.times, times)
+        assert np.array_equal(rep.nonlinear_norms, norms)
+        assert np.array_equal(rep.envelope, envelope)
+        assert np.array_equal(rep.violations, violations)
         # the gauge is not the identity here: the plain remainder differs
-        plain = sobolev_norm(nonlinear_part(traj, datum, traj.times[-1]), 0.65)
-        assert rep.nonlinear_norms[-1] != plain
+        plain = duhamel_remainder(traj.fields[-1].values, traj.fields[0], times[-1])
+        assert rep.nonlinear_norms[-1] != sobolev_norm(plain, 0.65)
+
+    def test_damped_free_flow_leaves_no_remainder(self):
+        # the comparison flow is damped with the run: split against the
+        # undamped one, this run read 0.13 to 0.50 instead of roundoff
+        grid = GridSpec(32, TWO_PI)
+        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
+        cfg = SolverConfig(c1=0.0, c2=0.0, dt=0.01, t_end=1.0, delta=0.1, sample_every=25)
+        rep = smoothing_report(u0, cfg, s=0.6, a=0.05)
+        assert np.max(rep.nonlinear_norms) <= 1e-12 * sobolev_norm(u0, 0.65)
+
+    def test_split_is_against_the_integrated_datum(self):
+        # with dealiasing the datum integrated is the masked one, not u0
+        grid = GridSpec(32, TWO_PI)
+        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
+        cfg = SolverConfig(c1=1.0, c2=0.7, dt=0.01, t_end=0.1)
+        masked = u0.values * grid.dealias_mask
+        assert not np.array_equal(masked, u0.values)
+        rep = smoothing_report(u0, cfg, s=0.6, a=0.05)
+        # at t = 0 the step-0 sample minus its own flow is exactly 0; split
+        # against the unmasked u0 it would be the masked-off tail
+        assert rep.nonlinear_norms[0] == 0.0
+        assert sobolev_norm(duhamel_remainder(masked, u0, 0.0), 0.65) > 0.0
 
     @pytest.mark.parametrize("sample_every,samples", [(25, 5), (5, 21)])
-    def test_gauge_phase_built_once(self, count_transforms, sample_every, samples):
-        # resonant_gauge_phase costs 3 transforms; the remainders cost none
+    def test_gauge_phase_is_the_only_transform_beyond_the_run(
+        self, count_transforms, sample_every, samples
+    ):
+        # resonant_gauge_phase costs 3 transforms, once; the remainders cost none
         grid = GridSpec(32, TWO_PI)
         u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=sample_every)
-        traj = evolve(u0, cfg)
-        assert len(traj.times) == samples
-        calls = count_transforms(
-            lambda: smoothing_report(traj, traj.fields[0], cfg.c1, cfg.c2, s=0.6, a=0.05)
-        )
-        assert calls == 3
+        run = count_transforms(lambda: list(sample_stream(u0, cfg)))
+        calls = count_transforms(lambda: smoothing_report(u0, cfg, s=0.6, a=0.05))
+        assert len(sample_steps(cfg)) == samples
+        assert calls == run + 3
 
-    def test_empty_trajectory_rejected(self):
-        from dslab.ds_solver import Trajectory
+    def test_peak_memory_does_not_grow_with_the_sample_count(self):
+        # M = 64, 101 samples against 5: a stored run would add 96 fields
+        grid = GridSpec(64, TWO_PI)
+        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
 
-        empty = Trajectory(
-            times=np.array([]), fields=[], mass=np.array([]),
-            h1_norm=np.array([]), energy=np.array([]),
-            interaction=np.array([]), drive=np.array([]),
-        )
-        grid = GridSpec(32, TWO_PI)
-        with pytest.raises(ValueError):
-            smoothing_report(empty, SpectralField.zeros(grid), 1.0, 1.0, 0.6, 0.05)
+        def peak(sample_every: int) -> int:
+            cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=sample_every)
+            tracemalloc.start()
+            try:
+                smoothing_report(u0, cfg, s=0.6, a=0.05)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(25)  # first-call allocations (FFT plans, cached grid arrays)
+        field_bytes = 64 * 64 * 16
+        few = peak(25)
+        every_step = peak(1)
+        assert every_step <= few + 2 * field_bytes
 
 
 class TestRefinementStudy:
