@@ -35,7 +35,7 @@ from ._rng import hash_u64
 from .spectral_core import DEFAULT_DOMAIN_LENGTH, GridSpec, sobolev_norm
 from .ds_solver import IntegrationAbort, SampleRecorder, SolverConfig, sample_stream
 from .smoothing_diagnostics import RoughDataSpec, make_rough_data, refinement_study
-from .xsb_analysis import knapp_grid, knapp_sweep
+from .xsb_analysis import check_ladder, knapp_grid, knapp_sweep
 from .xsb_analysis.blocks import BlockLattice, CASES, check_block_bounds, sample_block_specs
 from .attractor_lab import (
     EnsembleConfig,
@@ -260,7 +260,7 @@ def cmd_smoothing(get: _Reader, seed: int, threads: int):
 
 def cmd_knapp(get: _Reader, seed: int, threads: int):
     n_values = get("n_values", _float_list, [8.0, 16.0, 32.0, 64.0])
-    grid_n = get("grid_n", int, int(max(n_values)))
+    grid_n = get("grid_n", int, None)
     time_samples = get("time_samples", int, 32)
     params = dict(
         s=get("s", float, 0.6),
@@ -270,6 +270,9 @@ def cmd_knapp(get: _Reader, seed: int, threads: int):
         c2=get("c2", float, 1.0),
     )
     get.check_all_read()
+    check_ladder(n_values, **params)  # before max(n_values) can overflow
+    if grid_n is None:
+        grid_n = int(max(n_values))
     grid = knapp_grid(grid_n, time_samples=time_samples)
     sweep = knapp_sweep(n_values, grid=grid, **params)
     rows = list(zip(sweep.n_values, sweep.u_norms, sweep.v_norms, sweep.ratios))

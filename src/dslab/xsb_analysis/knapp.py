@@ -15,28 +15,32 @@ Every packet is a product of 1D boxes, U1(xi1) U2(xi2) U3(tau), and K acts
 in space only, so the output spectrum of (c1 I + c2 K)(u conj(v)) w is
 exactly B(xi1, xi2) c(tau), with every transform norm="forward":
 
-    B = fft2[ ifft2((P1 (x) P2) (c1 + c2 alpha(xi + d))) (w1 (x) w2) ],
+    B = C1 Y C2^T,   Y = (P1 (x) P2) (c1 + c2 alpha(xi + d)),
     c = fft(u3 conj(v3) w3),   P_i = fft(u_i conj(v_i)),
 
-where u_i, v_i, w_i are the physical 1D factors and d is the spatial carrier
-difference of u and v. knapp_sweep runs on these factors (knapp_factors,
-separable_output_spectrum, separable_xsb_norm): two M x M transforms per
-ladder point, so no (M, M, M_t) array is built.
+where u_i, v_i, w_i are the physical 1D factors, d is the spatial carrier
+difference of u and v, and C_i is circular convolution with the Fourier
+data of w_i along axis i. knapp_sweep runs on these factors (knapp_factors,
+separable_output_spectrum and a block norm), so no (M, M, M_t) array is
+built, and no M x M one either.
 
-K is a Fourier multiplier, so B vanishes off S1 x S2 and c off S3, where
-each S is the cyclic support sum supp(u) - supp(v) + supp(w) mod M of one
-axis's factors. separable_output_spectrum sets exact zeros off them, where
-the transforms leave roundoff (at N = 64 on the criterion-6 grid, |c|^2 <=
-1.4e-30 off S3 against 1 to 144 on it, and |B|^2 <= 3.5e-20 off S1 x S2
-against 1 to 1.5e11 on it), and runs the last xi1 transform on the S2
-columns only. An X^{s,b} norm of B (x) c weights only the xi1 rows, xi2
-columns and tau samples that are not exactly zero, so a product of boxes
-costs its support and a dense field its whole grid. It folds the kept xi1
-rows that share a weight (the weight sees xi1 only through (xi1 + c0)^2,
-so at c0 = 0 rows k1 and -k1 fold), then contracts |c|^2 with the b-weight
-chunk by chunk in one reused tau-major buffer. At N = 64 on the
-criterion-6 grid the output's weight covers 192 x 10 x 32 points, not
-257 x 32 x 512.
+K is a Fourier multiplier, so Y lives on the xi2 pair columns P2 =
+supp(u2) - supp(v2) mod M, B on S1 x S2 and c on S3, where each S is the
+cyclic support sum supp(u) - supp(v) + supp(w) mod M of one axis's factors.
+separable_output_spectrum builds Y and its symbol on the P2 columns only,
+applies C1 by an ifft, a product with w1 and an fft along xi1 on those
+columns, keeps the S1 rows, and applies C2 as one |S1| x |P2| x |S2|
+matrix product with w's xi2 data. It returns B as that block on S1 x S2:
+what the transforms would leave outside it is roundoff (at N = 64 on the
+criterion-6 grid, |B|^2 <= 3.5e-20 off S1 x S2 against 1 to 1.5e11 on it),
+and |c|^2 <= 1.4e-30 off S3 against 1 to 144 on it is set to exact zeros.
+There, with M = 512, Y has 17 columns and B is 382 x 32. The X^{s,b} norm
+of B (x) c weights only the block and the tau samples that are not exactly
+zero, so a product of boxes costs its support. It folds the block rows that
+share a weight (the weight sees xi1 only through (xi1 + c0)^2, so at c0 = 0
+rows k1 and -k1 fold), then contracts |c|^2 with the b-weight chunk by
+chunk in one reused tau-major buffer. At N = 64 on the criterion-6 grid the
+output's weight covers 192 x 10 x 32 points, not 257 x 32 x 512.
 
 trilinear_output_spectrum, trilinear_ratio, output_ratio and xsb_norm (with
 its dense weight) are the general-field oracle on dense fields; knapp_triple
@@ -44,12 +48,12 @@ expands the factors into those fields.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import spectral_core
 from ..spectral_core import FOURIER, GridSpec, loglog_slope
 from .spacetime import (
     SpaceTimeField,
@@ -58,11 +62,9 @@ from .spacetime import (
     xsb_norm,
 )
 
-# xi1 rows per chunk: of outer(w1, w2) in separable_output_spectrum, so no
-# second M x M array is built, and of folded rows per weight chunk in
-# separable_xsb_norm, whose one reused (_ROW_CHUNK, kept taus, kept columns)
-# buffer holds at most 2 MB at M = 512, M_t = 32, and 41 kB on the N = 64
-# Knapp output (10 taus, 32 columns)
+# folded xi1 rows per weight chunk of the block norm, whose one reused
+# (_ROW_CHUNK, kept taus, columns) buffer holds at most 2 MB at M = 512,
+# M_t = 32, and 41 kB on the N = 64 Knapp output (10 taus, 32 columns)
 _ROW_CHUNK = 16
 
 
@@ -76,6 +78,10 @@ class KnappConfig:
     b: float = 0.51
 
     def __post_init__(self) -> None:
+        for name in ("N", "s", "a", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.N >= 4:
             raise ValueError(f"N must be >= 4, got {self.N}")
 
@@ -163,10 +169,10 @@ def _product_carrier(cu: tuple, cv: tuple, cw: tuple) -> tuple:
     return tuple(a - b + c for a, b, c in zip(cu, cv, cw))
 
 
-def _pair_symbol(sp: GridSpec, d1: float, d2: float, c1: float, c2: float) -> np.ndarray:
-    """c1 + c2 alpha on the lattice shifted by the carrier difference (d1, d2) of u and v."""
-    xi1_sq = ((sp.frequencies + d1) ** 2)[:, None]
-    xi_sq = xi1_sq + (sp.frequencies + d2) ** 2
+def _pair_symbol(xi1: np.ndarray, xi2: np.ndarray, c1: float, c2: float) -> np.ndarray:
+    """c1 + c2 alpha on the true frequencies xi1 (rows) x xi2 (columns) of u conj(v)."""
+    xi1_sq = (xi1**2)[:, None]
+    xi_sq = xi1_sq + xi2**2
     # alpha = 0 at xi = 0, where xi_sq stays 0
     alpha = np.divide(xi1_sq, xi_sq, out=xi_sq, where=xi_sq > 0)
     alpha *= c2
@@ -192,9 +198,10 @@ def trilinear_output_spectrum(
     pair = to_physical3(u).values * np.conj(to_physical3(v).values)
     pair_hat = np.fft.fft2(pair, axes=(0, 1), norm="forward")
     del pair
+    freqs = grid.spatial.frequencies
     d1 = u.xi1_offset - v.xi1_offset
     d2 = u.xi2_offset - v.xi2_offset
-    pair_hat *= _pair_symbol(grid.spatial, d1, d2, c1, c2)[:, :, None]
+    pair_hat *= _pair_symbol(freqs + d1, freqs + d2, c1, c2)[:, :, None]
     acted = np.fft.ifft2(pair_hat, axes=(0, 1), norm="forward")
     del pair_hat
     acted *= to_physical3(w).values
@@ -234,14 +241,18 @@ def _cyclic_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return full[: a.size] > 0
 
 
-def _support_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Mask of supp(a) - supp(b) + supp(c) mod M: the support of a conj(b) c's spectrum.
+def _pair_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of supp(a) - supp(b) mod M: the support of a conj(b)'s spectrum.
 
-    Indices are FFT-ordered lattice indices of three 1D Fourier factors; the
+    Indices are FFT-ordered lattice indices of 1D Fourier factors; the
     conjugated factor's support is reflected, k -> -k mod M.
     """
-    minus_b = np.roll(b[::-1] != 0, 1)
-    return _cyclic_sum(_cyclic_sum(a != 0, minus_b), c != 0)
+    return _cyclic_sum(a != 0, np.roll(b[::-1] != 0, 1))
+
+
+def _support_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Mask of supp(a) - supp(b) + supp(c) mod M: the support of a conj(b) c's spectrum."""
+    return _cyclic_sum(_pair_support(a, b), c != 0)
 
 
 def separable_output_spectrum(
@@ -251,64 +262,42 @@ def separable_output_spectrum(
     grid: SpaceTimeGrid,
     c1: float,
     c2: float,
-) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(B, c, carrier): the Fourier data of (c1 I + c2 K)(u conj(v)) w is B (x) c.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """(rows, cols, block, tau, carrier): the Fourier data of (c1 I + c2 K)(u conj(v)) w.
 
-    Equals trilinear_output_spectrum on the dense expansions of u, v and w,
-    and is exactly zero off the support sums of their factors.
+    That data is B (x) tau, where B is block on the xi1 rows x xi2 columns
+    (sorted index arrays: the support sums of the factors) and exactly zero
+    elsewhere, and tau is exactly zero off its own support sum. Expanded, it
+    equals trilinear_output_spectrum on the dense expansions of u, v and w.
     """
     u1, u2, u3 = u.physical()
     v1, v2, v3 = v.physical()
-    w1, w2, w3 = w.physical()
+    w1, _, w3 = w.physical()
+    # Y = (P1 (x) P2)(c1 + c2 alpha) lives on the pair columns supp(u2) - supp(v2)
+    pair_cols = np.flatnonzero(_pair_support(u.xi2, v.xi2))
     p1 = np.fft.fft(u1 * np.conj(v1), norm="forward")
-    p2 = np.fft.fft(u2 * np.conj(v2), norm="forward")
+    p2 = np.fft.fft(u2 * np.conj(v2), norm="forward")[pair_cols]
+    freqs = grid.spatial.frequencies
     d1 = u.carrier[0] - v.carrier[0]
     d2 = u.carrier[1] - v.carrier[1]
-    pair_hat = np.outer(p1, p2)
-    pair_hat *= _pair_symbol(grid.spatial, d1, d2, c1, c2)
-    acted = spectral_core.ifft2_into(pair_hat, pair_hat)
-    for start in range(0, acted.shape[0], _ROW_CHUNK):
-        acted[start : start + _ROW_CHUNK] *= np.outer(w1[start : start + _ROW_CHUNK], w2)
+    acted = np.outer(p1, p2)
+    acted *= _pair_symbol(freqs + d1, freqs[pair_cols] + d2, c1, c2)
+    # xi1: circular convolution with the Fourier data of w1, by transforms
+    # along axis 0 of the pair columns only
+    np.fft.ifft(acted, axis=0, norm="forward", out=acted)
+    acted *= w1[:, None]
+    np.fft.fft(acted, axis=0, norm="forward", out=acted)
+    rows = np.flatnonzero(_support_sum(u.xi1, v.xi1, w.xi1))
+    cols = np.flatnonzero(_support_sum(u.xi2, v.xi2, w.xi2))
+    # xi2: circular convolution with w's xi2 factor, one |pair_cols| x |cols|
+    # product; what the xi1 transforms leave off rows is roundoff, dropped
+    m = grid.spatial.modes_per_axis
+    block = acted[rows] @ w.xi2[(cols[None, :] - pair_cols[:, None]) % m]
     tau = np.fft.fft(u3 * np.conj(v3) * w3, norm="forward")
-    if not (np.all(np.isfinite(acted)) and np.all(np.isfinite(tau))):
+    if not (np.all(np.isfinite(block)) and np.all(np.isfinite(tau))):
         raise ValueError("values must be finite")
-    # K is a Fourier multiplier, so the output lives on the support sums of
-    # the factors: the xi1 transform runs on the kept xi2 columns only, and
-    # what the transforms leave outside the sums is roundoff, set to zero
-    rows = _support_sum(u.xi1, v.xi1, w.xi1)
-    cols = _support_sum(u.xi2, v.xi2, w.xi2)
-    spatial = np.fft.fft(acted, axis=1, norm="forward", out=acted)
-    block = np.fft.fft(spatial[:, cols], axis=0, norm="forward")
-    block[~rows] = 0.0
-    spatial[...] = 0.0
-    spatial[:, cols] = block
     tau[~_support_sum(u.tau, v.tau, w.tau)] = 0.0
-    return spatial, tau, _product_carrier(u.carrier, v.carrier, w.carrier)
-
-
-def separable_xsb_norm(
-    grid: SpaceTimeGrid,
-    spatial: np.ndarray,
-    tau: np.ndarray,
-    carrier: tuple,
-    s: float,
-    b: float,
-) -> float:
-    """xsb_norm of the field with Fourier values spatial (x) tau and this carrier.
-
-    Only the support is weighted: xi1 rows, xi2 columns and tau samples that
-    are exactly zero are skipped, so a field of product boxes costs its
-    support and a dense field its whole grid. The weight depends on xi1 only
-    through (xi1 + c0)^2, so the kept xi1 rows are grouped by that value and
-    |spatial|^2 is summed over each group before weighting (every Knapp field
-    has c0 = 0, so rows k1 and -k1 share one weight). Per chunk of _ROW_CHUNK
-    groups the tau-major b-weight <tau + |xi|^2>^{2b} is built in place in one
-    (_ROW_CHUNK, kept taus, kept columns) buffer, contracted with |tau|^2 and
-    only then scaled by <xi>^{2s}.
-    """
-    rows = np.flatnonzero(np.any(spatial, axis=1))
-    cols = np.flatnonzero(np.any(spatial, axis=0))
-    return _block_norm(grid, rows, cols, spatial[np.ix_(rows, cols)], tau, carrier, s, b)
+    return rows, cols, block, tau, _product_carrier(u.carrier, v.carrier, w.carrier)
 
 
 def _block_norm(
@@ -321,7 +310,18 @@ def _block_norm(
     s: float,
     b: float,
 ) -> float:
-    """separable_xsb_norm of a spatial factor whose nonzero values are block on rows x cols."""
+    """xsb_norm of the field with Fourier values B (x) tau and this carrier,
+    where B is block on the xi1 rows x xi2 columns and zero elsewhere.
+
+    Only the support is weighted: the block and the tau samples that are not
+    exactly zero, so a product of boxes costs its support, not the grid. The
+    weight depends on xi1 only through (xi1 + c0)^2, so the rows are grouped
+    by that value and |block|^2 is summed over each group before weighting
+    (every Knapp field has c0 = 0, so rows k1 and -k1 share one weight). Per
+    chunk of _ROW_CHUNK groups the tau-major b-weight <tau + |xi|^2>^{2b} is
+    built in place in one (_ROW_CHUNK, kept taus, columns) buffer, contracted
+    with |tau|^2 and only then scaled by <xi>^{2s}.
+    """
     kept = np.flatnonzero(tau)
     spatial_sq = block.real**2 + block.imag**2
     tau_sq = tau.real[kept] ** 2 + tau.imag[kept] ** 2
@@ -349,7 +349,7 @@ def _block_norm(
 
 
 def _packet_norm(f: BoxFactors, grid: SpaceTimeGrid, s: float, b: float) -> float:
-    """separable_xsb_norm of the packet, on the product of its factors' supports."""
+    """X^{s,b} norm of the packet, on the product of its factors' supports."""
     rows, cols = np.flatnonzero(f.xi1), np.flatnonzero(f.xi2)
     block = np.outer(f.xi1[rows], f.xi2[cols])
     return _block_norm(grid, rows, cols, block, f.tau, f.carrier, s, b)
@@ -366,6 +366,32 @@ class KnappSweepResult:
     v_slope: float
 
 
+def check_ladder(n_list, s: float, a: float, b: float, c1: float, c2: float) -> list:
+    """The ladder as floats, once every input of knapp_sweep is checked.
+
+    Raises ValueError naming the first bad input, before any grid or
+    transform is built: N values that are not finite, fewer than 4, not
+    geometrically spaced or not distinct; a KnappConfig field; c1 or c2
+    not finite.
+    """
+    n_list = [float(n) for n in n_list]
+    if not all(math.isfinite(n) for n in n_list):
+        raise ValueError(f"N values must be finite, got {n_list}")
+    if len(n_list) < 4:
+        raise ValueError("need at least 4 values of N")
+    quotients = [n_list[i + 1] / n_list[i] for i in range(len(n_list) - 1)]
+    if any(abs(q - quotients[0]) > 1e-12 * quotients[0] for q in quotients):
+        raise ValueError("N values must be geometrically spaced")
+    if abs(quotients[0] - 1.0) <= 1e-12:
+        raise ValueError("N values must be distinct: the common ratio is 1")
+    for n in n_list:
+        KnappConfig(N=n, s=s, a=a, b=b)
+    for name, value in (("c1", c1), ("c2", c2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    return n_list
+
+
 def knapp_sweep(
     n_list,
     s: float,
@@ -378,17 +404,11 @@ def knapp_sweep(
     """Fit log(ratio) against log(N) over a geometric ladder of box sizes.
 
     Ratios equal trilinear_ratio's on knapp_triple, computed on the 1D factors
-    (separable_output_spectrum, separable_xsb_norm); ||w|| = ||v|| is reused,
-    as w has v's factors and carrier.
+    (separable_output_spectrum and the block norm on its support); ||w|| =
+    ||v|| is reused, as w has v's factors and carrier. Every input is checked
+    (check_ladder) before the first transform.
     """
-    n_list = [float(n) for n in n_list]
-    if len(n_list) < 4:
-        raise ValueError("need at least 4 values of N")
-    quotients = [n_list[i + 1] / n_list[i] for i in range(len(n_list) - 1)]
-    if any(abs(q - quotients[0]) > 1e-12 * quotients[0] for q in quotients):
-        raise ValueError("N values must be geometrically spaced")
-    if abs(quotients[0] - 1.0) <= 1e-12:
-        raise ValueError("N values must be distinct: the common ratio is 1")
+    n_list = check_ladder(n_list, s, a, b, c1, c2)
     if grid is None:
         grid = knapp_grid(max(n_list))
     u_norms, v_norms, ratios = [], [], []
@@ -396,8 +416,8 @@ def knapp_sweep(
         fu, fv = knapp_factors(KnappConfig(N=n, s=s, a=a, b=b), grid)
         u_norms.append(_packet_norm(fu, grid, s, b))
         v_norms.append(_packet_norm(fv, grid, s, b))
-        spatial, tau, carrier = separable_output_spectrum(fu, fv, fv, grid, c1, c2)
-        num = separable_xsb_norm(grid, spatial, tau, carrier, s + a, b - 1.0)
+        rows, cols, block, tau, carrier = separable_output_spectrum(fu, fv, fv, grid, c1, c2)
+        num = _block_norm(grid, rows, cols, block, tau, carrier, s + a, b - 1.0)
         ratios.append(num / (u_norms[-1] * v_norms[-1] * v_norms[-1]))
     return KnappSweepResult(
         n_values=tuple(n_list),

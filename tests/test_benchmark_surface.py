@@ -6,7 +6,8 @@ These tests read layers.py and workloads.py with ast: every name taken from
 an imported dslab module must exist, and every call of such a name must
 pass only keywords its signature accepts.  The workload configs, and the
 README's ini examples, must also pass the command line's config checks, and
-the blocks workload must reproduce its committed reference outputs.
+the blocks and knapp workloads must reproduce their committed reference
+outputs.
 """
 import ast
 import importlib
@@ -190,14 +191,17 @@ def test_readme_configs_pass_the_config_checks(command, text, tmp_path, monkeypa
     _passes_config_checks(command, text, tmp_path, monkeypatch)
 
 
-def test_blocks_workload_matches_its_reference(tmp_path):
-    # the blocks workload takes about a second, so drift in the block engine's
-    # outputs fails here and not only in the benchmark
-    wl = WORKLOADS.WORKLOADS["blocks"]
+@pytest.mark.parametrize("name", ["blocks", "knapp"])
+def test_workload_matches_its_reference(name, tmp_path):
+    # each of these workloads takes about a second, so drift in the block or
+    # Knapp engine's outputs fails here and not only in the benchmark
+    wl = WORKLOADS.WORKLOADS[name]
     seed = wl.dslab_seed(WORKLOADS.DEFAULT_SEED)
     with open(WORKLOADS.reference_path(wl), encoding="utf-8") as fh:
-        assert json.load(fh)["seed"] == seed  # else check_outputs skips the comparison
-    path = tmp_path / "blocks.ini"
+        # a seed-free reference (null) applies to any seed; any other
+        # reference seed must match, else check_outputs skips the comparison
+        assert json.load(fh)["seed"] == (None if wl.seed_free else seed)
+    path = tmp_path / f"{name}.ini"
     path.write_text(WORKLOADS.config_text(wl.config), encoding="utf-8")
     out = tmp_path / "out"
     argv = [wl.command, "--config", str(path), "--out", str(out)]

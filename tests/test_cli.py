@@ -1,5 +1,9 @@
 """Exit codes, manifests, and byte-level determinism of the command line."""
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -340,6 +344,49 @@ class TestKnapp:
         out = tmp_path / "o"
         assert main(["knapp", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("n_values = 8, 16, 32, inf", "N values must be finite"),
+            ("n_values = nan, 16, 32, 64", "N values must be finite"),
+            ("s = nan", "s must be finite"),
+            ("a = inf", "a must be finite"),
+            ("b = -inf", "b must be finite"),
+            ("c1 = inf", "c1 must be finite"),
+            ("c2 = nan", "c2 must be finite"),
+        ],
+    )
+    def test_non_finite_input_exits_two_before_any_transform(
+        self, line, message, tmp_path, capsys, monkeypatch
+    ):
+        # an infinite N overflowed with a traceback (exit 1), a non-finite
+        # exponent ran the whole sweep before the slope fit failed, and a
+        # NaN c2 failed only after the transforms
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, refuse_call)
+        cfg = write_config(tmp_path, f"[knapp]\n{line}\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["knapp", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert output_files(out) == []
+
+    def test_table_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the output block is a matrix product, so BLAS runs it; the ladder
+        # of the benchmark's knapp workload (M = 512) must not move with the
+        # thread count BLAS is given
+        cfg = write_config(tmp_path, "[knapp]\nn_values = 8, 16, 32, 64\ngrid_n = 64\n")
+        src = str(pathlib.Path(dslab.cli.__file__).parents[1])
+        tables = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = tmp_path / f"o{threads}"
+            argv = ["-m", "dslab.cli", "knapp", "--config", cfg, "--out", str(out)]
+            subprocess.run([sys.executable, *argv], env=env, check=True)
+            tables.append((out / "knapp.csv").read_bytes())
+        assert tables[0] == tables[1]
 
 
 class TestAttractor:

@@ -334,6 +334,19 @@ class TestSmoothingReport:
         rep = smoothing_report(u0, cfg, s=0.6, a=0.05)
         assert np.max(rep.nonlinear_norms) <= 1e-12 * sobolev_norm(u0, 0.65)
 
+    @pytest.mark.parametrize("a", [0.05, 0.3])
+    def test_roundoff_is_neither_anchor_nor_violation(self, a):
+        # a free run leaves only roundoff (about 8e-15 of the datum's norm);
+        # anchored at it, the envelope flagged the later samples as violations
+        grid = GridSpec(32, TWO_PI)
+        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
+        with pytest.warns(UserWarning):  # c1 + c2 = 0, and a = 0.3 is out of range
+            cfg = SolverConfig(c1=0.0, c2=0.0, dt=0.01, t_end=1.0, sample_every=25)
+            rep = smoothing_report(u0, cfg, s=0.6, a=a)
+        assert 0.0 < np.max(rep.nonlinear_norms) <= 1e-12 * sobolev_norm(u0, 0.6 + a)
+        assert rep.envelope_constant == 0.0
+        assert not rep.violations.any()
+
     def test_split_is_against_the_integrated_datum(self):
         # with dealiasing the datum integrated is the masked one, not u0
         grid = GridSpec(32, TWO_PI)

@@ -21,9 +21,9 @@ from dslab.xsb_analysis import (
 )
 from dslab.xsb_analysis.knapp import (
     BoxFactors,
+    _block_norm,
     output_ratio,
     separable_output_spectrum,
-    separable_xsb_norm,
     trilinear_output_spectrum,
 )
 
@@ -133,6 +133,14 @@ class TestKnappGeometry:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             KnappConfig(N=2, s=0.6, a=0.3)
+
+    @pytest.mark.parametrize("field", ["N", "s", "a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_is_named(self, field, value):
+        kwargs = dict(N=8.0, s=0.6, a=0.3, b=0.51)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            KnappConfig(**kwargs)
 
     def test_grid_layout(self):
         g = knapp_grid(8)
@@ -313,6 +321,13 @@ class TestTrilinearRatio:
         assert output_ratio(out, 0.6, 0.3, 0.51) / den == pytest.approx(direct, rel=1e-13)
 
 
+def expand(rows, cols, block, tau, m):
+    """The (M, M, M_t) Fourier data of a block spectrum, zero off rows x cols."""
+    spatial = np.zeros((m, m), dtype=complex)
+    spatial[np.ix_(rows, cols)] = block
+    return spatial[:, :, None] * tau[None, None, :]
+
+
 class TestSeparableEngine:
     @pytest.mark.parametrize("n_max", [4, 8, 16])
     @pytest.mark.parametrize("c1, c2", [(1.3, 0.7), (1.0, 0.0), (0.0, 1.0)])
@@ -320,9 +335,9 @@ class TestSeparableEngine:
         g = knapp_grid(n_max)
         cfg = KnappConfig(N=n_max, s=0.6, a=0.3)
         fu, fv = knapp_factors(cfg, g)
-        spatial, tau, carrier = separable_output_spectrum(fu, fv, fv, g, c1, c2)
+        rows, cols, block, tau, carrier = separable_output_spectrum(fu, fv, fv, g, c1, c2)
         oracle = trilinear_output_spectrum(*knapp_triple(cfg, g), c1, c2)
-        expanded = spatial[:, :, None] * tau[None, None, :]
+        expanded = expand(rows, cols, block, tau, g.spatial.modes_per_axis)
         scale = np.max(np.abs(oracle.values))
         assert np.max(np.abs(expanded - oracle.values)) <= 1e-12 * scale
         assert carrier == oracle.carrier
@@ -339,10 +354,12 @@ class TestSeparableEngine:
         fu = factors((0.5, 2.0, -3.0))
         fv = factors((-1.0, 0.25, 1.0))
         fw = factors((0.0, -1.5, 2.0))
-        spatial, tau, carrier = separable_output_spectrum(fu, fv, fw, g, 0.8, 1.7)
+        rows, cols, block, tau, carrier = separable_output_spectrum(fu, fv, fw, g, 0.8, 1.7)
+        # dense factors: the block is the whole grid
+        assert np.array_equal(rows, np.arange(m)) and np.array_equal(cols, np.arange(m))
         dense = [SpaceTimeField(g, f.dense(), FOURIER, *f.carrier) for f in (fu, fv, fw)]
         oracle = trilinear_output_spectrum(*dense, 0.8, 1.7)
-        expanded = spatial[:, :, None] * tau[None, None, :]
+        expanded = expand(rows, cols, block, tau, m)
         assert np.max(np.abs(expanded - oracle.values)) <= 1e-12 * np.max(np.abs(oracle.values))
         assert carrier == oracle.carrier
 
@@ -363,19 +380,21 @@ class TestSeparableEngine:
         g = knapp_grid(n_max)
         cfg = KnappConfig(N=n_max, s=0.6, a=0.3)
         fu, fv = knapp_factors(cfg, g)
-        spatial, tau, _ = separable_output_spectrum(fu, fv, fv, g, 1.0, 1.0)
-        rows = self.support_sum(fu.xi1, fv.xi1, fv.xi1)
-        cols = self.support_sum(fu.xi2, fv.xi2, fv.xi2)
+        rows, cols, block, tau, _ = separable_output_spectrum(fu, fv, fv, g, 1.0, 1.0)
+        in_rows = self.support_sum(fu.xi1, fv.xi1, fv.xi1)
+        in_cols = self.support_sum(fu.xi2, fv.xi2, fv.xi2)
         taus = self.support_sum(fu.tau, fv.tau, fv.tau)
-        assert not rows.all() and not cols.all() and not taus.all()
-        assert np.all(spatial[~rows] == 0.0) and np.all(spatial[:, ~cols] == 0.0)
+        assert not in_rows.all() and not in_cols.all() and not taus.all()
+        assert np.array_equal(rows, np.flatnonzero(in_rows))
+        assert np.array_equal(cols, np.flatnonzero(in_cols))
+        assert block.shape == (rows.size, cols.size)
         assert np.all(tau[~taus] == 0.0)
-        # what was zeroed is roundoff in the dense oracle too
+        # what lies outside the block is roundoff in the dense oracle too
         oracle = trilinear_output_spectrum(*knapp_triple(cfg, g), 1.0, 1.0).values
-        inside = rows[:, None, None] & cols[None, :, None] & taus[None, None, :]
+        inside = in_rows[:, None, None] & in_cols[None, :, None] & taus[None, None, :]
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(np.where(inside, 0.0, oracle))) <= 1e-12 * scale
-        expanded = spatial[:, :, None] * tau[None, None, :]
+        expanded = expand(rows, cols, block, tau, g.spatial.modes_per_axis)
         assert np.max(np.abs(expanded - oracle)) <= 1e-12 * scale
 
     def test_sparse_random_factors_wrap_around_and_match_dense_oracle(self):
@@ -396,16 +415,30 @@ class TestSeparableEngine:
         fu = factors((0.5, 2.0, -3.0))
         fv = factors((-1.0, 0.25, 1.0))
         fw = factors((0.0, -1.5, 2.0))
-        spatial, tau, _ = separable_output_spectrum(fu, fv, fw, g, 0.8, 1.7)
-        rows = self.support_sum(fu.xi1, fv.xi1, fw.xi1)
-        cols = self.support_sum(fu.xi2, fv.xi2, fw.xi2)
-        taus = self.support_sum(fu.tau, fv.tau, fw.tau)
-        assert np.all(spatial[~rows] == 0.0) and np.all(spatial[:, ~cols] == 0.0)
-        assert np.all(tau[~taus] == 0.0)
+        rows, cols, block, tau, _ = separable_output_spectrum(fu, fv, fw, g, 0.8, 1.7)
+        assert np.array_equal(rows, np.flatnonzero(self.support_sum(fu.xi1, fv.xi1, fw.xi1)))
+        assert np.array_equal(cols, np.flatnonzero(self.support_sum(fu.xi2, fv.xi2, fw.xi2)))
+        assert np.all(tau[~self.support_sum(fu.tau, fv.tau, fw.tau)] == 0.0)
         dense = [SpaceTimeField(g, f.dense(), FOURIER, *f.carrier) for f in (fu, fv, fw)]
         oracle = trilinear_output_spectrum(*dense, 0.8, 1.7)
-        expanded = spatial[:, :, None] * tau[None, None, :]
+        expanded = expand(rows, cols, block, tau, m)
         assert np.max(np.abs(expanded - oracle.values)) <= 1e-12 * np.max(np.abs(oracle.values))
+
+    def test_engine_allocates_less_than_one_square_array(self):
+        # at N = 64 on the criterion-6 grid (M = 512) the output lives on
+        # 382 x 32 of the 512 x 512 spatial modes; the engine works on the
+        # 17 pair columns and that block, never on an M x M array
+        g = knapp_grid(64)
+        m = g.spatial.modes_per_axis
+        fu, fv = knapp_factors(KnappConfig(N=64, s=0.6, a=0.3), g)
+        separable_output_spectrum(fu, fv, fv, g, 1.0, 1.0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            separable_output_spectrum(fu, fv, fv, g, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * np.dtype(np.complex128).itemsize
 
     # rows with equal (xi1 + c0)^2 are folded: k1 with -k1 at c0 = 0, and
     # k1 with -2 - k1 at c0 = 0.5, half the lattice step
@@ -417,15 +450,15 @@ class TestSeparableEngine:
         rng = np.random.default_rng(5)
         m, mt = g.spatial.modes_per_axis, g.time_samples
         # rows k1 and -k1 differ; row k1 = -M/2 (index M/2) has no mirror
-        spatial = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        spatial[3:6] = 0.0  # vanishing rows are skipped, their mirrors are not
-        spatial[:, [0, 7, 8, 15]] = 0.0  # so are vanishing columns
+        rows = np.r_[0:3, 6:m]  # rows 3-5 lie outside the block, their mirrors do not
+        cols = np.r_[1:7, 9:15]  # so do columns 0, 7, 8 and 15
+        block = rng.standard_normal((rows.size, cols.size))
+        block = block + 1j * rng.standard_normal(block.shape)
         tau = rng.standard_normal(mt) + 1j * rng.standard_normal(mt)
-        tau[[0, 1, 30, 63]] = 0.0  # and vanishing tau samples
-        dense = SpaceTimeField(g, spatial[:, :, None] * tau[None, None, :], FOURIER, *carrier)
-        got = separable_xsb_norm(g, spatial, tau, carrier, 0.7, -0.4)
+        tau[[0, 1, 30, 63]] = 0.0  # vanishing tau samples are skipped
+        dense = SpaceTimeField(g, expand(rows, cols, block, tau, m), FOURIER, *carrier)
+        got = _block_norm(g, rows, cols, block, tau, carrier, 0.7, -0.4)
         assert got == pytest.approx(xsb_norm(dense, 0.7, -0.4), rel=1e-13)
-
 
     def test_output_norm_weights_only_the_support(self, monkeypatch):
         # the b-weight of the N = 64 output norm is built on the support sums
@@ -434,7 +467,7 @@ class TestSeparableEngine:
         g = knapp_grid(64)
         m, mt = g.spatial.modes_per_axis, g.time_samples
         fu, fv = knapp_factors(KnappConfig(N=64, s=0.6, a=0.3), g)
-        spatial, tau, carrier = separable_output_spectrum(fu, fv, fv, g, 1.0, 1.0)
+        rows, cols, block, tau, carrier = separable_output_spectrum(fu, fv, fv, g, 1.0, 1.0)
         weighted = []
         original = np.power
 
@@ -443,10 +476,10 @@ class TestSeparableEngine:
             return original(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "power", counted)
-        got = separable_xsb_norm(g, spatial, tau, carrier, 0.9, -0.49)
+        got = _block_norm(g, rows, cols, block, tau, carrier, 0.9, -0.49)
         monkeypatch.undo()
         assert 0 < sum(weighted) < (m // 2 + 1) * mt * m / 10
-        dense = SpaceTimeField(g, spatial[:, :, None] * tau[None, None, :], FOURIER, *carrier)
+        dense = SpaceTimeField(g, expand(rows, cols, block, tau, m), FOURIER, *carrier)
         assert got == pytest.approx(xsb_norm(dense, 0.9, -0.49), rel=1e-13)
 
 
@@ -458,6 +491,30 @@ class TestKnappSweep:
             knapp_sweep([8, 16, 32, 48], s=0.6, a=0.3)
         with pytest.raises(ValueError, match="distinct"):
             knapp_sweep([8, 8, 8, 8], s=0.6, a=0.3)
+
+    @pytest.mark.parametrize(
+        "n_list,kwargs,message",
+        [
+            ([8, 16, 32, np.inf], {}, "N values must be finite"),
+            ([8, 16, np.nan, 64], {}, "N values must be finite"),
+            ([8, 16, 32, 64], {"s": np.nan}, "s must be finite"),
+            ([8, 16, 32, 64], {"a": np.inf}, "a must be finite"),
+            ([8, 16, 32, 64], {"b": np.nan}, "b must be finite"),
+            ([8, 16, 32, 64], {"c1": -np.inf}, "c1 must be finite"),
+            ([8, 16, 32, 64], {"c2": np.nan}, "c2 must be finite"),
+        ],
+    )
+    def test_non_finite_input_is_refused_before_any_transform(
+        self, n_list, kwargs, message, monkeypatch
+    ):
+        def refuse(*args, **kw):
+            raise AssertionError("transform before the inputs were checked")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        params = dict(s=0.6, a=0.3) | kwargs
+        with pytest.raises(ValueError, match=f"^{message}"):
+            knapp_sweep(n_list, **params)
 
     def test_power_laws_and_spacing(self):
         grid = knapp_grid(32)
