@@ -274,7 +274,8 @@ def separable_output_spectrum(
     v1, v2, v3 = v.physical()
     w1, _, w3 = w.physical()
     # Y = (P1 (x) P2)(c1 + c2 alpha) lives on the pair columns supp(u2) - supp(v2)
-    pair_cols = np.flatnonzero(_pair_support(u.xi2, v.xi2))
+    pair_support = _pair_support(u.xi2, v.xi2)
+    pair_cols = np.flatnonzero(pair_support)
     p1 = np.fft.fft(u1 * np.conj(v1), norm="forward")
     p2 = np.fft.fft(u2 * np.conj(v2), norm="forward")[pair_cols]
     freqs = grid.spatial.frequencies
@@ -288,7 +289,7 @@ def separable_output_spectrum(
     acted *= w1[:, None]
     np.fft.fft(acted, axis=0, norm="forward", out=acted)
     rows = np.flatnonzero(_support_sum(u.xi1, v.xi1, w.xi1))
-    cols = np.flatnonzero(_support_sum(u.xi2, v.xi2, w.xi2))
+    cols = np.flatnonzero(_cyclic_sum(pair_support, w.xi2 != 0))
     # xi2: circular convolution with w's xi2 factor, one |pair_cols| x |cols|
     # product; what the xi1 transforms leave off rows is roundoff, dropped
     m = grid.spatial.modes_per_axis
