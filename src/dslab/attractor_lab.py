@@ -126,7 +126,8 @@ class EnergyReport:
     """Balance series plus (optionally) the ensemble absorbing-ball fit.
 
     times/energy/source/residuals hold the audited identity at interior
-    sample points.  The remaining fields are filled by absorbing_experiment:
+    sample points; they are empty, and max_residual is None, when the run
+    was not audited.  The remaining fields are filled by absorbing_experiment:
     one H^1 history and one fitted radius per member, aggregate fit values,
     per-member entry times into the 1.1 * fit_radius ball (nan when a member
     never settles), and the list of members whose exponential fit failed.
@@ -136,7 +137,7 @@ class EnergyReport:
     energy: np.ndarray
     source: np.ndarray
     residuals: np.ndarray
-    max_residual: float
+    max_residual: Optional[float]
     h1_series: tuple = ()
     member_radius: tuple = ()
     fit_amplitude: Optional[float] = None
@@ -149,7 +150,7 @@ class EnergyReport:
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.residuals)):
-            raise ValueError("residual series must be finite")
+            raise FloatingPointError("residual series must be finite")
         if self.fit_rate is not None and not self.fit_rate > 0:
             raise ValueError("fitted decay rate must be positive")
 
@@ -177,8 +178,8 @@ def energy_balance_residual(traj: SampleSeries, cfg: SolverConfig) -> EnergyRepo
     SampleRecorder recorded per sample (a Trajectory from evolve is one such
     series), so no field is transformed here; cfg must be the config the run
     used.  dE/dt is a centered difference over interior samples only; too
-    few or too sparse samples (_audit_refusal) and a non-finite residual
-    raise ValueError.
+    few or too sparse samples (_audit_refusal) raise ValueError, and a
+    non-finite residual (the energy overflowed) FloatingPointError.
     """
     t = np.asarray(traj.times, dtype=float)
     refusal = _audit_refusal(t, cfg.dt)
@@ -193,7 +194,7 @@ def energy_balance_residual(traj: SampleSeries, cfg: SolverConfig) -> EnergyRepo
         energy=e[1:-1],
         source=source[1:-1],
         residuals=residuals,
-        max_residual=float(np.max(np.abs(residuals))) if len(residuals) else 0.0,
+        max_residual=float(np.max(np.abs(residuals))),
     )
 
 
@@ -220,11 +221,11 @@ def _member_stream(ens: EnsembleConfig, cfg: SolverConfig):
 
 def _audit(series: SampleSeries, cfg: SolverConfig) -> EnergyReport:
     """energy_balance_residual, or a report with no residuals (max_residual
-    0.0) when the samples are too few or too sparse for it.  Any other fault,
-    such as a non-finite residual, raises."""
+    None) when the samples are too few or too sparse for it.  Any other
+    fault, such as a non-finite residual, raises."""
     if _audit_refusal(series.times, cfg.dt) is not None:
         empty = np.zeros(0)
-        return EnergyReport(empty, empty, empty, empty, 0.0)
+        return EnergyReport(empty, empty, empty, empty, None)
     return energy_balance_residual(series, cfg)
 
 
@@ -270,7 +271,7 @@ def absorbing_experiment(ens: EnsembleConfig) -> EnergyReport:
     The members are stepped as one stack in one pass that keeps only scalar
     series: every member's H^1 norm per sample, and member 0's recorded
     series, which feed the balance audit when the sampling is dense enough
-    for it (otherwise the balance series are empty and max_residual is 0.0).
+    for it (otherwise the balance series are empty and max_residual is None).
     """
     cfg = ens.solver_config()
     member0, h1 = SampleRecorder(ens.grid, cfg.c1, cfg.c2, cfg.forcing), []
@@ -397,6 +398,5 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
         "free_h1a": free_part,
         "shift_h1a": sobolev_norm(g, s_up),
         "pairwise_h1": pairwise,
-        # an audited run has at least one interior residual
-        "max_balance_residual": balance.max_residual if len(balance.residuals) else None,
+        "max_balance_residual": balance.max_residual,
     }

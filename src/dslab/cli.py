@@ -14,7 +14,8 @@ of the inputs, and step/wall-clock counts.  Each file is written under a
 temporary name and renamed into place once the command has succeeded, so a
 failed run leaves no outputs in --out.  Runs with the same content hash
 produce byte-identical CSVs.  Exit codes: 0 on success, 2 for configuration
-errors, 3 when the integrator hits non-finite values.
+errors, 3 when the integrator or the energy-balance audit hits non-finite
+values.
 """
 from __future__ import annotations
 
@@ -402,10 +403,7 @@ def cmd_attractor(get: _Reader, seed: int, threads: int):
             entry_times=list(report.entry_times),
             absorbed=report.absorbed,
             fit_failures=list(report.fit_failures),
-            # an audited run has at least one interior residual
-            max_balance_residual=_balance_residual(
-                report.max_residual if len(report.residuals) else None
-            ),
+            max_balance_residual=_balance_residual(report.max_residual),
         )
     elif experiment == "compactness":
         table = compactness_probe(ens)
@@ -516,7 +514,7 @@ def main(argv: Optional[list] = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationAbort as exc:
+    except (IntegrationAbort, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -230,7 +230,9 @@ def refinement_study(
     Runs the same datum law at each resolution (same L, nested phases) and
     returns per-resolution norms plus fitted log-log slopes: the linear part
     (slope near a), the plain remainder (which tracks it) and the gauged one
-    (slope near zero; see the module docstring).  Each grid streams through
+    (slope near zero; see the module docstring).  A column with a norm that
+    is not positive (a zero-amplitude datum, say) has no log-log fit, and its
+    slope is None.  Each grid streams through
     sample_stream and keeps two fields, whatever cfg.sample_every is: the
     step-0 state (the datum as integrated) and the last one.
     """
@@ -261,9 +263,9 @@ def refinement_study(
             }
         )
 
-    def column_slope(key: str) -> float:
+    def column_slope(key: str) -> Optional[float]:
         vals = np.array([row[key] for row in rows])
-        return loglog_slope([row["M"] for row in rows], vals) if np.all(vals > 0) else 0.0
+        return loglog_slope([row["M"] for row in rows], vals) if np.all(vals > 0) else None
 
     return {
         "rows": rows,

@@ -36,28 +36,6 @@ def _is_dyadic(x: float) -> bool:
     return abs(e - round(e)) < 1e-12
 
 
-def resonance_h(xi1, xi2, xi3, signs=(1, 1, -1)) -> float:
-    """Signed sum of dispersion relations sum_j sign_j |xi_j|^2.
-
-    The frequency triple must close (xi1 + xi2 + xi3 = 0); on that
-    hyperplane the (+,+,-) pattern collapses to -2 xi1.xi2, which vanishes
-    exactly when xi1 and xi2 are orthogonal.
-    """
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    xi3 = np.asarray(xi3, dtype=float)
-    if xi1.shape != (2,) or xi2.shape != (2,) or xi3.shape != (2,):
-        raise ValueError("frequencies must be 2-vectors")
-    if len(signs) != 3 or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be a triple of +1/-1")
-    scale = max(1.0, np.max(np.abs([xi1, xi2, xi3])))
-    if np.max(np.abs(xi1 + xi2 + xi3)) > 1e-9 * scale:
-        raise ValueError("frequencies must sum to zero")
-    return float(
-        signs[0] * xi1 @ xi1 + signs[1] * xi2 @ xi2 + signs[2] * xi3 @ xi3
-    )
-
-
 @dataclass(frozen=True)
 class DyadicBlockSpec:
     """Dyadic shell sizes for one block; see module docstring for shells."""

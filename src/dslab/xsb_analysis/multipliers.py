@@ -3,9 +3,10 @@
 A [k;Z] norm is the best constant in |sum_Gamma m prod f_j| <= C prod ||f_j||
 with counting measure on the hyperplane sum(zeta_j) = 0. Exact evaluation is
 an injective tensor norm (NP-hard for k >= 3), so k = 3 is estimated from
-below by alternating maximization over the three test functions; exact
-oracles exist for k = 2 (largest singular value) and for product multipliers
-via the TT* identity, and those anchor the estimator's accuracy in tests.
+below by alternating maximization over the three test functions, and
+upper_3Z_bound brackets it from above. For k = 2 the norm is exact (the
+largest singular value, norm_2Z); with ttstar_pair it checks the TT*
+identity, acceptance criterion 8, and anchors nothing in the k = 3 engine.
 
 Each slot update of the estimator costs one gather (the updated test
 function onto the support rows, kept until it changes again), one product
@@ -205,18 +206,6 @@ def upper_3Z_bound(m: Gamma3Multiplier) -> float:
     return float(min(bounds))
 
 
-def gamma2_matrix(n: int, entry) -> np.ndarray:
-    """Dense bilinear form of a multiplier on Gamma_2(Z_n): xi2 = -xi1 mod n.
-
-    entry(xi1, xi2) gives the multiplier value on the hyperplane.
-    """
-    a = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        j = (-i) % n
-        a[i, j] = entry(i, j)
-    return a
-
-
 def norm_2Z(matrix: np.ndarray) -> float:
     """Exact [2;Z] norm of a dense two-slot multiplier: top singular value."""
     if matrix.ndim != 2:
@@ -227,47 +216,12 @@ def norm_2Z(matrix: np.ndarray) -> float:
 
 
 def ttstar_pair(m_values: np.ndarray) -> np.ndarray:
-    """Two-slot multiplier m(xi1) conj(m(-xi2)) on Gamma_2(Z_n)."""
+    """Dense form of the two-slot multiplier m(xi1) conj(m(-xi2)) on
+    Gamma_2(Z_n), the hyperplane xi2 = -xi1 mod n: |m(i)|^2 at (i, -i mod n),
+    zero elsewhere."""
     m_values = np.asarray(m_values)
     n = len(m_values)
-    return gamma2_matrix(n, lambda i, j: m_values[i] * np.conj(m_values[(-j) % n]))
-
-
-def one_slot_pair(m_values: np.ndarray) -> np.ndarray:
-    """Two-slot multiplier depending on xi1 only, on Gamma_2(Z_n)."""
-    m_values = np.asarray(m_values)
-    return gamma2_matrix(len(m_values), lambda i, j: m_values[i])
-
-
-def estimate_2Z_norm(
-    matrix: np.ndarray,
-    restarts: int = 8,
-    iters: int = 200,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> float:
-    """Alternating-maximization counterpart of norm_2Z, for cross-checks."""
-    if not np.any(matrix):
-        return 0.0
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    n1, n2 = matrix.shape
-    for r in range(restarts):
-        if r == 0:
-            g = np.ones(n2, dtype=np.complex128) / np.sqrt(n2)
-        else:
-            g = rng.standard_normal(n2) + 1j * rng.standard_normal(n2)
-            g /= np.linalg.norm(g)
-        value = 0.0
-        for _ in range(iters):
-            t = matrix @ g
-            f = np.conj(t) / np.linalg.norm(t)
-            t2 = matrix.T @ f
-            norm = np.linalg.norm(t2)
-            g = np.conj(t2) / norm
-            if abs(norm - value) <= tol * max(norm, 1e-300):
-                value = norm
-                break
-            value = norm
-        best = max(best, float(value))
-    return best
+    rows = np.arange(n)
+    form = np.zeros((n, n), dtype=np.complex128)
+    form[rows, (-rows) % n] = m_values * np.conj(m_values)
+    return form

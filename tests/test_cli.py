@@ -278,6 +278,20 @@ class TestSmoothing:
             assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 0
         assert read_manifest(out)["details"]["exploratory"] is False
 
+    def test_zero_amplitude_writes_no_slopes(self, tmp_path):
+        # every norm is zero, so no column has a log-log fit; a slope of 0.0
+        # would read as perfect grid convergence
+        cfg = write_config(
+            tmp_path,
+            "[smoothing]\nmodes = 16,32,64\ns = 1.4\na = 0.3\namplitude = 0\n"
+            "t_probe = 0.5\ndt = 0.05\ndomain_length = 6.283185307179586\n",
+        )
+        out = tmp_path / "o"
+        assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 0
+        details = read_manifest(out)["details"]
+        for key in ("linear_slope", "nonlinear_slope", "gauged_slope"):
+            assert details[key] is None
+
     def test_sample_every_is_refused_before_solving(self, tmp_path, capsys, monkeypatch):
         # the study reads one state per grid at t_probe, so there is no
         # sample spacing to set: the key is unknown, not silently ignored
@@ -435,10 +449,9 @@ class TestAttractor:
         assert summary["max_balance_residual"] is None
 
     @pytest.mark.parametrize("experiment", ["absorbing", "compactness"])
-    def test_non_finite_balance_residual_exits_two(self, tmp_path, capsys, experiment):
-        # the energy of an H^1 ~ 1e80 member overflows; this run used to exit
-        # 0 with a null residual, a negative fit_radius and a false warning
-        # that the samples were too sparse to audit
+    def test_non_finite_balance_residual_exits_three(self, tmp_path, capsys, experiment):
+        # the energy of an H^1 ~ 1e80 member overflows: a numerical abort,
+        # not a config error
         text = (
             "[attractor]\nmodes = 16\nmember_count = 1\nh1_min = 1e80\nh1_max = 1e81\n"
             "delta = 0.2\nhorizon = 0.1\ndt = 0.01\nsample_every = 1\nprobes = 0.1\n"
@@ -447,8 +460,8 @@ class TestAttractor:
         out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the overflow is the point
-            assert main(["attractor", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
-        assert "residual series must be finite" in capsys.readouterr().err
+            assert main(["attractor", "--config", write_config(tmp_path, text), "--out", str(out)]) == 3
+        assert "numerical abort: residual series must be finite" in capsys.readouterr().err
         assert output_files(out) == []
 
     def test_audited_compactness_run_reports_its_residual(self, tmp_path):

@@ -4,13 +4,19 @@ A name that starts with an underscore belongs to the module that defines it:
 no other dslab module imports it, or reads it as an attribute of something
 it imported from dslab.  Machinery two modules share gets a public name in
 the module that owns it.
+
+Every top-level definition in the package is run by the dslab command line
+or read by the benchmark harness, or is named, with its reason, in
+UNREACHED_ALLOWED.  The library carries no assert statement, since python -O
+strips them.
 """
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 MODULES = sorted((SRC / "dslab").rglob("*.py"))
 
 
@@ -133,3 +139,144 @@ def test_the_stored_run_check_sees_calls_and_attributes():
     assert stored_run_reads(source.replace("def run", "def nonlinear_part"), "dslab.smoothing_diagnostics") == [
         (5, None, "evolve"),
     ]
+
+
+# The roots of the reachability scan: every name the command line and the
+# benchmark harness use is run.
+ROOTS = [SRC / "dslab" / "cli.py"] + [
+    REPO / "benchmarks" / f"{name}.py" for name in ("layers", "workloads", "run")
+]
+
+# Top-level definitions that neither the command line nor the benchmark
+# harness reaches, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    "smoothing_report": "the growth table that ROADMAP item 4 adds to dslab smoothing",
+    "SmoothingReport": "the growth table that ROADMAP item 4 adds to dslab smoothing",
+    "beta_growth": "the growth table that ROADMAP item 4 adds to dslab smoothing",
+    "envelope_exponent": "the growth table that ROADMAP item 4 adds to dslab smoothing",
+    "ROUNDOFF_FLOOR": "the growth table that ROADMAP item 4 adds to dslab smoothing",
+    "strang_step": "the one-step kernel handle the reversibility tests drive",
+    "nonlinear_potential": "the potential map the K(|u|^2) tests drive",
+    "lebesgue_norm": "a reference the attractor and spectral tests compare against",
+    "trilinear_ratio": "the dense Knapp reference the separable engine is checked against",
+    "norm_2Z": "acceptance criterion 8, the TT* identity",
+    "ttstar_pair": "acceptance criterion 8, the TT* identity",
+}
+
+
+def used_names(tree: ast.AST) -> set:
+    """Identifiers tree reads as a Name or an Attribute; a word in a string,
+    a docstring or an import statement is not a use."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def top_level_definitions(paths) -> dict:
+    """{name: (path, node)} of every function, class and assigned name at the
+    top level of paths, __all__ apart.  Uses are matched by identifier, so a
+    name defined twice is refused: the scan could not tell the two apart."""
+    found = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name == "__all__":
+                    continue
+                if name in found:
+                    raise ValueError(f"{name} is defined in both {found[name][0]} and {path}")
+                found[name] = (path, node)
+    return found
+
+
+def unreached(definitions: dict, roots) -> set:
+    """Names in definitions that no root file uses, directly or through the
+    body of a definition that is used."""
+    pending = set().union(*(used_names(ast.parse(p.read_text(encoding="utf-8"))) for p in roots))
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name in definitions and name not in reached:
+            reached.add(name)
+            pending |= used_names(definitions[name][1])
+    return set(definitions) - reached
+
+
+def allow_list_faults(definitions: dict, dead: set, allowed: dict) -> list:
+    """Unreached definitions the allow-list does not name, and allow-list
+    entries that are reached or no longer defined."""
+    faults = [
+        f"{name} ({definitions[name][0].name}) is unreached" for name in sorted(dead - set(allowed))
+    ]
+    for name in sorted(allowed):
+        if name not in definitions:
+            faults.append(f"allowed {name} is no longer defined")
+        elif name not in dead:
+            faults.append(f"allowed {name} is reached")
+    return faults
+
+
+def test_every_definition_is_reached_or_allowed():
+    assert all(UNREACHED_ALLOWED.values())
+    definitions = top_level_definitions(MODULES)
+    assert allow_list_faults(definitions, unreached(definitions, ROOTS), UNREACHED_ALLOWED) == []
+
+
+def test_the_reachability_check_sees_uses_and_stale_entries(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "LIMIT = 3\n"
+        "def used():\n"
+        "    return helper() + LIMIT\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def named_only_in_words():\n"
+        "    pass\n"
+        "class Kept:\n"
+        "    pass\n"
+        "__all__ = ['named_only_in_words']\n",
+        encoding="utf-8",
+    )
+    root = tmp_path / "root.py"
+    root.write_text(
+        "from lib import used, named_only_in_words\n"
+        "'named_only_in_words is cited here, in a string'\n"
+        "x = used()\n",
+        encoding="utf-8",
+    )
+    definitions = top_level_definitions([lib])
+    dead = unreached(definitions, [root])
+    assert dead == {"named_only_in_words", "Kept"}
+    assert allow_list_faults(definitions, dead, {"Kept": "why"}) == [
+        "named_only_in_words (lib.py) is unreached",
+    ]
+    stale = dict.fromkeys(["Kept", "named_only_in_words", "helper", "gone"], "why")
+    assert allow_list_faults(definitions, dead, stale) == [
+        "allowed gone is no longer defined", "allowed helper is reached",
+    ]
+
+
+def assert_lines(source: str) -> list:
+    """Line of every assert statement in source, in order."""
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_assert_in_the_library(path):
+    # python -O strips asserts, so no library invariant may rest on one
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_assert_check_sees_asserts():
+    assert assert_lines("def f(x):\n    assert x > 0\n    return x\nassert f(1)\n") == [2, 4]

@@ -18,12 +18,8 @@ from dslab.xsb_analysis import (
     block_bound,
     block_multiplier,
     check_block_bounds,
-    estimate_2Z_norm,
     estimate_3Z_norm,
-    gamma2_matrix,
     norm_2Z,
-    one_slot_pair,
-    resonance_h,
     sample_block_specs,
     ttstar_pair,
     upper_3Z_bound,
@@ -300,69 +296,27 @@ class TestUpperBound:
 
 
 class TestTwoSlotNorms:
-    def test_gamma2_matrix_placement(self):
-        a = gamma2_matrix(6, lambda i, j: i + 10 * j)
-        nz = np.argwhere(a != 0)
-        for i, j in nz:
-            assert j == (-i) % 6
-        assert a[2, 4] == 2 + 40
+    def test_ttstar_pair_placement(self):
+        # on the hyperplane xi2 = -xi1 mod n the entry m(i) conj(m(i)) sits
+        # at (i, -i mod n), and nothing sits anywhere else
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        a = ttstar_pair(m)
+        rows, cols = np.nonzero(a)
+        assert rows.tolist() == list(range(6))
+        assert cols.tolist() == [(-i) % 6 for i in range(6)]
+        assert a[rows, cols] == pytest.approx(np.abs(m) ** 2, rel=1e-14)
 
     def test_norm_2Z_basics(self):
         assert norm_2Z(np.zeros((4, 4), dtype=complex)) == 0.0
         with pytest.raises(ValueError):
             norm_2Z(np.zeros(4))
 
-    def test_sup_norm_oracle_on_hyperplane(self):
-        # a one-slot multiplier on the hyperplane is a scaled permutation, so
-        # its exact norm is the sup of |m|
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            m = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            assert norm_2Z(one_slot_pair(m)) == pytest.approx(np.max(np.abs(m)), rel=1e-12)
-
     def test_ttstar_identity(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             m = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            lhs = norm_2Z(ttstar_pair(m))
-            rhs = norm_2Z(one_slot_pair(m)) ** 2
-            assert lhs == pytest.approx(rhs, rel=1e-9)
-            assert lhs == pytest.approx(np.max(np.abs(m)) ** 2, rel=1e-9)
-
-    def test_alternating_estimator_matches_svd(self):
-        rng = np.random.default_rng(12)
-        for _ in range(3):
-            a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-            assert estimate_2Z_norm(a) == pytest.approx(norm_2Z(a), abs=1e-6)
-
-
-class TestResonance:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="2-vectors"):
-            resonance_h([1.0], [0.0, 0.0], [-1.0, 0.0])
-        with pytest.raises(ValueError, match="signs"):
-            resonance_h([1, 0], [0, 1], [-1, -1], signs=(1, 1, 2))
-        with pytest.raises(ValueError, match="sum to zero"):
-            resonance_h([1, 0], [0, 1], [0, 0])
-
-    def test_orthogonal_pair_resonates(self):
-        assert resonance_h([1, 0], [0, 2], [-1, -2]) == 0.0
-
-    def test_collapses_to_pair_product(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            x1 = rng.standard_normal(2)
-            x2 = rng.standard_normal(2)
-            h = resonance_h(x1, x2, -(x1 + x2))
-            assert h == pytest.approx(-2.0 * float(x1 @ x2), abs=1e-12)
-
-    def test_all_plus_pattern(self):
-        assert resonance_h([0, 0], [0, 0], [0, 0], signs=(1, 1, 1)) == 0.0
-        x1 = np.array([1.0, 0.5])
-        x2 = np.array([-0.5, 1.0])
-        h = resonance_h(x1, x2, -(x1 + x2), signs=(1, 1, 1))
-        assert h == pytest.approx(float(x1 @ x1 + x2 @ x2 + (x1 + x2) @ (x1 + x2)))
-        assert h > 0
+            assert norm_2Z(ttstar_pair(m)) == pytest.approx(np.max(np.abs(m)) ** 2, rel=1e-9)
 
 
 class TestBlockLattice:
