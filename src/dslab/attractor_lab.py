@@ -21,7 +21,6 @@ with the number of samples.
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -40,7 +39,6 @@ from .ds_solver import (
     SampleRecorder,
     SampleSeries,
     SolverConfig,
-    Trajectory,
     energy_functional,
     ensemble_stream,
     evolve,
@@ -199,19 +197,13 @@ def energy_balance_residual(traj: SampleSeries, cfg: SolverConfig) -> EnergyRepo
 
 
 def run_ensemble(ens: EnsembleConfig, workers: int = 1) -> list:
-    """Integrate every member under the shared config and keep every
-    trajectory; members are independent, so they run concurrently when
-    workers > 1 with bit-identical results.  The experiments below do not
-    use it: they stream the ensemble and keep only what they read."""
+    """Integrate every member under the shared config, one after another,
+    and keep every trajectory.  The experiments below do not use it: they
+    stream the ensemble and keep only what they read.  workers is accepted
+    and ignored; it goes with the benchmark probe that passes it (ROADMAP
+    item 3)."""
     cfg = ens.solver_config()
-
-    def one(spec: RoughDataSpec) -> Trajectory:
-        return evolve(make_rough_data(spec, ens.grid), cfg)
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, ens.members))
-    return [one(spec) for spec in ens.members]
+    return [evolve(make_rough_data(spec, ens.grid), cfg) for spec in ens.members]
 
 
 def _member_stream(ens: EnsembleConfig, cfg: SolverConfig):

@@ -176,14 +176,15 @@ def _count(get: _Reader, key: str, default: int) -> int:
 
 
 def _forcing(get: _Reader, grid: GridSpec, seed: int):
-    """The section's drive f, or None when forcing_amplitude is not positive.
+    """The section's drive f, or None when forcing_amplitude is <= 0.
 
     Both keys are read whatever the amplitude, so a smoothness set beside a
-    zero amplitude is not refused as unknown.
+    zero amplitude is not refused as unknown.  A NaN or infinite amplitude
+    reaches make_forcing, whose datum spec refuses it.
     """
     amplitude = get("forcing_amplitude", float, 0.0)
     smoothness = get("forcing_smoothness", float, 3.0)
-    if not amplitude > 0:
+    if amplitude <= 0:
         return None
     return make_forcing(grid, amplitude, _derive_seed(seed, 1), smoothness)
 
@@ -193,7 +194,7 @@ def _forcing(get: _Reader, grid: GridSpec, seed: int):
 # (grid info, {file name: (header, rows)}, summary or None, details, steps).
 
 
-def cmd_simulate(get: _Reader, seed: int, threads: int):
+def cmd_simulate(get: _Reader, seed: int):
     modes = get("modes", int, 64)
     length = get("domain_length", float, DEFAULT_DOMAIN_LENGTH)
     grid = GridSpec(modes, length)
@@ -221,7 +222,7 @@ def cmd_simulate(get: _Reader, seed: int, threads: int):
     return grid_info, tables, None, {}, int(round(cfg.t_end / cfg.dt))
 
 
-def cmd_smoothing(get: _Reader, seed: int, threads: int):
+def cmd_smoothing(get: _Reader, seed: int):
     resolutions = get("modes", _int_list, [64, 128, 256])
     s = get("s", float, 0.6)
     a = get("a", float, 0.3)
@@ -240,8 +241,7 @@ def cmd_smoothing(get: _Reader, seed: int, threads: int):
     if exploratory:
         warnings.warn(
             f"a = {a} is at or above min(1/2, s - 1/2) for s = {s}; "
-            "proceeding with the result flagged exploratory",
-            stacklevel=2,
+            "proceeding with the result flagged exploratory"
         )
     study = refinement_study(spec, resolutions, s, a, cfg, domain_length=length)
     rows = [
@@ -259,7 +259,7 @@ def cmd_smoothing(get: _Reader, seed: int, threads: int):
     return grid_info, tables, None, details, len(resolutions) * per_grid
 
 
-def cmd_knapp(get: _Reader, seed: int, threads: int):
+def cmd_knapp(get: _Reader, seed: int):
     n_values = get("n_values", _float_list, [8.0, 16.0, 32.0, 64.0])
     grid_n = get("grid_n", int, None)
     time_samples = get("time_samples", int, 32)
@@ -291,7 +291,7 @@ def cmd_knapp(get: _Reader, seed: int, threads: int):
     return grid_info, tables, None, details, len(rows)
 
 
-def cmd_blocks(get: _Reader, seed: int, threads: int):
+def cmd_blocks(get: _Reader, seed: int):
     cases = [
         part.strip() for part in get("cases", str, ",".join(CASES)).split(",") if part.strip()
     ]
@@ -315,7 +315,7 @@ def cmd_blocks(get: _Reader, seed: int, threads: int):
             sample_block_specs(case, per_case, seed=_derive_seed(seed, 2 + k), lattice=lattice)
         )
     result = check_block_bounds(
-        specs, lattice=lattice, restarts=restarts, iters=iters, seed=seed, workers=threads
+        specs, lattice=lattice, restarts=restarts, iters=iters, seed=seed
     )
     rows = []
     for entry in result["rows"]:
@@ -375,13 +375,12 @@ def _balance_residual(value: Optional[float]) -> Optional[float]:
     if value is None:
         warnings.warn(
             "the samples are too few or further apart than 10 * dt to audit "
-            "the energy balance; max_balance_residual is null",
-            stacklevel=3,
+            "the energy balance; max_balance_residual is null"
         )
     return value
 
 
-def cmd_attractor(get: _Reader, seed: int, threads: int):
+def cmd_attractor(get: _Reader, seed: int):
     experiment = get("experiment", str, "absorbing")
     ens = _attractor_ensemble(get, seed)
     get.check_all_read()
@@ -454,15 +453,22 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads", type=int, default=None,
             help=(
-                "worker cap for the ALS restarts of blocks; other commands run serially "
-                "(attractor steps its members together as one stack)"
+                "accepted and ignored: every command runs on one thread "
+                "(ROADMAP item 3 deletes the flag)"
             ),
         )
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one 'warning: <message>' line: where in dslab it was
+    raised says nothing about the config that caused it."""
+    return f"warning: {message}\n"
+
+
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         sections = load_config(args.config)
         foreign = sorted(set(sections) - {"run", args.command})
@@ -477,17 +483,11 @@ def main(argv: Optional[list] = None) -> int:
         run_get = _Reader("run", run)
         seed = run_get("seed", int, 0)
         run["seed"] = str(seed)
-        # read even when --threads overrides it, so the key counts as known
-        threads = run_get("threads", int, 1)
         run_get.check_all_read()
-        if args.threads is not None:
-            threads = args.threads
-        if threads < 1:
-            raise ConfigError(f"threads must be positive, got {threads}")
         get = _Reader(args.command, sections.get(args.command, {}))
         os.makedirs(args.out, exist_ok=True)
         started = time.perf_counter()
-        grid_info, tables, summary, details, steps = _COMMANDS[args.command](get, seed, threads)
+        grid_info, tables, summary, details, steps = _COMMANDS[args.command](get, seed)
         # the commands check before solving; this catches one that forgot to
         get.check_all_read()
         outputs = []
@@ -517,6 +517,8 @@ def main(argv: Optional[list] = None) -> int:
     except (IntegrationAbort, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
     return 0
 
 

@@ -76,8 +76,8 @@ class RoughDataSpec:
     def __post_init__(self) -> None:
         if not self.s > 0.5:
             raise ValueError(f"roughness s must exceed 1/2, got {self.s}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+        if not 0 <= self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
 
     @property
     def spectral_law(self) -> float:

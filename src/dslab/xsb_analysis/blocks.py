@@ -291,7 +291,6 @@ def check_block_bounds(
     restarts: int = 6,
     iters: int = 60,
     seed: int = 0,
-    workers: int = 1,
 ) -> dict:
     """Estimate each block norm and compare with its case bound.
 
@@ -312,9 +311,7 @@ def check_block_bounds(
             raise ValueError(f"spec #{k} violates the vanishing conditions")
         m = block_multiplier(spec, lattice)
         case, bound = block_bound(spec)
-        est = estimate_3Z_norm(
-            m, restarts=restarts, iters=iters, seed=seed + k, workers=workers
-        )
+        est = estimate_3Z_norm(m, restarts=restarts, iters=iters, seed=seed + k)
         upper = upper_3Z_bound(m)
         if est > upper * (1 + 1e-12):
             raise ValueError(

@@ -19,7 +19,6 @@ slots of the largest per-label l2 mass of the multiplier.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,7 +145,9 @@ def estimate_3Z_norm(
 
     With two slots fixed the optimal third is the normalized conjugate
     partial contraction, so each sweep is monotone; restarts guard the
-    nonconvexity. Includes one deterministic all-ones start.
+    nonconvexity. Includes one deterministic all-ones start. The restarts
+    run one after another; workers is accepted and ignored, and goes with
+    the benchmark probe that passes it (ROADMAP item 3).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -155,7 +156,9 @@ def estimate_3Z_norm(
     if m.is_empty:
         return 0.0
     rng = np.random.default_rng(seed)
-    starts = []
+    # (1 + 0j) * z == z up to the sign of exact zeros, which no norm sees
+    values_c = None if np.all(m.values == 1.0) else m.values.astype(np.complex128)
+    best = 0.0
     for r in range(restarts):
         if r == 0:
             fs = [np.ones(n, dtype=np.complex128) / np.sqrt(n) for n in m.slot_sizes]
@@ -164,20 +167,8 @@ def estimate_3Z_norm(
             for n in m.slot_sizes:
                 f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 fs.append(f / np.linalg.norm(f))
-        starts.append(fs)
-
-    # (1 + 0j) * z == z up to the sign of exact zeros, which no norm sees
-    values_c = None if np.all(m.values == 1.0) else m.values.astype(np.complex128)
-
-    def run(fs):
-        return _als_run(m.labels, m.slot_sizes, values_c, fs, iters)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(fs) for fs in starts]
-    return max(results)
+        best = max(best, _als_run(m.labels, m.slot_sizes, values_c, fs, iters))
+    return best
 
 
 def upper_3Z_bound(m: Gamma3Multiplier) -> float:

@@ -245,7 +245,7 @@ def test_criterion_09_block_bounds_single_constant():
     specs = []
     for k, case in enumerate(CASES):
         specs.extend(sample_block_specs(case, 20, seed=11 + k))
-    result = check_block_bounds(specs, restarts=6, iters=60, seed=0, workers=2)
+    result = check_block_bounds(specs, restarts=6, iters=60, seed=0)
     rows = result["rows"]
     c_star = result["c_star"]
     supports_ok = all(r["support"] > 0 for r in rows)

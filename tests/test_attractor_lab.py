@@ -379,17 +379,18 @@ class TestForcingShift:
 
 
 class TestRunEnsemble:
-    def test_workers_do_not_change_results(self):
+    def test_each_trajectory_is_its_member_evolved_alone(self):
         grid = GridSpec(16, TWO_PI)
         members = [RoughDataSpec(1.0, 0.2, 7), RoughDataSpec(1.0, 0.1, 8)]
         ens = small_ensemble(grid, members, forcing=make_forcing(grid, 0.05, seed=3))
-        serial = run_ensemble(ens, workers=1)
-        threaded = run_ensemble(ens, workers=2)
-        assert len(threaded) == len(members)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.times, b.times)
-            assert np.array_equal(a.h1_norm, b.h1_norm)
-            for fa, fb in zip(a.fields, b.fields):
+        trajs = run_ensemble(ens)
+        assert len(trajs) == len(members)
+        for spec, traj in zip(members, trajs):
+            alone = evolve(make_rough_data(spec, grid), ens.solver_config())
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.h1_norm, alone.h1_norm)
+            assert np.array_equal(traj.energy, alone.energy)
+            for fa, fb in zip(traj.fields, alone.fields):
                 assert np.array_equal(fa.values, fb.values)
 
 

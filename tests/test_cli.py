@@ -241,13 +241,39 @@ class TestConfigKeys:
         assert "[knapp]" in capsys.readouterr().err
 
     def test_keys_read_whatever_other_values_say(self, tmp_path):
-        # forcing_smoothness counts as read without a drive, and [run]
-        # threads counts as read when --threads overrides it
-        text = SIM_CONFIG.replace("seed = 7", "seed = 7\nthreads = 1")
-        cfg = write_config(tmp_path, text + "forcing_amplitude = 0\nforcing_smoothness = 2\n")
+        # forcing_smoothness counts as read without a drive
+        cfg = write_config(tmp_path, SIM_CONFIG + "forcing_amplitude = 0\nforcing_smoothness = 2\n")
         out = tmp_path / "o"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert output_files(out) == ["manifest.json", "simulate.csv"]
+
+    def test_run_threads_key_exits_two(self, tmp_path, capsys):
+        # every command runs on one thread, so [run] holds only seed
+        cfg = write_config(tmp_path, SIM_CONFIG.replace("seed = 7", "seed = 7\nthreads = 2"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "[run] has unknown keys: threads" in capsys.readouterr().err
+        assert output_files(out) == []
+
+    @pytest.mark.parametrize(
+        "command,keys",
+        [
+            ("simulate", "amplitude = nan"),
+            ("simulate", "amplitude = inf"),
+            ("simulate", "amplitude = 0.1\nforcing_amplitude = nan\ndelta = 0.1"),
+            ("simulate", "amplitude = 0.1\nforcing_amplitude = inf\ndelta = 0.1"),
+            ("attractor", "member_count = 2\nh1_min = nan\ndelta = 0.2\nhorizon = 0.1\nprobes = 0.1"),
+        ],
+    )
+    def test_non_finite_amplitude_exits_two(self, command, keys, tmp_path, capsys):
+        # NaN forcing used to run unforced with exit 0, the others to abort
+        # with exit 3 at step 0
+        run_length = "t_end = 0.1\n" if command == "simulate" else ""
+        text = f"[{command}]\nmodes = 16\ndt = 0.01\nsample_every = 1\n{run_length}{keys}\n"
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert "amplitude must be finite and nonnegative" in capsys.readouterr().err
+        assert output_files(out) == []
 
 
 class TestSmoothing:
@@ -265,6 +291,21 @@ class TestSmoothing:
         (entry,) = manifest["outputs"]
         lines = (out / entry["path"]).read_text(encoding="utf-8").splitlines()
         assert len(lines) - 1 == entry["rows"] == 3
+
+    def test_warning_prints_as_one_line(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[smoothing]\nmodes = 16,32,64\ns = 0.6\na = 0.45\namplitude = 0.01\n"
+            "t_probe = 0.5\ndt = 0.05\n",
+        )
+        src = str(pathlib.Path(dslab.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["-m", "dslab.cli", "smoothing", "--config", cfg, "--out", str(tmp_path / "o")]
+        run = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == 0
+        assert run.stderr.startswith("warning: a = 0.45 is at or above")
+        assert len(run.stderr.splitlines()) == 1
+        assert "cli.py" not in run.stderr
 
     def test_covered_range_is_not_flagged(self, tmp_path):
         cfg = write_config(

@@ -8,7 +8,7 @@ the module that owns it.
 Every top-level definition in the package is run by the dslab command line
 or read by the benchmark harness, or is named, with its reason, in
 UNREACHED_ALLOWED.  The library carries no assert statement, since python -O
-strips them.
+strips them, and runs on one thread: it imports no thread or process pool.
 """
 import ast
 import pathlib
@@ -280,3 +280,41 @@ def test_no_assert_in_the_library(path):
 
 def test_the_assert_check_sees_asserts():
     assert assert_lines("def f(x):\n    assert x > 0\n    return x\nassert f(1)\n") == [2, 4]
+
+
+# Every command runs on one thread: both pools measured slower than serial,
+# or at best level with it, so none is imported again.
+CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
+
+
+def concurrency_imports(source: str) -> list:
+    """(line, module) of every import of a thread or process pool module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.extend((node.lineno, n) for n in names if n.split(".")[0] in CONCURRENCY_MODULES)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_thread_or_process_pool_in_the_library(path):
+    assert concurrency_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_concurrency_check_sees_every_import_form():
+    source = (
+        "import numpy as np\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrent.futures\n"
+        "import os, threading\n"
+        "from multiprocessing import Pool\n"
+        "from . import threads\n"
+    )
+    assert concurrency_imports(source) == [
+        (2, "concurrent.futures"), (3, "concurrent.futures"), (4, "threading"), (5, "multiprocessing"),
+    ]

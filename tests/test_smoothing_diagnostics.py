@@ -59,6 +59,12 @@ class TestRoughDataSpec:
         with pytest.raises(ValueError):
             RoughDataSpec(s=0.6, amplitude=-1.0, seed=0)
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+    def test_requires_finite_amplitude(self, amplitude):
+        # NaN passes a plain amplitude < 0 test
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RoughDataSpec(s=0.6, amplitude=amplitude, seed=0)
+
     def test_spectral_law(self):
         assert RoughDataSpec(s=0.6, amplitude=1.0, seed=0).spectral_law == pytest.approx(-1.6)
 
