@@ -19,16 +19,16 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def hash_u64(seed: int, k1: np.ndarray, k2: np.ndarray, salt: int = 0) -> np.ndarray:
-    """64-bit hash of (seed, k1, k2, salt), vectorized over integer arrays."""
+def hash_u64(seed: int, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """64-bit hash of (seed, k1, k2), vectorized over integer arrays."""
     a = np.asarray(k1, dtype=np.int64).astype(np.uint64)
     b = np.asarray(k2, dtype=np.int64).astype(np.uint64)
     with np.errstate(over="ignore"):  # wraparound is the point
-        s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA * np.uint64(salt + 1)
+        s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA
         return _mix(_mix(_mix(s + _GAMMA * a) + _GAMMA * b))
 
 
-def uniform_phases(seed: int, k1: np.ndarray, k2: np.ndarray, salt: int = 0) -> np.ndarray:
+def uniform_phases(seed: int, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Uniform phases in [0, 2*pi) keyed by (seed, mode pair)."""
-    h = hash_u64(seed, k1, k2, salt)
+    h = hash_u64(seed, k1, k2)
     return (h >> np.uint64(11)).astype(np.float64) * (2.0 * np.pi / 2**53)

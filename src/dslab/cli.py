@@ -23,6 +23,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__
 from ._rng import hash_u64
 from .spectral_core import DEFAULT_DOMAIN_LENGTH, GridSpec, sobolev_norm
-from .ds_solver import IntegrationAbort, SampleRecorder, SolverConfig, sample_stream
+from .ds_solver import IntegrationAbort, SampleRecorder, SolverConfig, sample_steps, sample_stream
 from .smoothing_diagnostics import RoughDataSpec, make_rough_data, refinement_study
 from .xsb_analysis import check_ladder, knapp_grid, knapp_sweep
 from .xsb_analysis.blocks import BlockLattice, CASES, check_block_bounds, sample_block_specs
@@ -180,10 +181,12 @@ def _forcing(get: _Reader, grid: GridSpec, seed: int):
 
     Both keys are read whatever the amplitude, so a smoothness set beside a
     zero amplitude is not refused as unknown.  A NaN or infinite amplitude
-    reaches make_forcing, whose datum spec refuses it.
+    is refused here, naming the key.
     """
     amplitude = get("forcing_amplitude", float, 0.0)
     smoothness = get("forcing_smoothness", float, 3.0)
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"[{get.section}] forcing_amplitude must be finite, got {amplitude}")
     if amplitude <= 0:
         return None
     return make_forcing(grid, amplitude, _derive_seed(seed, 1), smoothness)
@@ -219,7 +222,7 @@ def cmd_simulate(get: _Reader, seed: int):
     rows = list(zip(series.times, series.mass, series.h1_norm, series.energy))
     tables = {"simulate.csv": (["t", "mass", "h1", "energy"], rows)}
     grid_info = {"modes": modes, "domain_length": length}
-    return grid_info, tables, None, {}, int(round(cfg.t_end / cfg.dt))
+    return grid_info, tables, None, {}, sample_steps(cfg)[-1]
 
 
 def cmd_smoothing(get: _Reader, seed: int):
@@ -235,7 +238,7 @@ def cmd_smoothing(get: _Reader, seed: int):
     spec = RoughDataSpec(s, get("amplitude", float), seed)
     length = get("domain_length", float, None)
     get.check_all_read()
-    per_grid = int(round(cfg.t_end / cfg.dt))
+    per_grid = sample_steps(cfg)[-1]
     cfg.sample_every = max(1, per_grid)  # the study reads one state per grid: one advance
     exploratory = not a < min(0.5, s - 0.5)
     if exploratory:
@@ -428,7 +431,7 @@ def cmd_attractor(get: _Reader, seed: int):
         "domain_length": ens.grid.domain_length,
         "members": len(ens.members),
     }
-    steps = len(ens.members) * int(round(ens.horizon / ens.dt))
+    steps = len(ens.members) * sample_steps(ens.solver_config())[-1]
     tables = {"attractor.csv": (header, rows)}
     return grid_info, tables, summary, {"experiment": experiment}, steps
 

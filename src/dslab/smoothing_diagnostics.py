@@ -130,11 +130,11 @@ def duhamel_remainder(
     return SpectralField(datum.grid, u_hat - linear, FOURIER)
 
 
-def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float, sigma=0.0) -> SpectralField:
-    """u(t) - e^{-i sigma t} e^{it Lap} u0 at a sampled time: the undamped
+def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float) -> SpectralField:
+    """u(t) - e^{it Lap} u0 at a sampled time: the undamped, ungauged
     duhamel_remainder of a stored trajectory's state.  No dslab instrument
     calls it; it stays because benchmarks/layers.py times it."""
-    return duhamel_remainder(to_fourier(traj.field_at(t)).values, u0, t, sigma=sigma)
+    return duhamel_remainder(to_fourier(traj.field_at(t)).values, u0, t)
 
 
 # gauged remainder norms at or below this fraction of the datum's H^{s+a}

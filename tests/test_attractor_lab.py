@@ -162,21 +162,26 @@ class TestEnergyBalance:
         report = energy_balance_residual(evolve(u0, cfg), cfg)
         assert report.max_residual <= 1e-3 * np.max(np.abs(report.energy))
 
-    def test_refuses_sparse_sampling(self):
+    @staticmethod
+    def assert_not_audited(report):
+        assert report.max_residual is None
+        for series in (report.times, report.energy, report.source, report.residuals):
+            assert len(series) == 0
+
+    def test_sparse_sampling_is_not_audited(self):
+        # samples 20 * dt apart would give an O(spacing^2) artifact
         grid = GridSpec(16, TWO_PI)
         u0 = make_rough_data(RoughDataSpec(1.0, 0.1, 3), grid)
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=2.0, sample_every=20)
-        traj = evolve(u0, cfg)
-        with pytest.raises(ValueError, match="spacing"):
-            energy_balance_residual(traj, cfg)
+        self.assert_not_audited(energy_balance_residual(evolve(u0, cfg), cfg))
 
-    def test_needs_three_samples(self):
+    def test_two_samples_are_not_audited(self):
         grid = GridSpec(16, TWO_PI)
         u0 = make_rough_data(RoughDataSpec(1.0, 0.1, 3), grid)
         cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.05, t_end=0.1, sample_every=2)
         traj = evolve(u0, cfg)
-        with pytest.raises(ValueError, match="three samples"):
-            energy_balance_residual(traj, cfg)
+        assert len(traj.times) == 2
+        self.assert_not_audited(energy_balance_residual(traj, cfg))
 
     @pytest.mark.parametrize("experiment", [absorbing_experiment, compactness_probe])
     def test_non_finite_residual_raises_in_the_experiments(self, experiment):

@@ -263,16 +263,21 @@ class TestConfigKeys:
             ("simulate", "amplitude = 0.1\nforcing_amplitude = nan\ndelta = 0.1"),
             ("simulate", "amplitude = 0.1\nforcing_amplitude = inf\ndelta = 0.1"),
             ("attractor", "member_count = 2\nh1_min = nan\ndelta = 0.2\nhorizon = 0.1\nprobes = 0.1"),
+            ("attractor", "member_count = 2\nforcing_amplitude = inf\ndelta = 0.2\nhorizon = 0.1\nprobes = 0.1"),
         ],
     )
     def test_non_finite_amplitude_exits_two(self, command, keys, tmp_path, capsys):
         # NaN forcing used to run unforced with exit 0, the others to abort
-        # with exit 3 at step 0
+        # with exit 3 at step 0; a forcing amplitude is refused by its key
         run_length = "t_end = 0.1\n" if command == "simulate" else ""
         text = f"[{command}]\nmodes = 16\ndt = 0.01\nsample_every = 1\n{run_length}{keys}\n"
         out = tmp_path / "o"
         assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
-        assert "amplitude must be finite and nonnegative" in capsys.readouterr().err
+        if "forcing_amplitude" in keys:
+            message = f"[{command}] forcing_amplitude must be finite, got "
+        else:
+            message = "amplitude must be finite and nonnegative"
+        assert message in capsys.readouterr().err
         assert output_files(out) == []
 
 
@@ -362,6 +367,18 @@ class TestSmoothing:
         assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 0
         assert seen == [20]
         assert read_manifest(out)["step_count"] == 3 * 20
+
+    def test_off_grid_probe_time_exits_two_before_the_first_grid(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(dslab.cli, "refinement_study", refuse_call)
+        cfg = write_config(
+            tmp_path, "[smoothing]\nmodes = 16,32,64\ns = 1.4\namplitude = 0.01\nt_probe = 0.51\ndt = 0.025\n"
+        )
+        out = tmp_path / "o"
+        assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 2
+        assert "t_end must be an integer multiple of dt" in capsys.readouterr().err
+        assert output_files(out) == []
 
     def test_repeated_modes_exit_2(self, tmp_path):
         cfg = write_config(
@@ -467,6 +484,7 @@ class TestAttractor:
         assert len(lines) - 1 == csv_entry["rows"] == 61
         summary = json.loads((out1 / json_entry["path"]).read_text(encoding="utf-8"))
         assert {"a", "delta", "forcing_l2", "fit_radius", "absorbed"} <= set(summary)
+        assert manifest["step_count"] == 2 * 600  # members x steps to horizon 6.0
 
     def test_compactness_experiment(self, tmp_path):
         cfg = write_config(tmp_path, self.ATTR + "experiment = compactness\n")

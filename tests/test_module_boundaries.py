@@ -7,7 +7,9 @@ the module that owns it.
 
 Every top-level definition in the package is run by the dslab command line
 or read by the benchmark harness, or is named, with its reason, in
-UNREACHED_ALLOWED.  The library carries no assert statement, since python -O
+UNREACHED_ALLOWED; every defaulted parameter of a reached function is passed
+by some call, or is named in DEFAULT_ALLOWED, so no option is one that
+nothing sets.  The library carries no assert statement, since python -O
 strips them, and runs on one thread: it imports no thread or process pool.
 """
 import ast
@@ -264,6 +266,98 @@ def test_the_reachability_check_sees_uses_and_stale_entries(tmp_path):
     assert allow_list_faults(definitions, dead, stale) == [
         "allowed gone is no longer defined", "allowed helper is reached",
     ]
+
+
+# Defaulted parameters that no call in the command line, the benchmark
+# harness or a reached definition passes, each with the reason it stays.
+DEFAULT_ALLOWED = {
+    "_warning_line.line": "warnings.formatwarning's signature: the warnings module passes it",
+}
+
+
+def _callee(call: ast.Call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def passed_parameters(trees) -> dict:
+    """{callee name: (keywords, positional count, star, double star)} merged
+    over every call in trees: the keywords any call passes, the most
+    positional arguments any call passes, and whether any call passes *args
+    or **kwargs."""
+    found = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _callee(node)
+            keywords, positional, star, double = found.get(name, (set(), 0, False, False))
+            found[name] = (
+                keywords | {k.arg for k in node.keywords if k.arg is not None},
+                max(positional, sum(not isinstance(a, ast.Starred) for a in node.args)),
+                star or any(isinstance(a, ast.Starred) for a in node.args),
+                double or any(k.arg is None for k in node.keywords),
+            )
+    return found
+
+
+def unpassed_defaults(definitions: dict, reached: set, roots) -> set:
+    """'function.parameter' of every defaulted parameter of a reached
+    top-level function that no call in roots or in a reached definition
+    passes, by keyword, by position or through * or **."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in roots]
+    passed = passed_parameters(trees + [definitions[name][1] for name in reached])
+    found = set()
+    for name in reached:
+        node = definitions[name][1]
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        keywords, positional, star, double = passed.get(name, (set(), 0, False, False))
+        args = node.args
+        ordered = args.posonlyargs + args.args
+        defaulted = [(i, a.arg) for i, a in enumerate(ordered) if i >= len(ordered) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for index, param in defaulted:
+            by_position = index is not None and (star or positional > index)
+            if not (double or by_position or param in keywords):
+                found.add(f"{name}.{param}")
+    return found
+
+
+def test_every_default_is_passed_or_allowed():
+    assert all(DEFAULT_ALLOWED.values())
+    definitions = top_level_definitions(MODULES)
+    reached = set(definitions) - unreached(definitions, ROOTS)
+    found = unpassed_defaults(definitions, reached, ROOTS)
+    assert sorted(found - set(DEFAULT_ALLOWED)) == []
+    assert sorted(set(DEFAULT_ALLOWED) - found) == []  # no stale entry
+
+
+def test_the_default_check_sees_every_way_to_pass(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def by_keyword(x, y=1):\n"
+        "    return x\n"
+        "def by_position(x, y=1, z=2):\n"
+        "    return x\n"
+        "def by_star(x, y=1, *, z=2):\n"
+        "    return x\n"
+        "def by_double(x, y=1, *, z=2):\n"
+        "    return x\n"
+        "def never(x, y=1, *, z=2):\n"
+        "    return by_keyword(x, y=x) + by_position(x, 0) + by_double(**{'x': x})\n"
+        "def unreached(x, y=1):\n"
+        "    return x\n",
+        encoding="utf-8",
+    )
+    root = tmp_path / "root.py"
+    root.write_text("never(1)\nby_star(*[1, 2], z=3)\n'by_keyword(1, z=2) is only words'\n", encoding="utf-8")
+    definitions = top_level_definitions([lib])
+    reached = set(definitions) - unreached(definitions, [root])
+    assert reached == {"by_keyword", "by_position", "by_star", "by_double", "never"}
+    assert unpassed_defaults(definitions, reached, [root]) == {
+        "by_position.z", "never.y", "never.z",
+    }
 
 
 def assert_lines(source: str) -> list:
