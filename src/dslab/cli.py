@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import os
@@ -31,6 +30,16 @@ import warnings
 from typing import Optional
 
 import numpy as np
+
+# CPython's built-in SHA-256 gives hashlib's digest without mapping OpenSSL's
+# libcrypto, which importing hashlib does (3.6 MB RSS) for one digest per run
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from ._rng import hash_u64
@@ -162,7 +171,7 @@ def _write(out_dir: str, name: str, text: str) -> None:
 
 
 def _content_hash(command: str, sections: dict) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(f"dslab {__version__}\ncommand {command}\n".encode("utf-8"))
     digest.update(serialize_config(sections).encode("utf-8"))
     return digest.hexdigest()
@@ -201,9 +210,7 @@ def cmd_simulate(get: _Reader, seed: int):
     modes = get("modes", int, 64)
     length = get("domain_length", float, DEFAULT_DOMAIN_LENGTH)
     grid = GridSpec(modes, length)
-    datum = make_rough_data(
-        RoughDataSpec(get("s", float, 1.0), get("amplitude", float), seed), grid
-    )
+    spec = RoughDataSpec(get("s", float, 1.0), get("amplitude", float), seed)
     cfg = SolverConfig(
         c1=get("c1", float, 1.0),
         c2=get("c2", float, 1.0),
@@ -216,7 +223,8 @@ def cmd_simulate(get: _Reader, seed: int):
     )
     get.check_all_read()
     recorder = SampleRecorder(grid, cfg.c1, cfg.c2, cfg.forcing)
-    for _, t, u_hat in sample_stream(datum, cfg):  # keeps no sampled field
+    # keeps neither the datum nor any sampled field
+    for _, t, u_hat in sample_stream(make_rough_data(spec, grid), cfg):
         recorder.record(t, u_hat)
     series = recorder.series()
     rows = list(zip(series.times, series.mass, series.h1_norm, series.energy))

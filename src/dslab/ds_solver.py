@@ -22,7 +22,12 @@ Fourier-series coefficients without any separate rescaling pass.
 The step allocates no M x M array.  The field is transformed in place with
 spectral_core's *_into transforms, and the density, its half spectrum and
 the potential live in buffers the density kernel owns.  Only the array that
-advance returns is fresh.
+advance returns is fresh.  The step kernel keeps lead (the half-step
+propagator), full (the masked full step), force and force_full (with
+forcing), the gauge phase buffer and the density kernel's buffers: seven
+M x M complex fields' worth when forced, and no more while it is built.
+The 2/3 mask is applied after the trailing lead rather than folded into a
+separate trailing propagator.
 
 The kernels step one M x M field or a (K, M, M) stack of K fields; every
 operation acts on each field alone, so a member of a stack gets the bits it
@@ -254,30 +259,44 @@ class _StepKernel:
 
     The linear half-step is u -> P u + F with P = exp(lam dt/2) and F the
     variation-of-constants forcing term; two adjacent half-steps compose
-    exactly into u -> P^2 u + (P + 1) F.  The 2/3 mask is 0/1, so folding it
-    into the propagators that follow the gauge gives the same values as
-    masking the field first.  A step writes only the field advance returns,
-    the density kernel's buffers and the gauge phase buffer, all shaped for
-    one field (stack = ()) or a stack of K fields (stack = (K,)).
+    exactly into u -> P^2 u + (P + 1) F.  The kernel keeps lead = P,
+    full = P^2 (masked when dealiasing), force = F and force_full =
+    (P + 1) F (both None without forcing), the gauge phase buffer and the
+    density kernel's buffers: for one field, 7 M x M complex fields' worth
+    with forcing and 5 without.  The 2/3 mask is 0/1, so folding it into
+    full gives the same values as masking the field first.  The last step
+    of an advance multiplies by lead and then by mask, the grid's cached
+    mask (None without dealiasing), instead of by a stored masked copy of
+    lead.  On masked-out modes that can flip the sign of an exact zero
+    before the force is added; no output byte depends on the sign.  A step
+    writes only the field advance returns, the density kernel's buffers and
+    the gauge phase buffer, all shaped for one field (stack = ()) or a
+    stack of K fields (stack = (K,)).
     """
 
     def __init__(self, grid: GridSpec, cfg: SolverConfig, dt: float, stack: tuple = ()):
         self.dt = dt
-        lam = -1j * grid.xi_squared - cfg.delta
-        half_prop = np.exp(lam * (dt / 2.0))
-        self.lead = half_prop
-        self.trail = half_prop * grid.dealias_mask if cfg.dealias else half_prop
-        self.full = half_prop * self.trail
+        # each array is built in the one buffer it keeps, and lam goes
+        # before the density and phase buffers are made, so construction
+        # never holds more than the fields the kernel keeps
+        lam = -1j * grid.xi_squared
+        lam -= cfg.delta
+        half_prop = lam * (dt / 2.0)
+        self.lead = np.exp(half_prop, out=half_prop)
+        self.mask = grid.dealias_mask if cfg.dealias else None
+        self.full = half_prop.copy() if self.mask is None else half_prop * self.mask
+        np.multiply(half_prop, self.full, out=self.full)
+        self.force = self.force_full = None
         if cfg.forcing is not None:
-            f_hat = to_fourier(cfg.forcing).values
-            rhs = -1j * f_hat
+            phi = half_prop - 1.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                phi = (half_prop - 1.0) / lam
-            phi = np.where(lam == 0, dt / 2.0, phi)
-            self.force = phi * rhs
-            self.force_full = (half_prop + 1.0) * self.force
-        else:
-            self.force = self.force_full = None
+                phi /= lam
+            phi[lam == 0] = dt / 2.0
+            phi *= -1j * to_fourier(cfg.forcing).values
+            self.force = phi
+            self.force_full = half_prop + 1.0
+            self.force_full *= phi
+        del lam
         self.density = _DensityKernel(grid, cfg.c1, cfg.c2, stack)
         self.phase = np.empty(stack + self.lead.shape, dtype=np.complex128)
 
@@ -307,8 +326,14 @@ class _StepKernel:
             spectral_core.ifft2_into(u, u)
             self._gauge(u, step)
             spectral_core.fft2_into(u, u)
-            prop, force = (self.full, self.force_full) if step < last else (self.trail, self.force)
-            u *= prop
+            if step < last:
+                u *= self.full
+                force = self.force_full
+            else:
+                u *= self.lead
+                if self.mask is not None:
+                    u *= self.mask
+                force = self.force
             if force is not None:
                 u += force
         return u
@@ -380,8 +405,8 @@ def _samples(kernel: _StepKernel, u_hat: np.ndarray, cfg: SolverConfig) -> Itera
     """The sample loop of sample_stream and ensemble_stream, on a given
     kernel from the fresh datum coefficients u_hat (one field or a stack)."""
     steps = sample_steps(cfg)
-    if cfg.dealias:
-        u_hat *= kernel.density.grid.dealias_mask
+    if kernel.mask is not None:
+        u_hat *= kernel.mask
     done = 0
     for step in steps:
         if step > done:

@@ -49,8 +49,10 @@ DEFAULT_DOMAIN_LENGTH = 2.0 * np.pi * 16.0
 class GridSpec:
     """Periodic grid: M modes per axis on a torus of side L.
 
-    Invariants: M is an even power of two; the frequency set per axis is
-    {-M/2, ..., M/2-1} * (2*pi/L).
+    Invariants: M is an even power of two and L is positive and finite; the
+    frequency set per axis is {-M/2, ..., M/2-1} * (2*pi/L).  xi1 is that set
+    as an (M, 1) column and xi2 as a (1, M) row, so expressions in both
+    broadcast to the M x M lattice without storing either axis M times.
     """
 
     modes_per_axis: int
@@ -58,10 +60,12 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         m = self.modes_per_axis
-        if m <= 0 or (m & (m - 1)) != 0:
-            raise ValueError(f"modes_per_axis must be a power of two, got {m}")
-        if not self.domain_length > 0:
-            raise ValueError("domain_length must be positive")
+        if m < 2 or (m & (m - 1)) != 0:
+            raise ValueError(f"modes_per_axis must be a power of two and at least 2, got {m}")
+        # NaN fails every comparison, so this refuses it too
+        length = self.domain_length
+        if not 0 < length < np.inf:
+            raise ValueError(f"domain_length must be positive and finite, got {length}")
 
     @property
     def frequency_step(self) -> float:
@@ -83,11 +87,13 @@ class GridSpec:
 
     @cached_property
     def xi1(self) -> np.ndarray:
-        return self.frequencies[:, None] * np.ones((1, self.modes_per_axis))
+        """First frequency component, shape (M, 1)."""
+        return self.frequencies[:, None]
 
     @cached_property
     def xi2(self) -> np.ndarray:
-        return np.ones((self.modes_per_axis, 1)) * self.frequencies[None, :]
+        """Second frequency component, shape (1, M)."""
+        return self.frequencies[None, :]
 
     @cached_property
     def xi_squared(self) -> np.ndarray:

@@ -1,4 +1,6 @@
 """Shared test hooks."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,20 @@ def count_transforms(monkeypatch):
         return calls[0]
 
     return count
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn) -> (current, peak, result): the bytes tracemalloc
+    counts live, and at their peak, while fn() runs, and fn's result."""
+
+    def trace(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return current, peak, result
+
+    return trace

@@ -1,5 +1,4 @@
 """Energy balance audit, absorbing-ball fits, and the compactness probe."""
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -588,16 +587,11 @@ class TestAbsorbingCost:
         assert sparse20 - sparse10 == 4 * 10
         assert dense10 - sparse10 == 2 * 9
 
-    def test_peak_memory_below_one_stored_member(self):
+    def test_peak_memory_below_one_stored_member(self, traced_peak):
         grid = GridSpec(32, TWO_PI)
         ens = forced_trio(grid, horizon=1.0, sample_every=1, probe_times=(1.0,))
         samples = 101
         one_member = samples * grid.modes_per_axis**2 * np.dtype(np.complex128).itemsize
-        tracemalloc.start()
-        try:
-            report = absorbing_experiment(ens)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak, report = traced_peak(lambda: absorbing_experiment(ens))
         assert len(report.sample_times) == samples and len(report.h1_series) == 3
         assert peak < one_member

@@ -1,10 +1,10 @@
 """Exit codes, manifests, and byte-level determinism of the command line."""
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -83,6 +83,40 @@ class TestSimulate:
         m1, m2 = read_manifest(out1), read_manifest(out2)
         assert m1["content_hash"] == m2["content_hash"]
 
+    def test_content_hash_is_the_sha256_of_the_inputs(self):
+        # the digest comes from CPython's built-in module, not hashlib, and
+        # must keep hashlib's bytes so that manifests keep their hashes
+        sections = parse_config(SIM_CONFIG)
+        text = f"dslab {dslab.__version__}\ncommand simulate\n" + serialize_config(sections)
+        expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert dslab.cli._content_hash("simulate", sections) == expected
+
+    def test_run_does_not_load_openssl(self, tmp_path):
+        # a fresh interpreter, since pytest itself may have imported hashlib
+        cfg = write_config(tmp_path, SIM_CONFIG)
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+        script = (
+            "import sys\nfrom dslab.cli import main\n"
+            f"code = main({argv!r})\nprint(code, '_hashlib' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(dslab.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert run.stdout.split() == ["0", "False"], run.stderr
+
+    def test_workload_grid_peaks_below_fourteen_and_a_half_fields(self, tmp_path, traced_peak):
+        # the benchmark's simulate grid and drive (M = 256, damped, forced);
+        # the peak does not depend on the step count.  It is about 13.8
+        # fields, 7 of them the step kernel's
+        text = (
+            "[simulate]\nmodes = 256\namplitude = 0.05\ns = 1.0\ndt = 0.01\nt_end = 0.2\n"
+            "delta = 0.1\nforcing_amplitude = 0.05\nsample_every = 100\n"
+        )
+        argv = ["simulate", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")]
+        _, peak, code = traced_peak(lambda: main(argv))
+        field = 256 * 256 * np.dtype(np.complex128).itemsize
+        assert code == 0 and peak < 14.5 * field
+
     def test_manifest_declares_row_count_and_steps(self, tmp_path):
         cfg = write_config(tmp_path, SIM_CONFIG)
         out = tmp_path / "o"
@@ -119,7 +153,7 @@ class TestSimulate:
         expected = np.array([traj.times, traj.mass, traj.h1_norm, traj.energy]).T
         assert cells.shape == expected.shape and np.array_equal(cells, expected)
 
-    def test_peak_memory_does_not_grow_with_the_sample_count(self, tmp_path):
+    def test_peak_memory_does_not_grow_with_the_sample_count(self, tmp_path, traced_peak):
         # M = 64, 101 samples against 2: keeping every sampled field would
         # add 101 x 64 KiB
         def peak(every: int) -> int:
@@ -128,12 +162,10 @@ class TestSimulate:
                 f"delta = 0.1\nforcing_amplitude = 0.05\nsample_every = {every}\n"
             )
             cfg = write_config(tmp_path, text, name=f"every{every}.ini")
-            tracemalloc.start()
-            try:
-                assert main(["simulate", "--config", cfg, "--out", str(tmp_path / str(every))]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            argv = ["simulate", "--config", cfg, "--out", str(tmp_path / str(every))]
+            _, peak_bytes, code = traced_peak(lambda: main(argv))
+            assert code == 0
+            return peak_bytes
 
         sparse = peak(100)  # first, so it also carries any one-time cost
         dense = peak(1)
@@ -278,6 +310,31 @@ class TestConfigKeys:
         else:
             message = "amplitude must be finite and nonnegative"
         assert message in capsys.readouterr().err
+        assert output_files(out) == []
+
+    @pytest.mark.parametrize(
+        "command,keys,named",
+        [
+            ("simulate", "dt = 0.01\nt_end = 0.1\ndomain_length = inf", "domain_length"),
+            ("simulate", "dt = 0.01\nt_end = 0.1\ndomain_length = 1e400", "domain_length"),
+            ("simulate", "dt = 0.01\nt_end = 0.1\nmodes = 1", "modes_per_axis"),
+            (
+                "attractor",
+                "member_count = 2\ndelta = 0.2\nhorizon = 0.1\nprobes = 0.1\ndomain_length = inf",
+                "domain_length",
+            ),
+            ("smoothing", "modes = 16, 32, 64\ns = 1.4\nt_probe = 0.1\ndomain_length = inf", "domain_length"),
+        ],
+        ids=["simulate-inf", "simulate-1e400", "simulate-one-mode", "attractor-inf", "smoothing-inf"],
+    )
+    def test_grid_outside_its_range_exits_two(self, command, keys, named, tmp_path, capsys):
+        # an infinite side used to build the grid and abort with exit 3 at
+        # the first step, and one mode per axis to run to exit 0
+        text = f"[{command}]\namplitude = 0.1\n{keys}\n"
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert output_files(out) == []
 
 

@@ -1,6 +1,4 @@
 """Split-step integrator checks: collapse limits, conservation, order, damping."""
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -414,7 +412,7 @@ class TestKernelBuffers:
         for buf in (u_hat, first, d.rho, d.scratch, d.rho_hat, kernel.phase):
             assert not np.shares_memory(second, buf)
 
-    def test_steps_allocate_only_the_returned_field(self):
+    def test_steps_allocate_only_the_returned_field(self, traced_peak):
         # at M = 256 one field (1 MiB) dwarfs numpy's fixed ufunc buffers
         grid = GridSpec(256)
         u0 = make_rough_data(RoughDataSpec(1.0, 0.05, 3), grid)
@@ -422,27 +420,28 @@ class TestKernelBuffers:
         kernel = ds_solver._StepKernel(grid, cubic_config(delta=0.1, forcing=f), 0.01)
         u_hat = to_fourier(u0).values
         field = u_hat.nbytes
-        tracemalloc.start()
-        try:
-            kernel.advance(u_hat, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: kernel.advance(u_hat, 5))
         assert field <= peak < 1.5 * field
 
-    def test_potential_allocates_no_array(self):
+    def test_construction_holds_only_the_kept_fields(self, traced_peak):
+        # forced and dealiased at M = 256: lead, full, force, force_full and
+        # phase, plus rho, scratch, rho_hat and symbol at half a field each
+        grid = GridSpec(256)
+        grid.xi_squared, grid.alpha_symbol, grid.dealias_mask  # cached before tracing
+        f = SpectralField(grid, np.full((256, 256), 0.01, dtype=np.complex128))
+        cfg = cubic_config(delta=0.1, forcing=f, dealias=True)
+        current, peak, _ = traced_peak(lambda: ds_solver._StepKernel(grid, cfg, cfg.dt))
+        field = 256 * 256 * np.dtype(np.complex128).itemsize
+        assert current <= 7.1 * field and peak <= 7.1 * field
+
+    def test_potential_allocates_no_array(self, traced_peak):
         # a float symbol is cast through numpy's 128 KiB ufunc buffer per call
         grid = GridSpec(128)
         kernel = ds_solver._DensityKernel(grid, 1.0, 1.0)
         u = to_physical(make_rough_data(RoughDataSpec(1.0, 0.05, 3), grid)).values
         kernel.potential(kernel.density_hat(u))
         rho_hat = kernel.density_hat(u)
-        tracemalloc.start()
-        try:
-            kernel.potential(rho_hat)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: kernel.potential(rho_hat))
         assert peak < 8192
 
     def test_potential_is_copied_out_of_the_density_buffer(self, monkeypatch, two_mode):

@@ -51,7 +51,7 @@ class TestGridSpec:
     def test_mode_numbers_cover_symmetric_range(self, grid):
         assert sorted(grid.mode_numbers) == list(range(-32, 32))
 
-    @pytest.mark.parametrize("bad", [0, -8, 48, 63])
+    @pytest.mark.parametrize("bad", [0, 1, -8, 48, 63])
     def test_rejects_non_power_of_two(self, bad):
         with pytest.raises(ValueError):
             GridSpec(bad)
@@ -59,6 +59,25 @@ class TestGridSpec:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             GridSpec(64, domain_length=0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_length(self, bad):
+        with pytest.raises(ValueError, match="domain_length must be positive and finite"):
+            GridSpec(64, domain_length=bad)
+
+    def test_symbols_match_the_full_lattice_construction(self, grid):
+        # xi1 and xi2 are a broadcast column and row; the symbols built from
+        # them keep the bits of the M x M outer-product construction
+        m, f = grid.modes_per_axis, grid.frequencies
+        xi1 = f[:, None] * np.ones((1, m))
+        xi2 = np.ones((m, 1)) * f[None, :]
+        assert grid.xi1.shape == (m, 1) and grid.xi2.shape == (1, m)
+        xi_sq = xi1**2 + xi2**2
+        with np.errstate(invalid="ignore"):
+            alpha = xi1**2 / xi_sq
+        alpha[0, 0] = 0.0
+        assert grid.xi_squared.tobytes() == xi_sq.tobytes()
+        assert grid.alpha_symbol.tobytes() == alpha.tobytes()
 
     def test_dealias_mask_two_thirds_rule(self, grid):
         # M=64 keeps 3|k| <= 64, so |k| <= 21 survives and |k| = 22 does not
