@@ -26,8 +26,9 @@ advance returns is fresh.  The step kernel keeps lead (the half-step
 propagator), full (the masked full step), force and force_full (with
 forcing), the gauge phase buffer and the density kernel's buffers: seven
 M x M complex fields' worth when forced, and no more while it is built.
-The 2/3 mask is applied after the trailing lead rather than folded into a
-separate trailing propagator.
+The 2/3 mask is applied after the trailing lead, by zeroing the slabs of
+rows and columns it drops, rather than folded into a separate trailing
+propagator.
 
 The kernels step one M x M field or a (K, M, M) stack of K fields; every
 operation acts on each field alone, so a member of a stack gets the bits it
@@ -264,14 +265,16 @@ class _StepKernel:
     (P + 1) F (both None without forcing), the gauge phase buffer and the
     density kernel's buffers: for one field, 7 M x M complex fields' worth
     with forcing and 5 without.  The 2/3 mask is 0/1, so folding it into
-    full gives the same values as masking the field first.  The last step
-    of an advance multiplies by lead and then by mask, the grid's cached
-    mask (None without dealiasing), instead of by a stored masked copy of
-    lead.  On masked-out modes that can flip the sign of an exact zero
-    before the force is added; no output byte depends on the sign.  A step
-    writes only the field advance returns, the density kernel's buffers and
-    the gauge phase buffer, all shaped for one field (stack = ()) or a
-    stack of K fields (stack = (K,)).
+    full gives the same values as masking the field first.  The modes it
+    drops are one index slab per axis, dropped (None without dealiasing),
+    and dealias zeroes them in place: in full, in the datum and after the
+    trailing lead of an advance, instead of multiplying by a stored masked
+    copy of lead or by the grid's bool mask, which numpy casts through a
+    buffer on every call.  A zeroed mode can differ from the masked product
+    in the sign of an exact zero; no output byte depends on the sign.  A
+    step writes only the field advance returns, the density kernel's
+    buffers and the gauge phase buffer, all shaped for one field
+    (stack = ()) or a stack of K fields (stack = (K,)).
     """
 
     def __init__(self, grid: GridSpec, cfg: SolverConfig, dt: float, stack: tuple = ()):
@@ -283,8 +286,11 @@ class _StepKernel:
         lam -= cfg.delta
         half_prop = lam * (dt / 2.0)
         self.lead = np.exp(half_prop, out=half_prop)
-        self.mask = grid.dealias_mask if cfg.dealias else None
-        self.full = half_prop.copy() if self.mask is None else half_prop * self.mask
+        # the modes the 2/3 mask drops: one slab of rows and one of columns
+        m = grid.modes_per_axis
+        self.dropped = slice(m // 3 + 1, m - m // 3) if cfg.dealias else None
+        self.full = half_prop.copy()
+        self.dealias(self.full)
         np.multiply(half_prop, self.full, out=self.full)
         self.force = self.force_full = None
         if cfg.forcing is not None:
@@ -299,6 +305,13 @@ class _StepKernel:
         del lam
         self.density = _DensityKernel(grid, cfg.c1, cfg.c2, stack)
         self.phase = np.empty(stack + self.lead.shape, dtype=np.complex128)
+
+    def dealias(self, u: np.ndarray) -> None:
+        """Zero the modes the 2/3 mask drops, in place; without dealiasing
+        (dropped None) leave u as it is."""
+        if self.dropped is not None:
+            u[..., self.dropped, :] = 0.0
+            u[..., :, self.dropped] = 0.0
 
     def _gauge(self, u: np.ndarray, step: int) -> None:
         """u <- exp(-i dt V) u in place; a non-finite density aborts the step."""
@@ -331,8 +344,7 @@ class _StepKernel:
                 force = self.force_full
             else:
                 u *= self.lead
-                if self.mask is not None:
-                    u *= self.mask
+                self.dealias(u)
                 force = self.force
             if force is not None:
                 u += force
@@ -405,8 +417,7 @@ def _samples(kernel: _StepKernel, u_hat: np.ndarray, cfg: SolverConfig) -> Itera
     """The sample loop of sample_stream and ensemble_stream, on a given
     kernel from the fresh datum coefficients u_hat (one field or a stack)."""
     steps = sample_steps(cfg)
-    if kernel.mask is not None:
-        u_hat *= kernel.mask
+    kernel.dealias(u_hat)
     done = 0
     for step in steps:
         if step > done:

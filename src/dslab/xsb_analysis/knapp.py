@@ -269,6 +269,8 @@ def separable_output_spectrum(
     (sorted index arrays: the support sums of the factors) and exactly zero
     elsewhere, and tau is exactly zero off its own support sum. Expanded, it
     equals trilinear_output_spectrum on the dense expansions of u, v and w.
+    Raises FloatingPointError when block or tau is not finite: the inputs
+    are checked before, so only an overflow gets there.
     """
     u1, u2, u3 = u.physical()
     v1, v2, v3 = v.physical()
@@ -296,7 +298,7 @@ def separable_output_spectrum(
     block = acted[rows] @ w.xi2[(cols[None, :] - pair_cols[:, None]) % m]
     tau = np.fft.fft(u3 * np.conj(v3) * w3, norm="forward")
     if not (np.all(np.isfinite(block)) and np.all(np.isfinite(tau))):
-        raise ValueError("values must be finite")
+        raise FloatingPointError("output spectrum overflowed: values must be finite")
     tau[~_support_sum(u.tau, v.tau, w.tau)] = 0.0
     return rows, cols, block, tau, _product_carrier(u.carrier, v.carrier, w.carrier)
 
@@ -407,7 +409,9 @@ def knapp_sweep(
     Ratios equal trilinear_ratio's on knapp_triple, computed on the 1D factors
     (separable_output_spectrum and the block norm on its support); ||w|| =
     ||v|| is reused, as w has v's factors and carrier. Every input is checked
-    (check_ladder) before the first transform.
+    (check_ladder) before the first transform. Raises FloatingPointError,
+    naming the N, when a norm or ratio overflows, as large c1 and c2 can
+    make it, before any slope is fitted.
     """
     n_list = check_ladder(n_list, s, a, b, c1, c2)
     if grid is None:
@@ -420,6 +424,11 @@ def knapp_sweep(
         rows, cols, block, tau, carrier = separable_output_spectrum(fu, fv, fv, grid, c1, c2)
         num = _block_norm(grid, rows, cols, block, tau, carrier, s + a, b - 1.0)
         ratios.append(num / (u_norms[-1] * v_norms[-1] * v_norms[-1]))
+        if not all(map(math.isfinite, (u_norms[-1], v_norms[-1], ratios[-1]))):
+            raise FloatingPointError(
+                f"N = {n:g}: the norms or the ratio are not finite "
+                f"(u {u_norms[-1]!r}, v {v_norms[-1]!r}, ratio {ratios[-1]!r})"
+            )
     return KnappSweepResult(
         n_values=tuple(n_list),
         u_norms=tuple(u_norms),

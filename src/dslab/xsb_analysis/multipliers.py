@@ -51,9 +51,13 @@ class Gamma3Multiplier:
         if not all(np.isfinite(a).all() for a in (*pts, self.values)):
             raise ValueError("points and values must be finite")
         if n:
-            closure = pts[0] + pts[1] + pts[2]
-            if np.max(np.abs(closure)) > 1e-9:
+            # one buffer, the same left-to-right sums as p1 + p2 + p3
+            closure = pts[0] + pts[1]
+            closure += pts[2]
+            np.abs(closure, out=closure)
+            if np.max(closure) > 1e-9:
                 raise ValueError("support must lie on the zero-sum hyperplane")
+            del closure
         labels, sizes = zip(*(_slot_labels(p) for p in pts))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "slot_sizes", sizes)
@@ -72,16 +76,21 @@ def _slot_labels(points: np.ndarray) -> tuple[np.ndarray, int]:
     the number of distinct rows.
 
     One lexsort over the rounded columns (column 0 the primary key) and a
-    cumulative count of run starts; the ranks equal the inverse indices of
-    np.unique(axis=0), which orders rows the same way and also equates
-    -0.0 with 0.0.
+    cumulative count of run starts, found one sorted column at a time so
+    no sorted copy of all three is held; the ranks equal the inverse
+    indices of np.unique(axis=0), which orders rows the same way and also
+    equates -0.0 with 0.0.
     """
     rounded = points.round(decimals=9)
     order = np.lexsort(rounded.T[::-1])
-    ordered = rounded[order]
-    starts = np.ones(len(order), dtype=np.int64)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    ranks = np.cumsum(starts) - 1
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in rounded.T:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    del rounded, ordered
+    ranks = np.cumsum(starts)
+    ranks -= 1
     labels = np.empty(len(order), dtype=np.int64)
     labels[order] = ranks
     return labels, int(ranks[-1]) + 1 if len(ranks) else 0

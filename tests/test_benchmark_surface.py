@@ -6,8 +6,7 @@ These tests read layers.py and workloads.py with ast: every name taken from
 an imported dslab module must exist, and every call of such a name must
 pass only keywords its signature accepts.  The workload configs, and the
 README's ini examples, must also pass the command line's config checks, and
-the blocks and knapp workloads must reproduce their committed reference
-outputs.
+every workload must reproduce its committed reference outputs.
 """
 import ast
 import importlib
@@ -191,10 +190,11 @@ def test_readme_configs_pass_the_config_checks(command, text, tmp_path, monkeypa
     _passes_config_checks(command, text, tmp_path, monkeypatch)
 
 
-@pytest.mark.parametrize("name", ["blocks", "knapp"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_workload_matches_its_reference(name, tmp_path):
-    # each of these workloads takes about a second, so drift in the block or
-    # Knapp engine's outputs fails here and not only in the benchmark
+    # each workload takes about a second, so drift in the solver's, the
+    # ensemble's, the block engine's or the Knapp engine's outputs fails
+    # here and not only in the benchmark
     wl = WORKLOADS.WORKLOADS[name]
     seed = wl.dslab_seed(WORKLOADS.DEFAULT_SEED)
     with open(WORKLOADS.reference_path(wl), encoding="utf-8") as fh:

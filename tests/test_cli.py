@@ -502,6 +502,22 @@ class TestKnapp:
         assert message in capsys.readouterr().err
         assert output_files(out) == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "coupling,message",
+        [("1e150", "numerical abort: N = 8: "), ("1e308", "numerical abort: output spectrum")],
+    )
+    def test_overflowing_ladder_is_a_numerical_abort(
+        self, coupling, message, tmp_path, capsys
+    ):
+        # finite inputs whose ratio (1e150) or output spectrum (1e308)
+        # overflows are a numerical fault, not a config error
+        cfg = write_config(tmp_path, f"[knapp]\nc1 = {coupling}\nc2 = {coupling}\n")
+        out = tmp_path / "o"
+        assert main(["knapp", "--config", cfg, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert output_files(out) == []
+
     def test_table_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the output block is a matrix product, so BLAS runs it; the ladder
         # of the benchmark's knapp workload (M = 512) must not move with the
@@ -647,6 +663,20 @@ class TestBlocks:
         lines = (out1 / entry["path"]).read_text(encoding="utf-8").splitlines()
         assert len(lines) - 1 == entry["rows"] == 2
         assert lines[1].startswith("plus_plus_plus,") and lines[2].startswith("coherent,")
+
+    def test_workload_sweep_peak_memory(self, tmp_path, traced_peak):
+        # the blocks benchmark workload: its largest block, 43 440 rows,
+        # makes a 4.3 MiB multiplier, and its ALS gathers add about 2.8 MiB
+        cfg = write_config(
+            tmp_path,
+            "[blocks]\ncases = plus_plus_plus, high_parallel, coherent, generic\n"
+            "per_case = 1\n",
+        )
+        argv = ["blocks", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "0"]
+        np.random.default_rng  # the sampler's first call imports numpy.random, 0.8 MiB
+        _, peak, code = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak <= 7.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("key", ["per_case", "restarts", "iters"])
     def test_zero_count_exits_two_before_sampling(self, key, tmp_path, capsys, monkeypatch):

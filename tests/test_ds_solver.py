@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dslab import ds_solver
+from dslab import ds_solver, spectral_core
 from dslab.spectral_core import (
     FOURIER,
     GridSpec,
@@ -412,6 +412,49 @@ class TestKernelBuffers:
         for buf in (u_hat, first, d.rho, d.scratch, d.rho_hat, kernel.phase):
             assert not np.shares_memory(second, buf)
 
+    @pytest.mark.parametrize("members", [None, 3], ids=["field", "stack"])
+    def test_zeroed_slabs_equal_the_mask_product(self, members):
+        # the reference masks the datum, builds full and advances by
+        # multiplying with the bool mask
+        grid = GridSpec(64, 2.0 * np.pi)
+        forcing = make_rough_data(RoughDataSpec(2.0, 0.05, 9), grid)
+        cfg = cubic_config(delta=0.2, forcing=forcing, dealias=True)
+        fields = [make_rough_data(RoughDataSpec(1.0, 0.3, k), grid) for k in (1, 2, 3)]
+        if members is None:
+            u_hat, stack = to_fourier(fields[0]).values, ()
+        else:
+            u_hat, stack = np.stack([to_fourier(f).values for f in fields]), (members,)
+        kernel = ds_solver._StepKernel(grid, cfg, cfg.dt, stack)
+        mask = grid.dealias_mask
+        full = kernel.lead * mask
+        full *= kernel.lead
+        assert np.array_equal(kernel.full, full)
+        datum = u_hat.copy()
+        kernel.dealias(datum)
+        assert np.array_equal(datum, u_hat * mask)
+        u = kernel.lead * u_hat
+        u += kernel.force
+        for step in (1, 2, 3):
+            spectral_core.ifft2_into(u, u)
+            kernel._gauge(u, step)
+            spectral_core.fft2_into(u, u)
+            if step < 3:
+                u *= full
+                u += kernel.force_full
+            else:
+                u *= kernel.lead
+                u *= mask
+                u += kernel.force
+        assert np.array_equal(kernel.advance(u_hat, 3), u)
+
+    def test_dropped_slabs_are_the_modes_the_mask_drops(self):
+        for m in (2**k for k in range(1, 10)):
+            grid = GridSpec(m)
+            kernel = ds_solver._StepKernel(grid, cubic_config(dealias=True), 0.01)
+            dropped = np.zeros(m, dtype=bool)
+            dropped[kernel.dropped] = True
+            assert np.array_equal(dropped, ~grid.dealias_keep), m
+
     def test_steps_allocate_only_the_returned_field(self, traced_peak):
         # at M = 256 one field (1 MiB) dwarfs numpy's fixed ufunc buffers
         grid = GridSpec(256)
@@ -427,7 +470,7 @@ class TestKernelBuffers:
         # forced and dealiased at M = 256: lead, full, force, force_full and
         # phase, plus rho, scratch, rho_hat and symbol at half a field each
         grid = GridSpec(256)
-        grid.xi_squared, grid.alpha_symbol, grid.dealias_mask  # cached before tracing
+        grid.xi_squared, grid.alpha_symbol  # cached before tracing
         f = SpectralField(grid, np.full((256, 256), 0.01, dtype=np.complex128))
         cfg = cubic_config(delta=0.1, forcing=f, dealias=True)
         current, peak, _ = traced_peak(lambda: ds_solver._StepKernel(grid, cfg, cfg.dt))

@@ -47,6 +47,13 @@ class TestGamma3Multiplier:
         p = np.ones((1, 3))
         with pytest.raises(ValueError, match="zero-sum"):
             Gamma3Multiplier(p, p, p, np.ones(1))
+        # one row among many, off the hyperplane on the negative side
+        p1, p2, p3 = random_closed_support(np.random.default_rng(4), 50)
+        p3[17, 2] -= 2e-9
+        with pytest.raises(ValueError, match="zero-sum"):
+            Gamma3Multiplier(p1, p2, p3, np.ones(50))
+        p3[17, 2] += 1.5e-9
+        assert Gamma3Multiplier(p1, p2, p3, np.ones(50)).size == 50
 
     def test_non_finite_points_rejected(self):
         # NaN compares False against the closure tolerance, so it needs its own check
@@ -90,9 +97,11 @@ class TestGamma3Multiplier:
         p3 = -(p1 + p2)
         assert np.any(np.signbit(p1) & (p1 == 0)) and np.any(~np.signbit(p1) & (p1 == 0))
         real = block_multiplier(DyadicBlockSpec(2, 1, 2, 2, 1, 4, 4), BlockLattice())
+        none = np.empty((0, 3))
         for m in (
             Gamma3Multiplier(p1, p2, p3, np.ones(400)),
             Gamma3Multiplier(real.points1, real.points2, real.points3, real.values),
+            Gamma3Multiplier(none, none, none, np.empty(0)),
         ):
             for pts, lab, size in zip((m.points1, m.points2, m.points3), m.labels, m.slot_sizes):
                 uniq, inv = np.unique(pts.round(decimals=9), axis=0, return_inverse=True)
@@ -449,6 +458,15 @@ class TestBlockMultiplier:
         assert block_multiplier(
             DyadicBlockSpec(2, 2, 2, 1, 1, 4, 1, signs=(1, 1, 1)), lattice
         ).is_empty
+
+    def test_peak_stays_near_the_multiplier_it_returns(self, traced_peak):
+        # the blocks workload's plus_plus_plus block, 43 440 rows; its
+        # points, values and labels take 4.31 MiB
+        spec = DyadicBlockSpec(2, 1, 2, 1, 1, 8, 8, signs=(1, 1, 1))
+        _, peak, m = traced_peak(lambda: block_multiplier(spec, BlockLattice()))
+        own = sum(a.nbytes for a in (m.points1, m.points2, m.points3, m.values, *m.labels))
+        assert m.size == 43440
+        assert peak <= 1.5 * own, f"peak {peak / own:.2f}x the multiplier's bytes"
 
     def test_support_cap(self):
         with pytest.raises(SupportCapExceeded, match="max_support"):
