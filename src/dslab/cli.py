@@ -246,6 +246,8 @@ def cmd_smoothing(get: _Reader, seed: int):
     spec = RoughDataSpec(s, get("amplitude", float), seed)
     length = get("domain_length", float, None)
     get.check_all_read()
+    if not math.isfinite(a):
+        raise ConfigError(f"[smoothing] a must be finite, got {a}")
     per_grid = sample_steps(cfg)[-1]
     cfg.sample_every = max(1, per_grid)  # the study reads one state per grid: one advance
     exploratory = not a < min(0.5, s - 0.5)
@@ -425,8 +427,10 @@ def cmd_attractor(get: _Reader, seed: int):
         summary = dict(
             base,
             shift_h1a=table["shift_h1a"],
+            # null at a probe time with no pairs: one member has no distance
             pairwise_h1_median={
-                str(t): float(np.median(d)) for t, d in table["pairwise_h1"].items()
+                str(t): float(np.median(d)) if d.size else None
+                for t, d in table["pairwise_h1"].items()
             },
             max_balance_residual=_balance_residual(table["max_balance_residual"]),
         )

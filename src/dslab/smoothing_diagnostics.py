@@ -2,25 +2,23 @@
 
 The flow is split as u(t) = e^{it Lap} u0 + N(t).  duhamel_remainder is the
 one place that computes N(t), against the free flow with optional damping
-and resonant gauge phase; the refinement study and the growth report here
-and the compactness probe in attractor_lab (which passes the shifted state)
-all call it.  For data whose spectrum decays like <xi>^{-s-1} (so u0 sits
-in H^{s'} exactly for s' < s), the linear part keeps the data's roughness
+and resonant gauge phase.  Two instruments call it: the refinement study
+here and the compactness probe in attractor_lab (which passes the shifted
+state).  For data whose spectrum decays like <xi>^{-s-1} (so u0 sits in
+H^{s'} exactly for s' < s), the linear part keeps the data's roughness
 while N(t) is measurably smoother.  On the periodic box each tail mode of
 the plain remainder carries the resonant lattice dressing
 (e^{-i sigma(xi) t} - 1) e^{it Lap} u0, so the plain remainder refines like
 the linear part; it is the gauged remainder (see resonant_gauge_phase) whose
 H^{s+a} norm converges under grid refinement although the linear part's
-diverges like M^a.  The growth in time of the gauged remainder is compared
-against the envelope C <t>^{1 + beta(s) (3 + 2/s)} by smoothing_report.
+diverges like M^a.
 
-Both instruments take a datum and a SolverConfig, stream the run through
-sample_stream and split against its step-0 sample, the datum actually
-integrated; they hold that datum and the current state, never the run.
+Both instruments stream the run through sample_stream and split against
+its step-0 sample, the datum actually integrated; they hold that datum and
+the current state, never the run.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,25 +39,6 @@ from .spectral_core import (
 )
 
 
-def beta_growth(s: float) -> float:
-    """Growth-rate exponent beta(s) = 3s(1-s) / (2(5s-2)) on 2/5 < s < 1.
-
-    For s >= 1 the value 0.0 is returned as a reporting label only; below
-    the validity threshold the formula degenerates and a ValueError is
-    raised.
-    """
-    if s >= 1.0:
-        return 0.0
-    if s <= 0.4:
-        raise ValueError(f"growth exponent undefined for s = {s} <= 2/5")
-    return 3.0 * s * (1.0 - s) / (2.0 * (5.0 * s - 2.0))
-
-
-def envelope_exponent(s: float) -> float:
-    """Time exponent 1 + beta(s) (3 + 2/s) of the smoothing envelope."""
-    return 1.0 + beta_growth(s) * (3.0 + 2.0 / s)
-
-
 @dataclass(frozen=True)
 class RoughDataSpec:
     """Randomized datum with |u0_hat(xi)| = amplitude * <xi>^{-s-1}.
@@ -74,8 +53,8 @@ class RoughDataSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not self.s > 0.5:
-            raise ValueError(f"roughness s must exceed 1/2, got {self.s}")
+        if not 0.5 < self.s < np.inf:
+            raise ValueError(f"roughness s must be finite and exceed 1/2, got {self.s}")
         if not 0 <= self.amplitude < np.inf:
             raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
 
@@ -83,25 +62,6 @@ class RoughDataSpec:
     def spectral_law(self) -> float:
         """Decay exponent of |u0_hat|: modes fall off like <xi>^(this)."""
         return -self.s - 1.0
-
-
-@dataclass
-class SmoothingReport:
-    """Measured H^{s+a} history of the nonlinear part against its envelope."""
-
-    times: np.ndarray
-    nonlinear_norms: np.ndarray
-    s: float
-    a: float
-    beta: float
-    envelope_constant: float
-    envelope: np.ndarray
-    violations: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.nonlinear_norms, self.envelope):
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise ValueError("report series must be finite and nonnegative")
 
 
 def make_rough_data(spec: RoughDataSpec, grid: GridSpec) -> SpectralField:
@@ -135,62 +95,6 @@ def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float) -> SpectralFie
     duhamel_remainder of a stored trajectory's state.  No dslab instrument
     calls it; it stays because benchmarks/layers.py times it."""
     return duhamel_remainder(to_fourier(traj.field_at(t)).values, u0, t)
-
-
-# gauged remainder norms at or below this fraction of the datum's H^{s+a}
-# norm are roundoff: a free M = 32 run leaves about 8e-15 of it after 100 steps
-ROUNDOFF_FLOOR = 1e-9
-
-
-def smoothing_report(u0: SpectralField, cfg: SolverConfig, s: float, a: float) -> SmoothingReport:
-    """Measure the gauged ||N(t)||_{H^{s+a}} of the run (u0, cfg) against
-    C <t>^{1+beta(s)(3+2/s)}.
-
-    The run streams through sample_stream and no sampled state outlives its
-    norm.  N(t) is split against the step-0 sample, the datum actually
-    integrated (dealiasing masks it), and gauged by that datum's resonant
-    phase under cfg.c1, cfg.c2, built once per call; the comparison flow is
-    damped at cfg.delta, so a damped linear flow leaves no remainder (the
-    gauge phase itself is the undamped sigma t).  A norm counts as measured
-    only above ROUNDOFF_FLOOR times the datum's H^{s+a} norm; C is fitted at
-    the first measured probe time, and every later measured sample exceeding
-    the envelope is flagged, so roundoff is neither an anchor nor a
-    violation.  a < min(1/2, s - 1/2) is the regime the theory covers; other
-    a values are allowed for sweeps.
-    """
-    if not a < min(0.5, s - 0.5):
-        warnings.warn(
-            f"a = {a} is outside the guaranteed range for s = {s}", stacklevel=2
-        )
-    times, norms = [], []
-    for step, t, u_hat in sample_stream(u0, cfg):
-        if step == 0:
-            datum = SpectralField(u0.grid, u_hat, FOURIER)
-            sigma = resonant_gauge_phase(datum, cfg.c1, cfg.c2)
-            floor = ROUNDOFF_FLOOR * sobolev_norm(datum, s + a)
-        times.append(t)
-        norms.append(sobolev_norm(duhamel_remainder(u_hat, datum, t, cfg.delta, sigma), s + a))
-    times, nonlinear = np.array(times), np.array(norms)
-    exponent = envelope_exponent(s)
-    bracket_t = np.sqrt(1.0 + times**2)
-    measured = nonlinear > floor
-    if measured.any():
-        i0 = np.argmax(measured)
-        constant = nonlinear[i0] / bracket_t[i0] ** exponent
-    else:
-        constant = 0.0
-    envelope = constant * bracket_t**exponent
-    violations = measured & (nonlinear > envelope * (1.0 + 1e-12))
-    return SmoothingReport(
-        times=times,
-        nonlinear_norms=nonlinear,
-        s=s,
-        a=a,
-        beta=beta_growth(s),
-        envelope_constant=constant,
-        envelope=envelope,
-        violations=violations,
-    )
 
 
 def resonant_gauge_phase(datum: SpectralField, c1: float, c2: float) -> np.ndarray:

@@ -109,10 +109,6 @@ def _check_representable(cfg: KnappConfig, grid: SpaceTimeGrid) -> None:
     dxi = grid.spatial.frequency_step
     if 1.0 / cfg.N < dxi:
         raise ValueError(f"grid too coarse: 1/N = {1.0 / cfg.N} < dxi = {dxi}")
-    if 1.0 / np.sqrt(cfg.N) < dxi:
-        raise ValueError(
-            f"grid too coarse: 1/sqrt(N) = {1.0 / np.sqrt(cfg.N)} < dxi = {dxi}"
-        )
 
 
 @dataclass(frozen=True)
@@ -269,8 +265,8 @@ def separable_output_spectrum(
     (sorted index arrays: the support sums of the factors) and exactly zero
     elsewhere, and tau is exactly zero off its own support sum. Expanded, it
     equals trilinear_output_spectrum on the dense expansions of u, v and w.
-    Raises FloatingPointError when block or tau is not finite: the inputs
-    are checked before, so only an overflow gets there.
+    An overflow leaves non-finite values in block or tau; knapp_sweep
+    refuses the ratio they give.
     """
     u1, u2, u3 = u.physical()
     v1, v2, v3 = v.physical()
@@ -297,8 +293,6 @@ def separable_output_spectrum(
     m = grid.spatial.modes_per_axis
     block = acted[rows] @ w.xi2[(cols[None, :] - pair_cols[:, None]) % m]
     tau = np.fft.fft(u3 * np.conj(v3) * w3, norm="forward")
-    if not (np.all(np.isfinite(block)) and np.all(np.isfinite(tau))):
-        raise FloatingPointError("output spectrum overflowed: values must be finite")
     tau[~_support_sum(u.tau, v.tau, w.tau)] = 0.0
     return rows, cols, block, tau, _product_carrier(u.carrier, v.carrier, w.carrier)
 
@@ -418,12 +412,15 @@ def knapp_sweep(
         grid = knapp_grid(max(n_list))
     u_norms, v_norms, ratios = [], [], []
     for n in n_list:
-        fu, fv = knapp_factors(KnappConfig(N=n, s=s, a=a, b=b), grid)
-        u_norms.append(_packet_norm(fu, grid, s, b))
-        v_norms.append(_packet_norm(fv, grid, s, b))
-        rows, cols, block, tau, carrier = separable_output_spectrum(fu, fv, fv, grid, c1, c2)
-        num = _block_norm(grid, rows, cols, block, tau, carrier, s + a, b - 1.0)
-        ratios.append(num / (u_norms[-1] * v_norms[-1] * v_norms[-1]))
+        # an overflow anywhere in this N's body reaches its norms or ratio,
+        # so the one check below reports it, naming the N
+        with np.errstate(over="ignore", invalid="ignore"):
+            fu, fv = knapp_factors(KnappConfig(N=n, s=s, a=a, b=b), grid)
+            u_norms.append(_packet_norm(fu, grid, s, b))
+            v_norms.append(_packet_norm(fv, grid, s, b))
+            rows, cols, block, tau, carrier = separable_output_spectrum(fu, fv, fv, grid, c1, c2)
+            num = _block_norm(grid, rows, cols, block, tau, carrier, s + a, b - 1.0)
+            ratios.append(num / (u_norms[-1] * v_norms[-1] * v_norms[-1]))
         if not all(map(math.isfinite, (u_norms[-1], v_norms[-1], ratios[-1]))):
             raise FloatingPointError(
                 f"N = {n:g}: the norms or the ratio are not finite "

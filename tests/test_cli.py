@@ -313,6 +313,26 @@ class TestConfigKeys:
         assert output_files(out) == []
 
     @pytest.mark.parametrize(
+        "command,keys",
+        [
+            ("simulate", "s = inf"),
+            ("simulate", "forcing_amplitude = 0.1\nforcing_smoothness = inf\ndelta = 0.1"),
+            ("attractor", "member_count = 2\nmember_s = inf\ndelta = 0.2\nhorizon = 0.1\nprobes = 0.1"),
+            ("attractor", "member_count = 2\nforcing_amplitude = 0.1\nforcing_smoothness = inf\n"
+             "delta = 0.2\nhorizon = 0.1\nprobes = 0.1"),
+        ],
+    )
+    def test_infinite_data_exponent_exits_two(self, command, keys, tmp_path, capsys):
+        # an infinite exponent left the zero mode alone: [simulate] s = inf
+        # ran a single-mode datum to exit 0
+        run_length = "amplitude = 0.1\nt_end = 0.1\n" if command == "simulate" else ""
+        text = f"[{command}]\nmodes = 16\ndt = 0.01\n{run_length}{keys}\n"
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert "roughness s must be finite and exceed 1/2, got inf" in capsys.readouterr().err
+        assert output_files(out) == []
+
+    @pytest.mark.parametrize(
         "command,keys,named",
         [
             ("simulate", "dt = 0.01\nt_end = 0.1\ndomain_length = inf", "domain_length"),
@@ -437,6 +457,29 @@ class TestSmoothing:
         assert "t_end must be an integer multiple of dt" in capsys.readouterr().err
         assert output_files(out) == []
 
+    @pytest.mark.parametrize(
+        "keys,message",
+        [
+            ("a = nan", "[smoothing] a must be finite, got nan"),
+            ("a = inf", "[smoothing] a must be finite, got inf"),
+            ("s = inf", "roughness s must be finite and exceed 1/2, got inf"),
+        ],
+    )
+    def test_non_finite_exponent_exits_two_before_the_first_grid(
+        self, keys, message, tmp_path, capsys, monkeypatch
+    ):
+        # each ran to exit 0 with an all-nan smoothing.csv and null slopes
+        monkeypatch.setattr(dslab.cli, "refinement_study", refuse_call)
+        cfg = write_config(
+            tmp_path, f"[smoothing]\nmodes = 16,32,64\namplitude = 0.01\nt_probe = 0.5\n{keys}\n"
+        )
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the exploratory warning
+            assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert output_files(out) == []
+
     def test_repeated_modes_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -502,20 +545,19 @@ class TestKnapp:
         assert message in capsys.readouterr().err
         assert output_files(out) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "coupling,message",
-        [("1e150", "numerical abort: N = 8: "), ("1e308", "numerical abort: output spectrum")],
-    )
-    def test_overflowing_ladder_is_a_numerical_abort(
-        self, coupling, message, tmp_path, capsys
-    ):
+    @pytest.mark.parametrize("coupling", ["1e150", "1e200", "1e308"])
+    def test_overflowing_ladder_is_a_numerical_abort(self, coupling, tmp_path, capsys):
         # finite inputs whose ratio (1e150) or output spectrum (1e308)
-        # overflows are a numerical fault, not a config error
+        # overflows are a numerical fault, not a config error; 1e308 used to
+        # print three numpy warnings and abort without naming the N
         cfg = write_config(tmp_path, f"[knapp]\nc1 = {coupling}\nc2 = {coupling}\n")
         out = tmp_path / "o"
-        assert main(["knapp", "--config", cfg, "--out", str(out)]) == 3
-        assert message in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["knapp", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: N = 8: ")
+        assert len(err.splitlines()) == 1
         assert output_files(out) == []
 
     def test_table_bytes_do_not_depend_on_blas_threads(self, tmp_path):
@@ -568,6 +610,23 @@ class TestAttractor:
         lines = (out / "attractor.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "member,remainder_h1a,free_h1a"
         assert len(lines) - 1 == 2
+
+    def test_one_member_compactness_writes_null_pairwise_medians(self, tmp_path):
+        # one member has no pairs: the median was NaN, which is not JSON,
+        # and the run printed two numpy warnings
+        text = self.ATTR.replace("member_count = 2", "member_count = 1")
+        cfg = write_config(tmp_path, text + "experiment = compactness\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["attractor", "--config", cfg, "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"summary.json holds {name}")
+
+        text = (out / "summary.json").read_text(encoding="utf-8")
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["pairwise_h1_median"] == {"3.0": None, "6.0": None}
 
     @pytest.mark.parametrize("experiment", ["absorbing", "compactness"])
     def test_unaudited_run_writes_null_residual_and_warns(self, tmp_path, experiment):

@@ -152,11 +152,6 @@ ROOTS = [SRC / "dslab" / "cli.py"] + [
 # Top-level definitions that neither the command line nor the benchmark
 # harness reaches, each with the reason it stays.
 UNREACHED_ALLOWED = {
-    "smoothing_report": "the growth table that ROADMAP item 4 adds to dslab smoothing",
-    "SmoothingReport": "the growth table that ROADMAP item 4 adds to dslab smoothing",
-    "beta_growth": "the growth table that ROADMAP item 4 adds to dslab smoothing",
-    "envelope_exponent": "the growth table that ROADMAP item 4 adds to dslab smoothing",
-    "ROUNDOFF_FLOOR": "the growth table that ROADMAP item 4 adds to dslab smoothing",
     "strang_step": "the one-step kernel handle the reversibility tests drive",
     "nonlinear_potential": "the potential map the K(|u|^2) tests drive",
     "lebesgue_norm": "a reference the attractor and spectral tests compare against",

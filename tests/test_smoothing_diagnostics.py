@@ -16,44 +16,26 @@ from dslab.spectral_core import (
 from dslab.ds_solver import SolverConfig, evolve, sample_steps, sample_stream
 from dslab.smoothing_diagnostics import (
     RoughDataSpec,
-    beta_growth,
     duhamel_remainder,
-    envelope_exponent,
     make_rough_data,
     nonlinear_part,
     refinement_study,
     resonant_gauge_phase,
-    smoothing_report,
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-class TestBetaGrowth:
-    def test_reference_value(self):
-        assert beta_growth(0.6) == pytest.approx(0.36, abs=1e-12)
-
-    def test_envelope_exponent_reference(self):
-        # 1 + 0.36 * (3 + 2/0.6)
-        assert envelope_exponent(0.6) == pytest.approx(3.28, abs=1e-12)
-
-    def test_reporting_label_above_one(self):
-        assert beta_growth(1.0) == 0.0
-        assert beta_growth(1.4) == 0.0
-
-    def test_undefined_below_two_fifths(self):
-        with pytest.raises(ValueError):
-            beta_growth(0.4)
-
-    def test_positive_inside_range(self):
-        for s in (0.45, 0.6, 0.8, 0.99):
-            assert beta_growth(s) > 0
 
 
 class TestRoughDataSpec:
     def test_requires_rough_exponent(self):
         with pytest.raises(ValueError):
             RoughDataSpec(s=0.5, amplitude=1.0, seed=0)
+
+    @pytest.mark.parametrize("s", [np.inf, np.nan])
+    def test_requires_finite_exponent(self, s):
+        # s = inf passed and built a datum of the zero mode alone
+        with pytest.raises(ValueError, match="finite and exceed 1/2"):
+            RoughDataSpec(s=s, amplitude=1.0, seed=0)
 
     def test_requires_nonnegative_amplitude(self):
         with pytest.raises(ValueError):
@@ -257,150 +239,6 @@ class TestResonantGauge:
             assert np.array_equal(got.values, plain)
 
 
-def stored_report(traj, c1, c2, s, a):
-    """(times, nonlinear_norms, envelope, violations) of the gauged growth
-    report built from a stored trajectory, split against its first field:
-    the evolve-based oracle for the streamed smoothing_report."""
-    datum = traj.fields[0]
-    sigma = resonant_gauge_phase(datum, c1, c2)
-    times = np.asarray(traj.times, dtype=float)
-    norms = np.array(
-        [
-            sobolev_norm(duhamel_remainder(f.values, datum, t, sigma=sigma), s + a)
-            for t, f in zip(times, traj.fields)
-        ]
-    )
-    exponent = envelope_exponent(s)
-    bracket_t = np.sqrt(1.0 + times**2)
-    i0 = np.nonzero(norms > 0)[0][0]
-    envelope = norms[i0] / bracket_t[i0] ** exponent * bracket_t**exponent
-    return times, norms, envelope, norms > envelope * (1.0 + 1e-12)
-
-
-class TestSmoothingReport:
-    def test_zero_datum_all_zero(self):
-        grid = GridSpec(32, TWO_PI)
-        cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=0.1)
-        rep = smoothing_report(SpectralField.zeros(grid), cfg, s=0.6, a=0.05)
-        assert np.all(rep.nonlinear_norms == 0.0)
-        assert rep.envelope_constant == 0.0
-        assert not rep.violations.any()
-
-    def test_envelope_exponent_and_fit(self):
-        grid = GridSpec(32, TWO_PI)
-        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
-        cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=25)
-        with pytest.warns(UserWarning):  # a beyond the guaranteed range
-            rep = smoothing_report(u0, cfg, s=0.6, a=0.3)
-        assert rep.beta == pytest.approx(0.36)
-        # envelope must equal C <t>^{3.28} with C anchored at the first probe
-        t1 = rep.times[1]
-        expected = rep.envelope_constant * (1.0 + t1**2) ** (3.28 / 2.0)
-        assert rep.envelope[1] == pytest.approx(expected, rel=1e-12)
-        assert rep.envelope[1] == pytest.approx(rep.nonlinear_norms[1], rel=1e-12)
-
-    def test_envelope_dominates_over_horizon(self):
-        # the growth bound is a ceiling: no sample may cross the envelope
-        grid = GridSpec(64, TWO_PI)
-        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.3, seed=8), grid)
-        cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=10.0, sample_every=125)
-        with pytest.warns(UserWarning):
-            rep = smoothing_report(u0, cfg, s=0.6, a=0.3)
-        assert not rep.violations.any()
-
-    @pytest.mark.parametrize(
-        "c1,c2,sample_every,dealias",
-        [(1.0, 0.7, 10, True), (0.5, 1.5, 1, True), (1.0, 0.3, 1, False)],
-    )
-    def test_matches_the_stored_trajectory_report(self, c1, c2, sample_every, dealias):
-        # the streamed report equals, bit for bit, the gauged split of the
-        # stored trajectory against its first (dealiased) field
-        grid = GridSpec(32, TWO_PI)
-        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
-        cfg = SolverConfig(
-            c1=c1, c2=c2, dt=0.01, t_end=0.5, sample_every=sample_every, dealias=dealias
-        )
-        rep = smoothing_report(u0, cfg, s=0.6, a=0.05)
-        traj = evolve(u0, cfg)
-        times, norms, envelope, violations = stored_report(traj, c1, c2, 0.6, 0.05)
-        assert len(times) == 50 // sample_every + 1
-        assert np.array_equal(rep.times, times)
-        assert np.array_equal(rep.nonlinear_norms, norms)
-        assert np.array_equal(rep.envelope, envelope)
-        assert np.array_equal(rep.violations, violations)
-        # the gauge is not the identity here: the plain remainder differs
-        plain = duhamel_remainder(traj.fields[-1].values, traj.fields[0], times[-1])
-        assert rep.nonlinear_norms[-1] != sobolev_norm(plain, 0.65)
-
-    def test_damped_free_flow_leaves_no_remainder(self):
-        # the comparison flow is damped with the run: split against the
-        # undamped one, this run read 0.13 to 0.50 instead of roundoff
-        grid = GridSpec(32, TWO_PI)
-        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
-        cfg = SolverConfig(c1=0.0, c2=0.0, dt=0.01, t_end=1.0, delta=0.1, sample_every=25)
-        rep = smoothing_report(u0, cfg, s=0.6, a=0.05)
-        assert np.max(rep.nonlinear_norms) <= 1e-12 * sobolev_norm(u0, 0.65)
-
-    @pytest.mark.parametrize("a", [0.05, 0.3])
-    def test_roundoff_is_neither_anchor_nor_violation(self, a):
-        # a free run leaves only roundoff (about 8e-15 of the datum's norm);
-        # anchored at it, the envelope flagged the later samples as violations
-        grid = GridSpec(32, TWO_PI)
-        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
-        with pytest.warns(UserWarning):  # c1 + c2 = 0, and a = 0.3 is out of range
-            cfg = SolverConfig(c1=0.0, c2=0.0, dt=0.01, t_end=1.0, sample_every=25)
-            rep = smoothing_report(u0, cfg, s=0.6, a=a)
-        assert 0.0 < np.max(rep.nonlinear_norms) <= 1e-12 * sobolev_norm(u0, 0.6 + a)
-        assert rep.envelope_constant == 0.0
-        assert not rep.violations.any()
-
-    def test_split_is_against_the_integrated_datum(self):
-        # with dealiasing the datum integrated is the masked one, not u0
-        grid = GridSpec(32, TWO_PI)
-        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
-        cfg = SolverConfig(c1=1.0, c2=0.7, dt=0.01, t_end=0.1)
-        masked = u0.values * grid.dealias_mask
-        assert not np.array_equal(masked, u0.values)
-        rep = smoothing_report(u0, cfg, s=0.6, a=0.05)
-        # at t = 0 the step-0 sample minus its own flow is exactly 0; split
-        # against the unmasked u0 it would be the masked-off tail
-        assert rep.nonlinear_norms[0] == 0.0
-        assert sobolev_norm(duhamel_remainder(masked, u0, 0.0), 0.65) > 0.0
-
-    @pytest.mark.parametrize("sample_every,samples", [(25, 5), (5, 21)])
-    def test_gauge_phase_is_the_only_transform_beyond_the_run(
-        self, count_transforms, sample_every, samples
-    ):
-        # resonant_gauge_phase costs 3 transforms, once; the remainders cost none
-        grid = GridSpec(32, TWO_PI)
-        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
-        cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=sample_every)
-        run = count_transforms(lambda: list(sample_stream(u0, cfg)))
-        calls = count_transforms(lambda: smoothing_report(u0, cfg, s=0.6, a=0.05))
-        assert len(sample_steps(cfg)) == samples
-        assert calls == run + 3
-
-    def test_peak_memory_does_not_grow_with_the_sample_count(self):
-        # M = 64, 101 samples against 5: a stored run would add 96 fields
-        grid = GridSpec(64, TWO_PI)
-        u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
-
-        def peak(sample_every: int) -> int:
-            cfg = SolverConfig(c1=1.0, c2=1.0, dt=0.01, t_end=1.0, sample_every=sample_every)
-            tracemalloc.start()
-            try:
-                smoothing_report(u0, cfg, s=0.6, a=0.05)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(25)  # first-call allocations (FFT plans, cached grid arrays)
-        field_bytes = 64 * 64 * 16
-        few = peak(25)
-        every_step = peak(1)
-        assert every_step <= few + 2 * field_bytes
-
-
 class TestRefinementStudy:
     def test_needs_three_resolutions(self):
         spec = RoughDataSpec(s=0.6, amplitude=0.01, seed=20)
@@ -462,6 +300,28 @@ class TestRefinementStudy:
                     duhamel_remainder(u_hat, datum, 0.5, sigma=sigma), order
                 ),
             }
+
+    @pytest.mark.parametrize("sample_every,samples", [(100, 2), (7, 16)])
+    def test_gauge_phase_is_the_only_transform_beyond_the_runs(
+        self, count_transforms, sample_every, samples
+    ):
+        # resonant_gauge_phase costs 3 transforms per grid; the free flow,
+        # both remainders and their norms work on Fourier fields and cost none
+        spec = RoughDataSpec(s=0.6, amplitude=0.05, seed=3)
+        cfg = SolverConfig(c1=1.0, c2=0.7, dt=0.01, t_end=1.0, sample_every=sample_every)
+        resolutions = [16, 32, 64]
+        runs = sum(
+            count_transforms(
+                lambda: list(sample_stream(make_rough_data(spec, GridSpec(m, TWO_PI)), cfg))
+            )
+            for m in resolutions
+        )
+        calls = count_transforms(
+            lambda: refinement_study(spec, resolutions, 0.6, 0.3, cfg, domain_length=TWO_PI)
+        )
+        assert len(sample_steps(cfg)) == samples
+        assert runs > 0
+        assert calls == runs + 3 * len(resolutions)
 
     def test_peak_memory_does_not_grow_with_the_sample_count(self):
         # only the datum and the last state are kept: sampling every step of
