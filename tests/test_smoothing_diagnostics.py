@@ -219,6 +219,16 @@ class TestResonantGauge:
         assert sigma[1, 1] == pytest.approx(base, rel=1e-12)  # alpha(0,1)=0
         assert sigma[3, 2] == pytest.approx(base + 0.5 * c2 * amp**2, rel=1e-12)  # alpha(2,2)
 
+    @pytest.mark.parametrize("physical,transforms", [(False, 3), (True, 4)])
+    def test_transform_cost(self, count_transforms, physical, transforms):
+        # two forward transforms and one inverse for the lattice convolution;
+        # a physical datum costs one more to reach its spectrum
+        grid = GridSpec(32, TWO_PI)
+        datum = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.2, seed=6), grid)
+        if physical:
+            datum = to_physical(datum)
+        assert count_transforms(lambda: resonant_gauge_phase(datum, 1.0, 0.7)) == transforms
+
     def test_gauge_reduces_to_plain_without_coupling(self):
         grid = GridSpec(32, TWO_PI)
         u0 = make_rough_data(RoughDataSpec(s=0.6, amplitude=0.05, seed=4), grid)

@@ -159,6 +159,15 @@ class TestKnappGeometry:
         with pytest.raises(ValueError, match="1/N"):
             knapp_triple(KnappConfig(N=128, s=0.6, a=0.3), g)
 
+    @pytest.mark.parametrize("n_max", [8, 16])
+    def test_finest_representable_box_is_the_grid_step(self, n_max):
+        # 1/N = dxi is the finest box the grid resolves; one step finer is refused
+        g = knapp_grid(n_max)
+        fu, _ = knapp_factors(KnappConfig(N=n_max, s=0.6, a=0.3), g)
+        assert np.count_nonzero(fu.xi2) > 0
+        with pytest.raises(ValueError, match="^grid too coarse: 1/N = "):
+            knapp_factors(KnappConfig(N=2 * n_max, s=0.6, a=0.3), g)
+
     def test_box_counts_and_carriers(self):
         g = knapp_grid(16)
         u, v, w = knapp_triple(KnappConfig(N=16, s=0.6, a=0.3), g)
@@ -342,6 +351,17 @@ class TestSeparableEngine:
         assert np.max(np.abs(expanded - oracle.values)) <= 1e-12 * scale
         assert carrier == oracle.carrier
 
+    def test_overflow_is_returned_for_the_sweep_to_refuse(self):
+        # the spectrum makes no finiteness check of its own: an overflowing
+        # coupling leaves non-finite values in the block, and knapp_sweep's
+        # per-N check refuses the ratio they give, naming its N
+        g = knapp_grid(8)
+        fu, fv = knapp_factors(KnappConfig(N=8, s=0.6, a=0.3), g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, block, tau, _ = separable_output_spectrum(fu, fv, fv, g, 1e308, 1e308)
+        assert not np.all(np.isfinite(block))
+        assert np.all(np.isfinite(tau))
+
     def test_random_factors_and_carriers_match_dense_oracle(self):
         g = small_grid()
         rng = np.random.default_rng(3)
@@ -515,6 +535,17 @@ class TestKnappSweep:
         params = dict(s=0.6, a=0.3) | kwargs
         with pytest.raises(ValueError, match=f"^{message}"):
             knapp_sweep(n_list, **params)
+
+    @pytest.mark.parametrize("coupling", [1e150, 1e200, 1e308])
+    def test_overflow_aborts_naming_the_first_n(self, coupling):
+        # every overflow, in the ratio or in the output spectrum, meets the
+        # one per-N check, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="^N = 4: "):
+                knapp_sweep(
+                    [4, 8, 16, 32], s=0.6, a=0.3, c1=coupling, c2=coupling, grid=knapp_grid(32)
+                )
 
     def test_power_laws_and_spacing(self):
         grid = knapp_grid(32)
