@@ -14,13 +14,18 @@ _M2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64's finalizer, written into z when z is an array."""
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def hash_u64(seed: int, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """64-bit hash of (seed, k1, k2), vectorized over integer arrays."""
+    """64-bit hash of (seed, k1, k2), vectorized over integer arrays that
+    broadcast: a column k1 and a row k2 hash the whole lattice."""
     a = np.asarray(k1, dtype=np.int64).astype(np.uint64)
     b = np.asarray(k2, dtype=np.int64).astype(np.uint64)
     with np.errstate(over="ignore"):  # wraparound is the point
@@ -31,4 +36,7 @@ def hash_u64(seed: int, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
 def uniform_phases(seed: int, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     """Uniform phases in [0, 2*pi) keyed by (seed, mode pair)."""
     h = hash_u64(seed, k1, k2)
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0 * np.pi / 2**53)
+    h >>= np.uint64(11)
+    phases = h.astype(np.float64)
+    phases *= 2.0 * np.pi / 2**53
+    return phases

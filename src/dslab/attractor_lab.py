@@ -16,8 +16,11 @@ free part does not).
 Both experiments step the whole ensemble as one (K, M, M) stack through
 ensemble_stream, in one pass, and read each sample as it comes: the norms of
 all members in one reduction, and member 0's SampleRecorder series for the
-balance audit.  Memory grows with K x M^2 (about five fields per member), not
-with the number of samples.
+balance audit.  The stack is one buffer that the stream steps in place, and
+member 0's recorder borrows the stack kernel's density buffers.  Memory grows
+with K x M^2 (about three and a half fields per member in the absorbing
+experiment, seven and a half in the compactness probe), not with the number
+of samples.
 """
 from __future__ import annotations
 
@@ -36,7 +39,6 @@ from .spectral_core import (
 )
 from .ds_solver import (
     SAMPLE_TIME_TOL,
-    SampleRecorder,
     SampleSeries,
     SolverConfig,
     energy_functional,
@@ -242,8 +244,9 @@ def absorbing_experiment(ens: EnsembleConfig) -> EnergyReport:
     for it (otherwise the balance series are empty and max_residual is None).
     """
     cfg = ens.solver_config()
-    member0, h1 = SampleRecorder(ens.grid, cfg.c1, cfg.c2, cfg.forcing), []
-    for _, t, stack in _member_stream(ens, cfg):
+    stream = _member_stream(ens, cfg)
+    member0, h1 = stream.recorder(), []
+    for _, t, stack in stream:
         member0.record(t, stack[0])
         h1.append(sobolev_norms(ens.grid, stack, 1.0))
     series = member0.series()
@@ -337,9 +340,10 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
     g_hat = g.values
     s_up = 1.0 + ens.a
 
-    member0, kept = SampleRecorder(ens.grid, cfg.c1, cfg.c2, cfg.forcing), {}
+    stream = _member_stream(ens, cfg)
+    member0, kept = stream.recorder(), {}
     sup_n = np.zeros(len(ens.members))
-    for step, t, stack in _member_stream(ens, cfg):
+    for step, t, stack in stream:
         member0.record(t, stack[0])
         if step == 0:
             v0 = SpectralField(ens.grid, stack + g_hat, FOURIER)
@@ -347,7 +351,7 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
         n = duhamel_remainder(stack + g_hat, v0, float(t), ens.delta)
         sup_n = np.maximum(sup_n, sobolev_norms(ens.grid, n.values, s_up))
         if step in wanted:
-            kept[step] = stack
+            kept[step] = stack.copy()  # the stream steps stack in place
     balance = energy_balance_residual(member0.series(), cfg)
 
     pairwise = {}

@@ -44,7 +44,7 @@ except ImportError:
 from . import __version__
 from ._rng import hash_u64
 from .spectral_core import DEFAULT_DOMAIN_LENGTH, GridSpec, sobolev_norm
-from .ds_solver import IntegrationAbort, SampleRecorder, SolverConfig, sample_steps, sample_stream
+from .ds_solver import IntegrationAbort, SolverConfig, sample_steps, sample_stream
 from .smoothing_diagnostics import RoughDataSpec, make_rough_data, refinement_study
 from .xsb_analysis import check_ladder, knapp_grid, knapp_sweep
 from .xsb_analysis.blocks import BlockLattice, CASES, check_block_bounds, sample_block_specs
@@ -185,24 +185,40 @@ def _count(get: _Reader, key: str, default: int) -> int:
     return value
 
 
-def _forcing(get: _Reader, grid: GridSpec, seed: int):
-    """The section's drive f, or None when forcing_amplitude is <= 0.
+def _exponent(get: _Reader, key: str, value: float) -> float:
+    """value of the datum or forcing exponent key, which RoughDataSpec needs
+    finite and above 1/2; otherwise refused, naming the key."""
+    if not 0.5 < value < math.inf:
+        raise ConfigError(f"[{get.section}] {key} must be finite and exceed 1/2, got {value}")
+    return value
+
+
+def _forcing(get: _Reader, seed: int):
+    """Read the section's drive keys and return build(grid): the drive f
+    on grid, or None when forcing_amplitude is <= 0.
 
     Both keys are read whatever the amplitude, so a smoothness set beside a
-    zero amplitude is not refused as unknown.  A NaN or infinite amplitude
-    is refused here, naming the key.
+    zero amplitude is not refused as unknown.  Commands call build after
+    get.check_all_read(), so an unknown key is refused before any field is
+    built.  build refuses a NaN or infinite amplitude and, when it builds,
+    an exponent RoughDataSpec would refuse, each naming its key.
     """
     amplitude = get("forcing_amplitude", float, 0.0)
     smoothness = get("forcing_smoothness", float, 3.0)
-    if not math.isfinite(amplitude):
-        raise ConfigError(f"[{get.section}] forcing_amplitude must be finite, got {amplitude}")
-    if amplitude <= 0:
-        return None
-    return make_forcing(grid, amplitude, _derive_seed(seed, 1), smoothness)
+
+    def build(grid: GridSpec):
+        if not math.isfinite(amplitude):
+            raise ConfigError(f"[{get.section}] forcing_amplitude must be finite, got {amplitude}")
+        if amplitude <= 0:
+            return None
+        smooth = _exponent(get, "forcing_smoothness", smoothness)
+        return make_forcing(grid, amplitude, _derive_seed(seed, 1), smooth)
+
+    return build
 
 
 # Each command reads every key of its section unconditionally, refuses unread
-# keys (get.check_all_read) before its first solve, and returns
+# keys (get.check_all_read) before it builds its first field, and returns
 # (grid info, {file name: (header, rows)}, summary or None, details, steps).
 
 
@@ -210,21 +226,25 @@ def cmd_simulate(get: _Reader, seed: int):
     modes = get("modes", int, 64)
     length = get("domain_length", float, DEFAULT_DOMAIN_LENGTH)
     grid = GridSpec(modes, length)
-    spec = RoughDataSpec(get("s", float, 1.0), get("amplitude", float), seed)
-    cfg = SolverConfig(
+    s = get("s", float, 1.0)
+    amplitude = get("amplitude", float)
+    solver = dict(
         c1=get("c1", float, 1.0),
         c2=get("c2", float, 1.0),
         dt=get("dt", float),
         t_end=get("t_end", float),
         delta=get("delta", float, 0.0),
-        forcing=_forcing(get, grid, seed),
         dealias=get("dealias", _bool, True),
         sample_every=get("sample_every", int, 1),
     )
+    forcing = _forcing(get, seed)
     get.check_all_read()
-    recorder = SampleRecorder(grid, cfg.c1, cfg.c2, cfg.forcing)
+    spec = RoughDataSpec(_exponent(get, "s", s), amplitude, seed)
+    cfg = SolverConfig(forcing=forcing(grid), **solver)
     # keeps neither the datum nor any sampled field
-    for _, t, u_hat in sample_stream(make_rough_data(spec, grid), cfg):
+    stream = sample_stream(make_rough_data(spec, grid), cfg)
+    recorder = stream.recorder()
+    for _, t, u_hat in stream:
         recorder.record(t, u_hat)
     series = recorder.series()
     rows = list(zip(series.times, series.mass, series.h1_norm, series.energy))
@@ -243,9 +263,10 @@ def cmd_smoothing(get: _Reader, seed: int):
         dt=get("dt", float, 0.01),
         t_end=get("t_probe", float, 2.0),
     )
-    spec = RoughDataSpec(s, get("amplitude", float), seed)
+    amplitude = get("amplitude", float)
     length = get("domain_length", float, None)
     get.check_all_read()
+    spec = RoughDataSpec(_exponent(get, "s", s), amplitude, seed)
     if not math.isfinite(a):
         raise ConfigError(f"[smoothing] a must be finite, got {a}")
     per_grid = sample_steps(cfg)[-1]
@@ -352,6 +373,8 @@ def cmd_blocks(get: _Reader, seed: int):
 
 
 def _attractor_ensemble(get: _Reader, seed: int) -> EnsembleConfig:
+    """The section's ensemble.  Every key is read, and unknown ones are
+    refused, before the reference datum or the forcing is built."""
     modes = get("modes", int, 64)
     length = get("domain_length", float, 2.0 * np.pi)
     grid = GridSpec(modes, length)
@@ -359,6 +382,19 @@ def _attractor_ensemble(get: _Reader, seed: int) -> EnsembleConfig:
     count = _count(get, "member_count", 8)
     h1_min = get("h1_min", float, 0.5)
     h1_max = get("h1_max", float, 5.0)
+    run = dict(
+        c1=get("c1", float, 1.0),
+        c2=get("c2", float, 1.0),
+        delta=get("delta", float, 0.0),
+        horizon=get("horizon", float, 40.0),
+        dt=get("dt", float, 0.01),
+        sample_every=get("sample_every", int, 10),
+        probe_times=get("probes", _float_list, [10.0, 20.0, 40.0]),
+        a=get("a", float, 0.4),
+    )
+    forcing = _forcing(get, seed)
+    get.check_all_read()
+    member_s = _exponent(get, "member_s", member_s)
     # the datum law fixes the H^1 norm per unit amplitude, so target norms
     # translate into amplitudes through one reference field
     unit = sobolev_norm(make_rough_data(RoughDataSpec(member_s, 1.0, 0), grid), 1.0)
@@ -367,19 +403,7 @@ def _attractor_ensemble(get: _Reader, seed: int) -> EnsembleConfig:
         RoughDataSpec(member_s, float(t / unit), _derive_seed(seed, 10 + j))
         for j, t in enumerate(targets)
     ]
-    return EnsembleConfig(
-        grid=grid,
-        members=members,
-        c1=get("c1", float, 1.0),
-        c2=get("c2", float, 1.0),
-        delta=get("delta", float, 0.0),
-        forcing=_forcing(get, grid, seed),
-        horizon=get("horizon", float, 40.0),
-        dt=get("dt", float, 0.01),
-        sample_every=get("sample_every", int, 10),
-        probe_times=get("probes", _float_list, [10.0, 20.0, 40.0]),
-        a=get("a", float, 0.4),
-    )
+    return EnsembleConfig(grid=grid, members=members, forcing=forcing(grid), **run)
 
 
 def _balance_residual(value: Optional[float]) -> Optional[float]:
@@ -396,7 +420,6 @@ def _balance_residual(value: Optional[float]) -> Optional[float]:
 def cmd_attractor(get: _Reader, seed: int):
     experiment = get("experiment", str, "absorbing")
     ens = _attractor_ensemble(get, seed)
-    get.check_all_read()
     forcing_l2 = sobolev_norm(ens.forcing, 0.0) if ens.forcing is not None else 0.0
     base = {"a": ens.a, "delta": ens.delta, "forcing_l2": forcing_l2}
     if experiment == "absorbing":

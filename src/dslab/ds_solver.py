@@ -19,13 +19,17 @@ field, and rfft2/irfft2 of the real density |u|^2 on the half spectrum.  All
 transforms use norm="forward" (see spectral_core), so Fourier values are
 Fourier-series coefficients without any separate rescaling pass.
 
-The step allocates no M x M array.  The field is transformed in place with
-spectral_core's *_into transforms, and the density, its half spectrum and
-the potential live in buffers the density kernel owns.  Only the array that
-advance returns is fresh.  The step kernel keeps lead (the half-step
+The step allocates no M x M array: advance transforms the field it is given
+in place with spectral_core's *_into transforms, and the density, its half
+spectrum and the potential live in buffers the density kernel owns.  The
+gauge phase reuses the density kernel's rho_hat and scratch, which are idle
+once the potential is formed.  The step kernel keeps lead (the half-step
 propagator), full (the masked full step), force and force_full (with
-forcing), the gauge phase buffer and the density kernel's buffers: seven
-M x M complex fields' worth when forced, and no more while it is built.
+forcing) and the density kernel's buffers: six M x M complex fields' worth
+when forced, and no more while it is built.  Complex multiplication is not
+bitwise commutative on every CPU (an AVX-512 build of numpy rounds lead * u
+and u * lead differently), so the leading half-step writes lead * u into u
+with lead as the left operand, as an out-of-place product would.
 The 2/3 mask is applied after the trailing lead, by zeroing the slabs of
 rows and columns it drops, rather than folded into a separate trailing
 propagator.
@@ -33,13 +37,16 @@ propagator.
 The kernels step one M x M field or a (K, M, M) stack of K fields; every
 operation acts on each field alone, so a member of a stack gets the bits it
 would get stepped by itself.  sample_stream yields one field's sampled
-states one at a time, ensemble_stream a stack's, through the same loop.
-SampleRecorder owns the per-sample scalars; evolve records sample_stream
-with it and keeps the states as Trajectory.fields, Fourier coefficients
-(representation FOURIER) that to_physical converts on demand.
+states one at a time, ensemble_stream a stack's, through the same loop, in
+one buffer that the next step overwrites.  SampleRecorder owns the
+per-sample scalars and borrows the stream's density kernel, idle between
+samples; evolve records sample_stream with it and keeps a copy of each state
+as Trajectory.fields, Fourier coefficients (representation FOURIER) that
+to_physical converts on demand.
 """
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import warnings
@@ -185,16 +192,32 @@ class _DensityKernel:
     (the density, then the potential), scratch (|Im u|^2) and rho_hat (the
     half spectrum).  density_hat and potential return one of them, valid
     until the next call; interaction takes one field's half spectrum.
+    rho_hat and scratch are carved, one after the other, from one block
+    that also holds a complex array of u's shape: overlay, a view over both
+    for a caller that writes it only while neither holds anything it still
+    needs.  Each buffer is contiguous, for one field or the whole stack.
     """
 
     def __init__(self, grid: GridSpec, c1: float, c2: float, stack: tuple = ()):
         m = grid.modes_per_axis
+        fields = math.prod(stack)
+        half = fields * m * (m // 2 + 1)  # complex entries of the half spectra
         self.grid = grid
         # stored complex, so rho_hat *= symbol casts nothing through a ufunc buffer
         self.symbol = (c1 + c2 * grid.alpha_symbol[:, : m // 2 + 1]).astype(np.complex128)
         self.rho = np.empty(stack + (m, m))
-        self.scratch = np.empty(stack + (m, m))
-        self.rho_hat = np.empty(stack + (m, m // 2 + 1), dtype=np.complex128)
+        block = np.empty(half + fields * m * m // 2, dtype=np.complex128)
+        self.rho_hat = block[:half].reshape(stack + (m, m // 2 + 1))
+        self.scratch = block[half:].view(np.float64).reshape(stack + (m, m))
+        self.overlay = block[: fields * m * m].reshape(stack + (m, m))
+
+    def member(self, j: int) -> "_DensityKernel":
+        """The kernel of one field on member j's slices of this stack
+        kernel's buffers; it has no overlay of its own."""
+        one = copy.copy(self)
+        one.rho, one.scratch, one.rho_hat = self.rho[j], self.scratch[j], self.rho_hat[j]
+        one.overlay = None
+        return one
 
     def density_hat(self, u: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients of |u|^2 for physical values u, in rho_hat."""
@@ -226,12 +249,14 @@ def nonlinear_potential(u: SpectralField, cfg: SolverConfig) -> SpectralField:
 class SampleRecorder:
     """Every per-sample scalar of one field, in one place: record(t, u_hat)
     appends t, the mass and H^1 norms and the energy parts of the Fourier
-    coefficients u_hat, at two transforms on the recorder's own density
-    kernel and keeping no field; series() returns what was recorded."""
+    coefficients u_hat, at two transforms on the density kernel it is given
+    and keeping no field; series() returns what was recorded.  A stream's
+    recorder() lends it the step kernel's density kernel, which is idle
+    between samples."""
 
-    def __init__(self, grid: GridSpec, c1: float, c2: float, forcing: Optional[SpectralField]):
-        self.grid, self.rows = grid, []
-        self.density = _DensityKernel(grid, c1, c2)
+    def __init__(self, density: _DensityKernel, forcing: Optional[SpectralField]):
+        self.grid, self.rows = density.grid, []
+        self.density = density
         self.f_hat = to_fourier(forcing).values if forcing is not None else None
 
     def energy_parts(self, u: SpectralField) -> tuple:
@@ -239,11 +264,18 @@ class SampleRecorder:
         one field; the drive is 0.0 without forcing."""
         hat = to_fourier(u).values
         l_sq = self.grid.domain_length**2
-        grad = l_sq * float(np.sum(self.grid.xi_squared * np.abs(hat) ** 2))
+        weighted = np.abs(hat)
+        weighted **= 2
+        weighted *= self.grid.xi_squared
+        grad = l_sq * float(np.sum(weighted))
+        del weighted
         inter = self.density.interaction(self.density.density_hat(to_physical(u).values))
         drive = 0.0
         if self.f_hat is not None:
-            drive = 2.0 * l_sq * float(np.real(np.sum(self.f_hat * np.conj(hat))))
+            # f_hat stays the left operand: complex products are not commutative bit for bit
+            product = np.conjugate(hat)
+            np.multiply(self.f_hat, product, out=product)
+            drive = 2.0 * l_sq * float(np.real(np.sum(product)))
         return grad + 0.5 * inter + drive, inter, drive
 
     def record(self, t: float, u_hat: np.ndarray) -> None:
@@ -262,26 +294,26 @@ class _StepKernel:
     variation-of-constants forcing term; two adjacent half-steps compose
     exactly into u -> P^2 u + (P + 1) F.  The kernel keeps lead = P,
     full = P^2 (masked when dealiasing), force = F and force_full =
-    (P + 1) F (both None without forcing), the gauge phase buffer and the
-    density kernel's buffers: for one field, 7 M x M complex fields' worth
-    with forcing and 5 without.  The 2/3 mask is 0/1, so folding it into
-    full gives the same values as masking the field first.  The modes it
-    drops are one index slab per axis, dropped (None without dealiasing),
-    and dealias zeroes them in place: in full, in the datum and after the
-    trailing lead of an advance, instead of multiplying by a stored masked
-    copy of lead or by the grid's bool mask, which numpy casts through a
-    buffer on every call.  A zeroed mode can differ from the masked product
-    in the sign of an exact zero; no output byte depends on the sign.  A
-    step writes only the field advance returns, the density kernel's
-    buffers and the gauge phase buffer, all shaped for one field
+    (P + 1) F (both None without forcing) and the density kernel's buffers:
+    for one field, 6 M x M complex fields' worth with forcing and 4 without.
+    The gauge phase is the density kernel's overlay, so it costs no field.
+    The 2/3 mask is 0/1, so folding it into full gives the same values as
+    masking the field first.  The modes it drops are one index slab per
+    axis, dropped (None without dealiasing), and dealias zeroes them in
+    place: in full, in the datum and after the trailing lead of an advance,
+    instead of multiplying by a stored masked copy of lead or by the grid's
+    bool mask, which numpy casts through a buffer on every call.  A zeroed
+    mode can differ from the masked product in the sign of an exact zero; no
+    output byte depends on the sign.  A step writes only the field it
+    advances and the density kernel's buffers, all shaped for one field
     (stack = ()) or a stack of K fields (stack = (K,)).
     """
 
     def __init__(self, grid: GridSpec, cfg: SolverConfig, dt: float, stack: tuple = ()):
         self.dt = dt
         # each array is built in the one buffer it keeps, and lam goes
-        # before the density and phase buffers are made, so construction
-        # never holds more than the fields the kernel keeps
+        # before the density buffers are made, so construction never holds
+        # more than the fields the kernel keeps
         lam = -1j * grid.xi_squared
         lam -= cfg.delta
         half_prop = lam * (dt / 2.0)
@@ -304,7 +336,6 @@ class _StepKernel:
             self.force_full *= phi
         del lam
         self.density = _DensityKernel(grid, cfg.c1, cfg.c2, stack)
-        self.phase = np.empty(stack + self.lead.shape, dtype=np.complex128)
 
     def dealias(self, u: np.ndarray) -> None:
         """Zero the modes the 2/3 mask drops, in place; without dealiasing
@@ -320,18 +351,21 @@ class _StepKernel:
         _require_finite(np.isfinite(rho_hat[..., 0, 0]), step, self.dt)
         theta = self.density.potential(rho_hat)  # the density kernel's rho buffer
         theta *= -self.dt
-        g = self.phase
+        # rho_hat and scratch are spent once theta is formed: the phase overlays them
+        g = self.density.overlay
         np.cos(theta, out=g.real)
         np.sin(theta, out=g.imag)
         u *= g
 
     def advance(self, u_hat: np.ndarray, n: int, first_step: int = 1) -> np.ndarray:
-        """n Strang steps, Fourier in / Fourier out; u_hat is left unchanged.
+        """n Strang steps of the Fourier coefficients u_hat, in place; returns u_hat.
 
         Steps are numbered first_step, ..., first_step + n - 1 for the abort.
-        The returned array is the only one allocated; u is transformed in place.
+        No array is allocated: u_hat is transformed where it lies.
         """
-        u = self.lead * u_hat
+        # lead stays the left operand, as in the product lead * u_hat:
+        # u_hat *= lead can round differently
+        u = np.multiply(self.lead, u_hat, out=u_hat)
         if self.force is not None:
             u += self.force
         last = first_step + n - 1
@@ -359,7 +393,7 @@ def strang_step(u: SpectralField, cfg: SolverConfig, dt: Optional[float] = None)
     Non-finite input aborts with IntegrationAbort.
     """
     kernel = _StepKernel(u.grid, cfg, cfg.dt if dt is None else dt)
-    u_hat = kernel.advance(to_fourier(u).values, 1)
+    u_hat = kernel.advance(to_fourier(u).values.copy(), 1)
     result = SpectralField(u.grid, u_hat, FOURIER)
     return result if u.representation == FOURIER else to_physical(result)
 
@@ -372,7 +406,7 @@ def energy_functional(
     Conserved by the conservative flow; the quartic and K terms together are
     the interaction part, L^2 * sum (c1 + c2 alpha) |rho_hat|^2 for rho = |u|^2.
     """
-    return SampleRecorder(u.grid, c1, c2, f).energy_parts(u)[0]
+    return SampleRecorder(_DensityKernel(u.grid, c1, c2), f).energy_parts(u)[0]
 
 
 def sample_steps(cfg: SolverConfig) -> list:
@@ -384,56 +418,86 @@ def sample_steps(cfg: SolverConfig) -> list:
     return list(range(0, n_steps, cfg.sample_every)) + [n_steps]
 
 
-def sample_stream(u0: SpectralField, cfg: SolverConfig) -> Iterator[tuple]:
+class SampleStream:
+    """Iterator over the (step, t, u_hat) samples of sample_stream or
+    ensemble_stream.  u_hat is the one buffer the run is stepped in: it is
+    valid until the next iteration, and a consumer that keeps a state keeps
+    a copy.  recorder() is the one way to record the stream's samples.  Once
+    exhausted, the stream lets go of its step kernel."""
+
+    def __init__(self, kernel: _StepKernel, u_hat: np.ndarray, cfg: SolverConfig):
+        self.kernel, self.forcing = kernel, cfg.forcing
+        self._samples = self._run(u_hat, cfg)
+
+    def __iter__(self) -> "SampleStream":
+        return self
+
+    def __next__(self) -> tuple:
+        return next(self._samples)
+
+    def recorder(self) -> SampleRecorder:
+        """A SampleRecorder of the stream's field, or of member 0 of its
+        stack, on the step kernel's density kernel, which no step leaves
+        anything in: a run holds one density kernel, not two."""
+        density = self.kernel.density
+        if density.rho.ndim == 3:
+            density = density.member(0)
+        return SampleRecorder(density, self.forcing)
+
+    def _run(self, u_hat: np.ndarray, cfg: SolverConfig) -> Iterator[tuple]:
+        """The sample loop, from the fresh datum coefficients u_hat (one
+        field or a stack), which it steps in place."""
+        kernel, steps = self.kernel, sample_steps(cfg)
+        kernel.dealias(u_hat)
+        done = 0
+        for step in steps:
+            if step > done:
+                kernel.advance(u_hat, step - done, done + 1)
+                done = step
+            _require_finite(np.isfinite(u_hat).all(axis=(-2, -1)), step, cfg.dt)
+            yield step, step * cfg.dt, u_hat
+        self.kernel = None  # an exhausted stream holds no kernel buffers
+
+
+def sample_stream(u0: SpectralField, cfg: SolverConfig) -> SampleStream:
     """Yield (step, t, u_hat) at every step of sample_steps(cfg).
 
     When cfg.dealias is set, the 2/3 mask is applied to the datum once before
     stepping and the masked field is the first sample.  Without forcing every
     sampled state lives on the same retained modes; with forcing, a later
     sample also carries the trailing half-step's forcing term, which is added
-    after the mask, on the modes outside it.  Each u_hat is a fresh
-    Fourier-coefficient array that the consumer may keep.
+    after the mask, on the modes outside it.  Every u_hat is the same
+    Fourier-coefficient array, stepped in place: it is valid until the next
+    iteration; copy it to keep it.  u0 itself is left unchanged.
     Non-finite values abort with the failing step.
     """
-    return _samples(_StepKernel(u0.grid, cfg, cfg.dt), to_fourier(u0).values.copy(), cfg)
+    return SampleStream(_StepKernel(u0.grid, cfg, cfg.dt), to_fourier(u0).values.copy(), cfg)
 
 
-def ensemble_stream(fields: Sequence[SpectralField], cfg: SolverConfig) -> Iterator[tuple]:
+def ensemble_stream(fields: Sequence[SpectralField], cfg: SolverConfig) -> SampleStream:
     """sample_stream of K fields on one grid, stepped together as one stack.
 
-    Yields (step, t, stack) with stack a fresh (K, M, M) array whose slice j
-    is bit for bit the u_hat that sample_stream yields for fields[j].  The
-    stack aborts at the earliest step at which any member turns non-finite;
-    IntegrationAbort.member names the first such member.
+    Yields (step, t, stack) with stack a (K, M, M) array whose slice j is bit
+    for bit the u_hat that sample_stream yields for fields[j].  As there,
+    stack is one buffer stepped in place: it is valid until the next
+    iteration; copy it to keep it.  The stack aborts at the earliest step at
+    which any member turns non-finite; IntegrationAbort.member names the
+    first such member.
     """
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("ensemble members must share one grid")
     stack = np.stack([to_fourier(f).values for f in fields])
-    return _samples(_StepKernel(grid, cfg, cfg.dt, stack.shape[:1]), stack, cfg)
-
-
-def _samples(kernel: _StepKernel, u_hat: np.ndarray, cfg: SolverConfig) -> Iterator[tuple]:
-    """The sample loop of sample_stream and ensemble_stream, on a given
-    kernel from the fresh datum coefficients u_hat (one field or a stack)."""
-    steps = sample_steps(cfg)
-    kernel.dealias(u_hat)
-    done = 0
-    for step in steps:
-        if step > done:
-            u_hat = kernel.advance(u_hat, step - done, done + 1)
-            done = step
-        _require_finite(np.isfinite(u_hat).all(axis=(-2, -1)), step, cfg.dt)
-        yield step, step * cfg.dt, u_hat
+    return SampleStream(_StepKernel(grid, cfg, cfg.dt, stack.shape[:1]), stack, cfg)
 
 
 def evolve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     """Fixed-step integration to cfg.t_end: the SampleRecorder series of
-    sample_stream plus every sampled state as a Fourier field, one M x M
-    array per sample.  Non-finite values abort with the failing step."""
-    recorder = SampleRecorder(u0.grid, cfg.c1, cfg.c2, cfg.forcing)
-    fields = []
-    for _, t, u_hat in sample_stream(u0, cfg):
+    sample_stream plus a copy of every sampled state as a Fourier field, one
+    M x M array per sample.  Non-finite values abort with the failing step."""
+    stream = sample_stream(u0, cfg)
+    recorder, fields = stream.recorder(), []
+    for _, t, u_hat in stream:
         recorder.record(t, u_hat)
-        fields.append(SpectralField(u0.grid, u_hat, FOURIER))
+        fields.append(SpectralField(u0.grid, u_hat.copy(), FOURIER))
     return Trajectory(**vars(recorder.series()), fields=fields)

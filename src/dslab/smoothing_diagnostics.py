@@ -66,11 +66,14 @@ class RoughDataSpec:
 
 def make_rough_data(spec: RoughDataSpec, grid: GridSpec) -> SpectralField:
     """Build the datum in Fourier representation from the spec's law."""
-    k1 = grid.mode_numbers[:, None] * np.ones((1, grid.modes_per_axis), dtype=np.int64)
-    k2 = np.ones((grid.modes_per_axis, 1), dtype=np.int64) * grid.mode_numbers[None, :]
-    magnitude = spec.amplitude * grid.bracket(spec.spectral_law)
-    phases = uniform_phases(spec.seed, k1, k2)
-    return SpectralField(grid, magnitude * np.exp(1j * phases), FOURIER)
+    modes = grid.mode_numbers
+    values = 1j * uniform_phases(spec.seed, modes[:, None], modes[None, :])
+    np.exp(values, out=values)
+    magnitude = grid.bracket(spec.spectral_law)
+    magnitude *= spec.amplitude
+    # magnitude stays the left operand of the complex product
+    np.multiply(magnitude, values, out=values)
+    return SpectralField(grid, values, FOURIER)
 
 
 def duhamel_remainder(
@@ -150,8 +153,9 @@ def refinement_study(
     rows = []
     for m, grid in zip(resolutions, grids):
         stream = sample_stream(make_rough_data(spec, grid), cfg)
-        # split against the datum actually integrated (dealiasing masks it)
-        datum = SpectralField(grid, next(stream)[2], FOURIER)
+        # split against the datum actually integrated (dealiasing masks it);
+        # the stream steps its buffer in place, so the datum is a copy
+        datum = SpectralField(grid, next(stream)[2].copy(), FOURIER)
         for _, _, u_hat in stream:  # the last state is the one at cfg.t_end
             pass
         linear = sobolev_norm(free_evolve(datum, cfg.t_end), s + a)

@@ -127,7 +127,9 @@ class GridSpec:
 
     def bracket(self, s: float) -> np.ndarray:
         """Weight <xi>^s = (1+|xi|^2)^{s/2} on the mode lattice."""
-        return (1.0 + self.xi_squared) ** (0.5 * s)
+        weight = 1.0 + self.xi_squared
+        weight **= 0.5 * s
+        return weight
 
 
 @dataclass
@@ -237,9 +239,10 @@ def sobolev_norms(grid: GridSpec, hats: np.ndarray, s: float) -> np.ndarray:
     torus (Plancherel); a single mode of amplitude A at xi0 has norm
     A * L * <xi0>^s.
     """
-    sq = np.abs(hats) ** 2
+    sq = np.abs(hats)
+    sq **= 2
     if s != 0.0:
-        sq = sq * (1.0 + grid.xi_squared) ** s
+        sq *= grid.bracket(2.0 * s)
     return grid.domain_length * np.sqrt(np.sum(sq, axis=(-2, -1)))
 
 

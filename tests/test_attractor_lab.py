@@ -594,4 +594,7 @@ class TestAbsorbingCost:
         one_member = samples * grid.modes_per_axis**2 * np.dtype(np.complex128).itemsize
         _, peak, report = traced_peak(lambda: absorbing_experiment(ens))
         assert len(report.sample_times) == samples and len(report.h1_series) == 3
-        assert peak < one_member
+        # about 0.19 of one stored member (308 KB); 0.26 while the stack's
+        # gauge phase had its own buffer and member 0's recorder its own
+        # density kernel
+        assert peak < 0.22 * one_member

@@ -335,13 +335,32 @@ class TestSampleStream:
     def test_yields_the_states_evolve_records(self, grid, two_mode):
         cfg = cubic_config(t_end=0.1, sample_every=3, dealias=True)
         traj = evolve(two_mode, cfg)
-        stream = list(sample_stream(two_mode, cfg))
+        # a consumer that keeps a state copies it
+        stream = [(step, t, u_hat.copy()) for step, t, u_hat in sample_stream(two_mode, cfg)]
         assert [step for step, _, _ in stream] == sample_steps(cfg)
         assert np.array_equal([t for _, t, _ in stream], traj.times)
         for (_, _, u_hat), field in zip(stream, traj.fields):
             assert np.array_equal(u_hat, field.values)
-        # every yielded array is the consumer's to keep
-        assert len({id(u_hat) for _, _, u_hat in stream}) == len(stream)
+        # evolve keeps one distinct field per sample
+        kept = [field.values for field in traj.fields]
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1 :]
+        )
+
+    @pytest.mark.parametrize("members", [None, 3], ids=["field", "stack"])
+    def test_yields_one_buffer_stepped_in_place(self, two_mode, members):
+        cfg = cubic_config(t_end=0.1, sample_every=3)
+        # a Fourier datum, which the stream could step in place by mistake
+        datum = to_fourier(two_mode)
+        before = datum.values.copy()
+        if members is None:
+            stream = sample_stream(datum, cfg)
+        else:
+            stream = ensemble_stream([datum] * members, cfg)
+        assert len({id(u_hat) for _, _, u_hat in stream}) == 1
+        assert np.array_equal(datum.values, before)
+        # an exhausted stream frees the kernel's buffers for what comes next
+        assert stream.kernel is None
 
 
 class TestEnsembleStream:
@@ -360,9 +379,13 @@ class TestEnsembleStream:
             make_rough_data(RoughDataSpec(1.0, amp, seed), grid)
             for amp, seed in ((0.3, 1), (0.2, 2), (0.1, 3))
         ]
-        alone = [list(sample_stream(u0, cfg)) for u0 in members]
+        # the streams step one buffer in place, so the states kept are copies
+        def kept(stream):
+            return [(step, t, u_hat.copy()) for step, t, u_hat in stream]
+
+        alone = [kept(sample_stream(u0, cfg)) for u0 in members]
         for k in (1, 2, 3):
-            stacked = list(ensemble_stream(members[:k], cfg))
+            stacked = kept(ensemble_stream(members[:k], cfg))
             assert [(step, t) for step, t, _ in stacked] == [(s, t) for s, t, _ in alone[0]]
             for j in range(k):
                 for (_, _, stack), (_, _, u_hat) in zip(stacked, alone[j]):
@@ -397,25 +420,48 @@ class TestEnsembleStream:
 class TestKernelBuffers:
     """The kernels' work buffers never reach what a caller receives."""
 
-    def test_advance_leaves_input_and_returns_fresh_array(self, grid, two_mode):
+    def test_advance_steps_its_input_in_place(self, grid, two_mode):
         f = SpectralField(grid, 0.1 * np.ones((64, 64), dtype=np.complex128))
         cfg = cubic_config(delta=0.1, forcing=f, dealias=True)
         kernel = ds_solver._StepKernel(grid, cfg, cfg.dt)
         u_hat = to_fourier(two_mode).values.copy()
-        before = u_hat.copy()
-        first = kernel.advance(u_hat, 3)
-        second = kernel.advance(u_hat, 3)
-        assert np.array_equal(u_hat, before)
+        again = u_hat.copy()
+        assert kernel.advance(u_hat, 3) is u_hat
         # the buffers carry no state from one call into the next
-        assert np.array_equal(first, second)
+        assert np.array_equal(kernel.advance(again, 3), u_hat)
         d = kernel.density
-        for buf in (u_hat, first, d.rho, d.scratch, d.rho_hat, kernel.phase):
-            assert not np.shares_memory(second, buf)
+        kept = (kernel.lead, kernel.full, kernel.force, kernel.force_full)
+        for buf in (d.rho, d.scratch, d.rho_hat, d.overlay) + kept:
+            assert not np.shares_memory(u_hat, buf)
+
+    @pytest.mark.parametrize("members", [None, 3], ids=["field", "stack"])
+    def test_gauge_phase_overlays_the_spent_density_buffers(self, members):
+        grid = GridSpec(32, 2.0 * np.pi)
+        stack = () if members is None else (members,)
+        d = ds_solver._DensityKernel(grid, 1.0, 1.0, stack)
+        assert d.overlay.shape == stack + (32, 32) and d.overlay.dtype == np.complex128
+        assert np.shares_memory(d.overlay, d.rho_hat) and np.shares_memory(d.overlay, d.scratch)
+        assert not np.shares_memory(d.rho_hat, d.scratch)
+        assert not np.shares_memory(d.overlay, d.rho)
+        # one contiguous buffer per role: a stack carved per member, with a
+        # member stride that is not the buffer's own, stepped about 9% slower
+        assert all(b.flags.c_contiguous for b in (d.rho, d.scratch, d.rho_hat, d.overlay))
+        if members is not None:
+            one = d.member(1)
+            assert one.overlay is None
+            for name in ("rho", "scratch", "rho_hat"):
+                view = getattr(one, name)
+                assert view.shape == getattr(d, name).shape[1:] and view.flags.c_contiguous
+                assert np.shares_memory(view, getattr(d, name))
+                assert not np.shares_memory(view, getattr(d.member(0), name))
 
     @pytest.mark.parametrize("members", [None, 3], ids=["field", "stack"])
     def test_zeroed_slabs_equal_the_mask_product(self, members):
         # the reference masks the datum, builds full and advances by
-        # multiplying with the bool mask
+        # multiplying with the bool mask.  It also guards the operand order
+        # of advance's in-place half-step: complex products round
+        # differently with the operands swapped (on AVX-512 numpy), and
+        # u_hat *= lead in place of the reference's lead * u_hat fails here
         grid = GridSpec(64, 2.0 * np.pi)
         forcing = make_rough_data(RoughDataSpec(2.0, 0.05, 9), grid)
         cfg = cubic_config(delta=0.2, forcing=forcing, dealias=True)
@@ -455,8 +501,9 @@ class TestKernelBuffers:
             dropped[kernel.dropped] = True
             assert np.array_equal(dropped, ~grid.dealias_keep), m
 
-    def test_steps_allocate_only_the_returned_field(self, traced_peak):
-        # at M = 256 one field (1 MiB) dwarfs numpy's fixed ufunc buffers
+    def test_steps_allocate_no_field(self, traced_peak):
+        # advance steps its input in place: at M = 256 a step's peak is
+        # about 2 KB, and one half-field temporary (512 KiB) would show
         grid = GridSpec(256)
         u0 = make_rough_data(RoughDataSpec(1.0, 0.05, 3), grid)
         f = SpectralField(grid, np.full((256, 256), 0.01, dtype=np.complex128))
@@ -464,18 +511,19 @@ class TestKernelBuffers:
         u_hat = to_fourier(u0).values
         field = u_hat.nbytes
         _, peak, _ = traced_peak(lambda: kernel.advance(u_hat, 5))
-        assert field <= peak < 1.5 * field
+        assert peak < 0.05 * field
 
     def test_construction_holds_only_the_kept_fields(self, traced_peak):
-        # forced and dealiased at M = 256: lead, full, force, force_full and
-        # phase, plus rho, scratch, rho_hat and symbol at half a field each
+        # forced and dealiased at M = 256: lead, full, force and force_full,
+        # plus rho and symbol at half a field each and the block that holds
+        # rho_hat and scratch, which the gauge phase overlays: 6.01 fields
         grid = GridSpec(256)
         grid.xi_squared, grid.alpha_symbol  # cached before tracing
         f = SpectralField(grid, np.full((256, 256), 0.01, dtype=np.complex128))
         cfg = cubic_config(delta=0.1, forcing=f, dealias=True)
         current, peak, _ = traced_peak(lambda: ds_solver._StepKernel(grid, cfg, cfg.dt))
         field = 256 * 256 * np.dtype(np.complex128).itemsize
-        assert current <= 7.1 * field and peak <= 7.1 * field
+        assert current <= 6.1 * field and peak <= 6.1 * field
 
     def test_potential_allocates_no_array(self, traced_peak):
         # a float symbol is cast through numpy's 128 KiB ufunc buffer per call
