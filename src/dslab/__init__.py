@@ -10,44 +10,12 @@ provides the periodic spectral substrate, an exact-substep split-step solver
 the Duhamel part u - exp(it Lap) u0 is than the data, a discretized space-time
 norm engine with Knapp-box sharpness sweeps and dyadic block-norm checks, and
 long-time dissipative (absorbing ball / compactness) experiments.
+
+The package re-exports nothing: each name is imported from the module that
+defines it (spectral_core, ds_solver, smoothing_diagnostics, attractor_lab,
+xsb_analysis.knapp, ...), so importing one module loads only what that
+module needs.  The command line relies on this to load, per command, only
+the modules the command runs.
 """
 
 __version__ = "0.1.0"
-
-from .spectral_core import (
-    GridSpec,
-    SpectralField,
-    apply_K,
-    free_evolve,
-    lebesgue_norm,
-    sobolev_norm,
-    to_fourier,
-    to_physical,
-)
-from .ds_solver import (
-    IntegrationAbort,
-    SolverConfig,
-    Trajectory,
-    energy_functional,
-    evolve,
-    nonlinear_potential,
-    strang_step,
-)
-
-__all__ = [
-    "GridSpec",
-    "SpectralField",
-    "apply_K",
-    "free_evolve",
-    "lebesgue_norm",
-    "sobolev_norm",
-    "to_fourier",
-    "to_physical",
-    "IntegrationAbort",
-    "SolverConfig",
-    "Trajectory",
-    "energy_functional",
-    "evolve",
-    "nonlinear_potential",
-    "strang_step",
-]

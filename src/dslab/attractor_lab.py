@@ -46,7 +46,7 @@ from .ds_solver import (
     evolve,
     sample_steps,
 )
-from .smoothing_diagnostics import RoughDataSpec, duhamel_remainder, make_rough_data
+from .smoothing_diagnostics import RoughDataSpec, duhamel_remainder, make_forcing, make_rough_data
 
 __all__ = [
     "EnsembleConfig",
@@ -58,17 +58,6 @@ __all__ = [
     "make_forcing",
     "run_ensemble",
 ]
-
-
-def make_forcing(
-    grid: GridSpec, amplitude: float, seed: int = 0, smoothness: float = 3.0
-) -> SpectralField:
-    """Deterministic forcing field with |f_hat| = amplitude <xi>^{-smoothness-1}.
-
-    smoothness > 1/2 puts f in L^2 with margin; the default is smooth enough
-    that the shifted datum u + (1-Lap)^{-1} f never limits the probes below.
-    """
-    return make_rough_data(RoughDataSpec(smoothness, amplitude, seed), grid)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,18 @@ failed run leaves no outputs in --out.  Runs with the same content hash
 produce byte-identical CSVs.  Exit codes: 0 on success, 2 for configuration
 errors, 3 when the integrator or the energy-balance audit hits non-finite
 values.
+
+At import the module loads only what every command uses: spectral_core,
+_rng and the standard library.  main imports the modules the chosen command
+runs (_COMMANDS) once [run] is checked and before it starts the clock, so a
+process compiles no module its command does not call, and the manifest's
+wall_clock_seconds times no import.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import json
 import math
 import os
@@ -44,16 +51,6 @@ except ImportError:
 from . import __version__
 from ._rng import hash_u64
 from .spectral_core import DEFAULT_DOMAIN_LENGTH, GridSpec, sobolev_norm
-from .ds_solver import IntegrationAbort, SolverConfig, sample_steps, sample_stream
-from .smoothing_diagnostics import RoughDataSpec, make_rough_data, refinement_study
-from .xsb_analysis import check_ladder, knapp_grid, knapp_sweep
-from .xsb_analysis.blocks import BlockLattice, CASES, check_block_bounds, sample_block_specs
-from .attractor_lab import (
-    EnsembleConfig,
-    absorbing_experiment,
-    compactness_probe,
-    make_forcing,
-)
 
 __all__ = ["ConfigError", "main", "parse_config", "serialize_config"]
 
@@ -177,10 +174,11 @@ def _content_hash(command: str, sections: dict) -> str:
     return digest.hexdigest()
 
 
-def _count(get: _Reader, key: str, default: int) -> int:
-    """An int key that counts something and so must be at least 1."""
+def _count(get: _Reader, key: str, default: Optional[int]) -> Optional[int]:
+    """An int key that counts something and so must be at least 1; an
+    optional count (default None) that is not set stays None."""
     value = get(key, int, default)
-    if value < 1:
+    if value is not None and value < 1:
         raise ConfigError(f"[{get.section}] {key} must be >= 1, got {value}")
     return value
 
@@ -203,6 +201,8 @@ def _forcing(get: _Reader, seed: int):
     built.  build refuses a NaN or infinite amplitude and, when it builds,
     an exponent RoughDataSpec would refuse, each naming its key.
     """
+    from .smoothing_diagnostics import make_forcing
+
     amplitude = get("forcing_amplitude", float, 0.0)
     smoothness = get("forcing_smoothness", float, 3.0)
 
@@ -220,9 +220,13 @@ def _forcing(get: _Reader, seed: int):
 # Each command reads every key of its section unconditionally, refuses unread
 # keys (get.check_all_read) before it builds its first field, and returns
 # (grid info, {file name: (header, rows)}, summary or None, details, steps).
+# Its imports only bind names: main has loaded its modules before the clock.
 
 
 def cmd_simulate(get: _Reader, seed: int):
+    from .ds_solver import SolverConfig, sample_steps, sample_stream
+    from .smoothing_diagnostics import RoughDataSpec, make_rough_data
+
     modes = get("modes", int, 64)
     length = get("domain_length", float, DEFAULT_DOMAIN_LENGTH)
     grid = GridSpec(modes, length)
@@ -254,6 +258,9 @@ def cmd_simulate(get: _Reader, seed: int):
 
 
 def cmd_smoothing(get: _Reader, seed: int):
+    from .ds_solver import SolverConfig, sample_steps
+    from .smoothing_diagnostics import RoughDataSpec, refinement_study
+
     resolutions = get("modes", _int_list, [64, 128, 256])
     s = get("s", float, 0.6)
     a = get("a", float, 0.3)
@@ -294,8 +301,10 @@ def cmd_smoothing(get: _Reader, seed: int):
 
 
 def cmd_knapp(get: _Reader, seed: int):
+    from .xsb_analysis.knapp import check_ladder, knapp_grid, knapp_sweep
+
     n_values = get("n_values", _float_list, [8.0, 16.0, 32.0, 64.0])
-    grid_n = get("grid_n", int, None)
+    grid_n = _count(get, "grid_n", None)
     time_samples = get("time_samples", int, 32)
     params = dict(
         s=get("s", float, 0.6),
@@ -326,6 +335,8 @@ def cmd_knapp(get: _Reader, seed: int):
 
 
 def cmd_blocks(get: _Reader, seed: int):
+    from .xsb_analysis.blocks import BlockLattice, CASES, check_block_bounds, sample_block_specs
+
     cases = [
         part.strip() for part in get("cases", str, ",".join(CASES)).split(",") if part.strip()
     ]
@@ -338,7 +349,7 @@ def cmd_blocks(get: _Reader, seed: int):
     lattice = BlockLattice(
         xi_step=get("xi_step", float, 0.5),
         tau_step=get("tau_step", float, 0.5),
-        max_support=get("max_support", int, 400_000),
+        max_support=_count(get, "max_support", 400_000),
     )
     restarts = _count(get, "restarts", 6)
     iters = _count(get, "iters", 60)
@@ -372,9 +383,12 @@ def cmd_blocks(get: _Reader, seed: int):
     return grid_info, {"blocks.csv": (header, rows)}, None, details, len(rows)
 
 
-def _attractor_ensemble(get: _Reader, seed: int) -> EnsembleConfig:
-    """The section's ensemble.  Every key is read, and unknown ones are
-    refused, before the reference datum or the forcing is built."""
+def _attractor_ensemble(get: _Reader, seed: int):
+    """The section's EnsembleConfig.  Every key is read, and unknown ones
+    are refused, before the reference datum or the forcing is built."""
+    from .attractor_lab import EnsembleConfig
+    from .smoothing_diagnostics import RoughDataSpec, make_rough_data
+
     modes = get("modes", int, 64)
     length = get("domain_length", float, 2.0 * np.pi)
     grid = GridSpec(modes, length)
@@ -418,6 +432,9 @@ def _balance_residual(value: Optional[float]) -> Optional[float]:
 
 
 def cmd_attractor(get: _Reader, seed: int):
+    from .attractor_lab import absorbing_experiment, compactness_probe
+    from .ds_solver import sample_steps
+
     experiment = get("experiment", str, "absorbing")
     ens = _attractor_ensemble(get, seed)
     forcing_l2 = sobolev_norm(ens.forcing, 0.0) if ens.forcing is not None else 0.0
@@ -471,12 +488,14 @@ def cmd_attractor(get: _Reader, seed: int):
     return grid_info, tables, summary, {"experiment": experiment}, steps
 
 
+# each command and the dslab modules it runs, which main imports for it
+_SOLVER = ("ds_solver", "smoothing_diagnostics")
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "smoothing": cmd_smoothing,
-    "knapp": cmd_knapp,
-    "blocks": cmd_blocks,
-    "attractor": cmd_attractor,
+    "simulate": (cmd_simulate, _SOLVER),
+    "smoothing": (cmd_smoothing, _SOLVER),
+    "knapp": (cmd_knapp, ("xsb_analysis.knapp", "xsb_analysis.spacetime")),
+    "blocks": (cmd_blocks, ("xsb_analysis.blocks", "xsb_analysis.multipliers")),
+    "attractor": (cmd_attractor, _SOLVER + ("attractor_lab",)),
 }
 
 
@@ -523,9 +542,12 @@ def main(argv: Optional[list] = None) -> int:
         run["seed"] = str(seed)
         run_get.check_all_read()
         get = _Reader(args.command, sections.get(args.command, {}))
+        command, modules = _COMMANDS[args.command]
+        for name in modules:  # before the clock: the manifest times no import
+            importlib.import_module(f".{name}", __package__)
         os.makedirs(args.out, exist_ok=True)
         started = time.perf_counter()
-        grid_info, tables, summary, details, steps = _COMMANDS[args.command](get, seed)
+        grid_info, tables, summary, details, steps = command(get, seed)
         # the commands check before solving; this catches one that forgot to
         get.check_all_read()
         outputs = []
@@ -552,7 +574,7 @@ def main(argv: Optional[list] = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationAbort, FloatingPointError) as exc:
+    except FloatingPointError as exc:  # ds_solver's IntegrationAbort among them
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     finally:

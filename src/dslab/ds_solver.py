@@ -61,7 +61,6 @@ from .spectral_core import (
     PHYSICAL,
     GridSpec,
     SpectralField,
-    sobolev_norm,
     to_fourier,
     to_physical,
 )
@@ -69,9 +68,11 @@ from .spectral_core import (
 SAMPLE_TIME_TOL = 1e-9  # how far a time may lie from a sample time and still name it
 
 
-class IntegrationAbort(RuntimeError):
+class IntegrationAbort(FloatingPointError):
     """Raised when the state turns non-finite; carries the failing step and,
-    for a stack, the first failing member (None for one field)."""
+    for a stack, the first failing member (None for one field).  It is a
+    FloatingPointError, the class of every numerical abort, so a caller can
+    catch it without importing this module."""
 
     def __init__(self, step: int, t: float, member: Optional[int] = None):
         where = "" if member is None else f" in member {member}"
@@ -259,16 +260,29 @@ class SampleRecorder:
         self.density = density
         self.f_hat = to_fourier(forcing).values if forcing is not None else None
 
-    def energy_parts(self, u: SpectralField) -> tuple:
-        """(E, c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2, 2 Re int f conj(u)) of
-        one field; the drive is 0.0 without forcing."""
-        hat = to_fourier(u).values
+    def _quadratic_sums(self, hat: np.ndarray) -> tuple:
+        """(sum |hat|^2, sum (1 + |xi|^2) |hat|^2, sum |xi|^2 |hat|^2) of one
+        field's coefficients hat.  |hat|^2 is formed once, in the density
+        kernel's rho, and each weighted copy in its scratch; density_hat
+        overwrites both only afterwards.  Each product keeps |hat|^2 as its
+        left operand and each sum is the reduction of sobolev_norms (the
+        first two) or of the gradient energy (the third), so every value has
+        the bits those give."""
+        xi_sq = self.grid.xi_squared
+        power = np.abs(hat, out=self.density.rho)
+        power **= 2
+        # 1 + |xi|^2 is grid.bracket(2.0) bit for bit, made in place
+        weighted = np.add(xi_sq, 1.0, out=self.density.scratch)
+        np.multiply(power, weighted, out=weighted)
+        h1 = np.sum(weighted, axis=(-2, -1))
+        np.multiply(power, xi_sq, out=weighted)
+        return np.sum(power, axis=(-2, -1)), h1, float(np.sum(weighted))
+
+    def _energy_parts(self, u: SpectralField, hat: np.ndarray, grad_sum: float) -> tuple:
+        """energy_parts of u, whose coefficients are hat and whose
+        sum |xi|^2 |hat|^2 is grad_sum."""
         l_sq = self.grid.domain_length**2
-        weighted = np.abs(hat)
-        weighted **= 2
-        weighted *= self.grid.xi_squared
-        grad = l_sq * float(np.sum(weighted))
-        del weighted
+        grad = l_sq * grad_sum
         inter = self.density.interaction(self.density.density_hat(to_physical(u).values))
         drive = 0.0
         if self.f_hat is not None:
@@ -278,10 +292,19 @@ class SampleRecorder:
             drive = 2.0 * l_sq * float(np.real(np.sum(product)))
         return grad + 0.5 * inter + drive, inter, drive
 
+    def energy_parts(self, u: SpectralField) -> tuple:
+        """(E, c1 ||u||_{L4}^4 + c2 int K(|u|^2)|u|^2, 2 Re int f conj(u)) of
+        one field; the drive is 0.0 without forcing."""
+        hat = to_fourier(u).values
+        return self._energy_parts(u, hat, self._quadratic_sums(hat)[2])
+
     def record(self, t: float, u_hat: np.ndarray) -> None:
+        mass_sum, h1_sum, grad_sum = self._quadratic_sums(u_hat)
+        length = self.grid.domain_length
+        # the expression of sobolev_norms, so each norm is sobolev_norm's bits
+        norms = float(length * np.sqrt(mass_sum)), float(length * np.sqrt(h1_sum))
         snap = SpectralField(self.grid, u_hat, FOURIER)
-        norms = sobolev_norm(snap, 0.0), sobolev_norm(snap, 1.0)
-        self.rows.append((t, *norms, *self.energy_parts(snap)))
+        self.rows.append((t, *norms, *self._energy_parts(snap, u_hat, grad_sum)))
 
     def series(self) -> SampleSeries:
         return SampleSeries(*np.array(self.rows).T.copy())  # one contiguous row per series

@@ -76,6 +76,20 @@ def make_rough_data(spec: RoughDataSpec, grid: GridSpec) -> SpectralField:
     return SpectralField(grid, values, FOURIER)
 
 
+def make_forcing(
+    grid: GridSpec, amplitude: float, seed: int = 0, smoothness: float = 3.0
+) -> SpectralField:
+    """Deterministic forcing field with |f_hat| = amplitude <xi>^{-smoothness-1}.
+
+    smoothness > 1/2 puts f in L^2 with margin; the default is smooth enough
+    that the shifted datum u + (1-Lap)^{-1} f never limits attractor_lab's
+    compactness probe.  It is a datum of the same law, so it lives here
+    beside make_rough_data, and a forced simulate run needs nothing from
+    attractor_lab.
+    """
+    return make_rough_data(RoughDataSpec(smoothness, amplitude, seed), grid)
+
+
 def duhamel_remainder(
     u_hat: np.ndarray, datum: SpectralField, t: float, delta: float = 0.0, sigma=0.0
 ) -> SpectralField:

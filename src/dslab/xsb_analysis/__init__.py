@@ -1,72 +1,10 @@
-"""Dispersive space-time norms, sharpness packets, and block-norm estimation."""
-from .blocks import (
-    COHERENT,
-    GENERIC,
-    HIGH_PARALLEL,
-    PLUS_PLUS_PLUS,
-    BlockLattice,
-    DyadicBlockSpec,
-    SupportCapExceeded,
-    block_bound,
-    block_multiplier,
-    check_block_bounds,
-    sample_block_specs,
-)
-from .knapp import (
-    KnappConfig,
-    KnappSweepResult,
-    check_ladder,
-    knapp_factors,
-    knapp_grid,
-    knapp_sweep,
-    knapp_triple,
-    trilinear_output_spectrum,
-    trilinear_ratio,
-)
-from .multipliers import (
-    Gamma3Multiplier,
-    estimate_3Z_norm,
-    norm_2Z,
-    ttstar_pair,
-    upper_3Z_bound,
-)
-from .spacetime import (
-    SpaceTimeField,
-    SpaceTimeGrid,
-    to_fourier3,
-    to_physical3,
-    xsb_norm,
-)
+"""Dispersive space-time norms, sharpness packets, and block-norm estimation.
 
-__all__ = [
-    "BlockLattice",
-    "COHERENT",
-    "DyadicBlockSpec",
-    "GENERIC",
-    "Gamma3Multiplier",
-    "HIGH_PARALLEL",
-    "KnappConfig",
-    "KnappSweepResult",
-    "PLUS_PLUS_PLUS",
-    "SpaceTimeField",
-    "SpaceTimeGrid",
-    "SupportCapExceeded",
-    "block_bound",
-    "block_multiplier",
-    "check_block_bounds",
-    "check_ladder",
-    "estimate_3Z_norm",
-    "knapp_factors",
-    "knapp_grid",
-    "knapp_sweep",
-    "knapp_triple",
-    "norm_2Z",
-    "sample_block_specs",
-    "to_fourier3",
-    "to_physical3",
-    "trilinear_output_spectrum",
-    "trilinear_ratio",
-    "ttstar_pair",
-    "upper_3Z_bound",
-    "xsb_norm",
-]
+The subpackage re-exports nothing; each name is imported from the module
+that defines it: spacetime (the space-time grid, its transforms and the
+X^{s,b} norm), knapp (Knapp-box sharpness sweeps, which build on
+spacetime), multipliers (the trilinear multiplier and its Z-norm
+estimates) and blocks (sampled dyadic block-norm checks, which build on
+multipliers).  The knapp command loads only the first two, the blocks
+command only the last two.
+"""

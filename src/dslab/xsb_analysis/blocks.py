@@ -90,6 +90,8 @@ class BlockLattice:
             # NaN fails both comparisons, so this refuses it too
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not self.max_support >= 1:
+            raise ValueError(f"max_support must be >= 1, got {self.max_support}")
 
 
 def _shell_points_2d(n: float, step: float) -> np.ndarray:

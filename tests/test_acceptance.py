@@ -15,15 +15,15 @@ import time
 import numpy as np
 import pytest
 
-from dslab.attractor_lab import (
-    EnsembleConfig,
-    absorbing_experiment,
-    compactness_probe,
-    make_forcing,
-)
+from dslab.attractor_lab import EnsembleConfig, absorbing_experiment, compactness_probe
 from dslab.cli import main
 from dslab.ds_solver import SolverConfig, evolve
-from dslab.smoothing_diagnostics import RoughDataSpec, make_rough_data, refinement_study
+from dslab.smoothing_diagnostics import (
+    RoughDataSpec,
+    make_forcing,
+    make_rough_data,
+    refinement_study,
+)
 from dslab.spectral_core import (
     FOURIER,
     PHYSICAL,
@@ -34,7 +34,8 @@ from dslab.spectral_core import (
     sobolev_norm,
     to_physical,
 )
-from dslab.xsb_analysis import knapp_grid, knapp_sweep, norm_2Z, ttstar_pair
+from dslab.xsb_analysis.knapp import knapp_grid, knapp_sweep
+from dslab.xsb_analysis.multipliers import norm_2Z, ttstar_pair
 from dslab.xsb_analysis.blocks import CASES, check_block_bounds, sample_block_specs
 
 TWO_PI = 2.0 * np.pi

@@ -126,16 +126,17 @@ class _ConfigAccepted(Exception):
 
 
 WORKLOADS = _workloads()
-# the library calls that start each command's work, all after its config checks
+# the library calls that start each command's work, all after its config
+# checks, named where they are defined
 _WORK = [
-    "sample_stream",
-    "refinement_study",
-    "knapp_grid",
-    "knapp_sweep",
-    "sample_block_specs",
-    "check_block_bounds",
-    "absorbing_experiment",
-    "compactness_probe",
+    "dslab.ds_solver.sample_stream",
+    "dslab.smoothing_diagnostics.refinement_study",
+    "dslab.xsb_analysis.knapp.knapp_grid",
+    "dslab.xsb_analysis.knapp.knapp_sweep",
+    "dslab.xsb_analysis.blocks.sample_block_specs",
+    "dslab.xsb_analysis.blocks.check_block_bounds",
+    "dslab.attractor_lab.absorbing_experiment",
+    "dslab.attractor_lab.compactness_probe",
 ]
 
 
@@ -146,8 +147,8 @@ def _passes_config_checks(command: str, text: str, tmp_path, monkeypatch, *flags
     def accepted(*args, **kwargs):
         raise _ConfigAccepted
 
-    for name in _WORK:
-        monkeypatch.setattr(dslab.cli, name, accepted)
+    for target in _WORK:
+        monkeypatch.setattr(target, accepted)
     path = tmp_path / "run.ini"
     path.write_text(text, encoding="utf-8")
     argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), *flags]

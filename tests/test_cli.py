@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dslab.cli
+from dslab import smoothing_diagnostics
 from dslab.cli import ConfigError, main, parse_config, serialize_config
 from dslab.ds_solver import evolve, sample_stream
 
@@ -108,9 +109,11 @@ class TestSimulate:
         # ru_maxrss sees what tracemalloc cannot: allocator layout and the
         # pages numpy touches.  The benchmark's simulate grid and drive
         # (M = 256, damped, forced) measured 12.2 to 12.4 MB above a bare
-        # import of the command line; 16.0 to 16.2 MB while the step
-        # returned a fresh field, the recorder had its own density kernel
-        # and the gauge phase its own buffer
+        # import of the command line and the modules simulate runs; 16.0 to
+        # 16.2 MB while the step returned a fresh field, the recorder had its
+        # own density kernel and the gauge phase its own buffer.  The
+        # baseline imports those modules because the command line alone no
+        # longer does: above it, the run also counts its code (about 1.1 MB)
         text = (
             "[simulate]\nmodes = 256\namplitude = 0.05\ns = 1.0\ndt = 0.01\nt_end = 0.2\n"
             "delta = 0.1\nforcing_amplitude = 0.05\nsample_every = 100\n"
@@ -137,7 +140,7 @@ class TestSimulate:
             return int(kib) / 1024.0  # ru_maxrss is in KiB on Linux
 
         run = peak_mb("-m", "dslab.cli", "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
-        bare = peak_mb("-c", "import dslab.cli")
+        bare = peak_mb("-c", "import dslab.cli, dslab.ds_solver, dslab.smoothing_diagnostics")
         assert run - bare < 13.0
 
     def test_workload_grid_peaks_below_eleven_fields(self, tmp_path, traced_peak):
@@ -179,7 +182,7 @@ class TestSimulate:
             runs.append((u0, cfg))
             return sample_stream(u0, cfg)
 
-        monkeypatch.setattr(dslab.cli, "sample_stream", seen)
+        monkeypatch.setattr("dslab.ds_solver.sample_stream", seen)
         out = tmp_path / "o"
         assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
         ((u0, cfg),) = runs
@@ -240,7 +243,8 @@ class TestSimulate:
             warnings.simplefilter("ignore")  # the overflow on the way down is the point
             code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "non-finite" in capsys.readouterr().err
+        # IntegrationAbort reaches main's FloatingPointError clause
+        assert capsys.readouterr().err.startswith("numerical abort: non-finite values at step ")
         assert output_files(tmp_path / "o") == []
 
     @pytest.mark.parametrize(
@@ -250,7 +254,7 @@ class TestSimulate:
         self, constants, tmp_path, capsys, monkeypatch
     ):
         # these used to step and abort with exit 3 at step 1 or 2
-        monkeypatch.setattr(dslab.cli, "sample_stream", refuse_call)
+        monkeypatch.setattr("dslab.ds_solver.sample_stream", refuse_call)
         text = f"[simulate]\nmodes = 16\namplitude = 0.1\ndt = 0.01\nt_end = 0.1\n{constants}\n"
         out = tmp_path / "o"
         with warnings.catch_warnings():
@@ -275,15 +279,28 @@ class TestConfigKeys:
         assert "delat" in capsys.readouterr().err
         assert output_files(out) == []
 
-    # each command with the library calls that do its work, all after the key check
+    # each command with the library calls that do its work, all after the
+    # key check, named where they are defined
     SOLVERS = {
-        "simulate": ("[simulate]\namplitude = 0.1\ndt = 0.01\nt_end = 1\n", ["sample_stream"]),
-        "smoothing": ("[smoothing]\namplitude = 0.1\n", ["refinement_study"]),
-        "knapp": ("[knapp]\n", ["knapp_grid", "knapp_sweep"]),
-        "blocks": ("[blocks]\n", ["sample_block_specs", "check_block_bounds"]),
+        "simulate": (
+            "[simulate]\namplitude = 0.1\ndt = 0.01\nt_end = 1\n",
+            ["dslab.ds_solver.sample_stream"],
+        ),
+        "smoothing": (
+            "[smoothing]\namplitude = 0.1\n",
+            ["dslab.smoothing_diagnostics.refinement_study"],
+        ),
+        "knapp": (
+            "[knapp]\n",
+            ["dslab.xsb_analysis.knapp.knapp_grid", "dslab.xsb_analysis.knapp.knapp_sweep"],
+        ),
+        "blocks": (
+            "[blocks]\n",
+            ["dslab.xsb_analysis.blocks.sample_block_specs", "dslab.xsb_analysis.blocks.check_block_bounds"],
+        ),
         "attractor": (
             "[attractor]\nmodes = 16\ndelta = 0.1\n",
-            ["absorbing_experiment", "compactness_probe"],
+            ["dslab.attractor_lab.absorbing_experiment", "dslab.attractor_lab.compactness_probe"],
         ),
     }
 
@@ -293,8 +310,8 @@ class TestConfigKeys:
     ):
         section, solvers = self.SOLVERS[command]
 
-        for name in solvers:
-            monkeypatch.setattr(dslab.cli, name, refuse_call)
+        for target in solvers:
+            monkeypatch.setattr(target, refuse_call)
         cfg = write_config(tmp_path, section + "delat = 0.1\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "unknown keys: delat" in capsys.readouterr().err
@@ -391,8 +408,8 @@ class TestConfigKeys:
     ):
         # the attractor's reference datum used to be built, and its exponent
         # refused, before the unknown key was looked for
-        monkeypatch.setattr(dslab.cli, "make_rough_data", refuse_call)
-        monkeypatch.setattr(dslab.cli, "make_forcing", refuse_call)
+        monkeypatch.setattr("dslab.smoothing_diagnostics.make_rough_data", refuse_call)
+        monkeypatch.setattr("dslab.smoothing_diagnostics.make_forcing", refuse_call)
         text = f"[{command}]\nmodes = 16\ndt = 0.01\n{keys}\nbogus_key = 1\n"
         out = tmp_path / "o"
         assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
@@ -485,7 +502,7 @@ class TestSmoothing:
     def test_sample_every_is_refused_before_solving(self, tmp_path, capsys, monkeypatch):
         # the study reads one state per grid at t_probe, so there is no
         # sample spacing to set: the key is unknown, not silently ignored
-        monkeypatch.setattr(dslab.cli, "refinement_study", refuse_call)
+        monkeypatch.setattr("dslab.smoothing_diagnostics.refinement_study", refuse_call)
         cfg = write_config(tmp_path, "[smoothing]\namplitude = 0.01\nsample_every = 10\n")
         out = tmp_path / "o"
         assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 2
@@ -495,13 +512,13 @@ class TestSmoothing:
     def test_one_advance_per_grid(self, tmp_path, monkeypatch):
         # the manifest counts every step; the study takes them in one advance
         seen = []
-        original = dslab.cli.refinement_study
+        original = smoothing_diagnostics.refinement_study
 
         def spy(spec, resolutions, s, a, cfg, **kwargs):
             seen.append(cfg.sample_every)
             return original(spec, resolutions, s, a, cfg, **kwargs)
 
-        monkeypatch.setattr(dslab.cli, "refinement_study", spy)
+        monkeypatch.setattr("dslab.smoothing_diagnostics.refinement_study", spy)
         cfg = write_config(
             tmp_path,
             "[smoothing]\nmodes = 16,32,64\ns = 1.4\na = 0.3\namplitude = 0.01\n"
@@ -515,7 +532,7 @@ class TestSmoothing:
     def test_off_grid_probe_time_exits_two_before_the_first_grid(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(dslab.cli, "refinement_study", refuse_call)
+        monkeypatch.setattr("dslab.smoothing_diagnostics.refinement_study", refuse_call)
         cfg = write_config(
             tmp_path, "[smoothing]\nmodes = 16,32,64\ns = 1.4\namplitude = 0.01\nt_probe = 0.51\ndt = 0.025\n"
         )
@@ -536,7 +553,7 @@ class TestSmoothing:
         self, keys, message, tmp_path, capsys, monkeypatch
     ):
         # each ran to exit 0 with an all-nan smoothing.csv and null slopes
-        monkeypatch.setattr(dslab.cli, "refinement_study", refuse_call)
+        monkeypatch.setattr("dslab.smoothing_diagnostics.refinement_study", refuse_call)
         cfg = write_config(
             tmp_path, f"[smoothing]\nmodes = 16,32,64\namplitude = 0.01\nt_probe = 0.5\n{keys}\n"
         )
@@ -577,6 +594,16 @@ class TestKnapp:
         assert main(["knapp", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "1/N" in err and "dxi" in err
+
+    @pytest.mark.parametrize("value", ["0", "-8"])
+    def test_grid_n_below_one_exits_two_naming_it(self, value, tmp_path, capsys, monkeypatch):
+        # 0 used to be refused as modes_per_axis, after the ladder check
+        monkeypatch.setattr("dslab.xsb_analysis.knapp.knapp_grid", refuse_call)
+        cfg = write_config(tmp_path, f"[knapp]\ngrid_n = {value}\n")
+        out = tmp_path / "o"
+        assert main(["knapp", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [knapp] grid_n must be >= 1, got {value}\n"
+        assert output_files(out) == []
 
     def test_repeated_n_values_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, "[knapp]\nn_values = 8,8,8,8\n")
@@ -764,7 +791,7 @@ class TestAttractor:
         assert "sideways" in capsys.readouterr().err
 
     def test_zero_member_count_exits_two_before_solving(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(dslab.cli, "make_rough_data", refuse_call)
+        monkeypatch.setattr("dslab.smoothing_diagnostics.make_rough_data", refuse_call)
         cfg = write_config(tmp_path, self.ATTR.replace("member_count = 2", "member_count = 0"))
         out = tmp_path / "o"
         assert main(["attractor", "--config", cfg, "--out", str(out)]) == 2
@@ -806,7 +833,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("key", ["per_case", "restarts", "iters"])
     def test_zero_count_exits_two_before_sampling(self, key, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(dslab.cli, "sample_block_specs", refuse_call)
+        monkeypatch.setattr("dslab.xsb_analysis.blocks.sample_block_specs", refuse_call)
         cfg = write_config(tmp_path, f"[blocks]\ncases = generic\n{key} = 0\n")
         out = tmp_path / "o"
         assert main(["blocks", "--config", cfg, "--out", str(out)]) == 2
@@ -815,7 +842,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("cases", ["generic, no_such_case", ","])
     def test_unknown_case_exits_two_before_sampling(self, cases, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(dslab.cli, "sample_block_specs", refuse_call)
+        monkeypatch.setattr("dslab.xsb_analysis.blocks.sample_block_specs", refuse_call)
         cfg = write_config(tmp_path, f"[blocks]\ncases = {cases}\nper_case = 1\n")
         out = tmp_path / "o"
         assert main(["blocks", "--config", cfg, "--out", str(out)]) == 2
@@ -826,12 +853,24 @@ class TestBlocks:
     def test_non_finite_lattice_step_exits_two_naming_it(self, key, value, tmp_path, capsys, monkeypatch):
         # these used to fail with "cannot convert float NaN to integer", and
         # inf also with a RuntimeWarning
-        monkeypatch.setattr(dslab.cli, "sample_block_specs", refuse_call)
+        monkeypatch.setattr("dslab.xsb_analysis.blocks.sample_block_specs", refuse_call)
         cfg = write_config(tmp_path, f"[blocks]\ncases = generic\n{key} = {value}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["blocks", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"{key} must be positive and finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_support_below_one_exits_two_before_sampling(
+        self, value, tmp_path, capsys, monkeypatch
+    ):
+        # -5 used to probe 200 candidates, then name the cap min(-5, 60000)
+        monkeypatch.setattr("dslab.xsb_analysis.blocks.sample_block_specs", refuse_call)
+        cfg = write_config(tmp_path, f"[blocks]\ncases = generic\nmax_support = {value}\n")
+        out = tmp_path / "o"
+        assert main(["blocks", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [blocks] max_support must be >= 1, got {value}\n"
+        assert output_files(out) == []
 
     def test_too_small_max_support_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[blocks]\ncases = generic\nper_case = 1\nmax_support = 10\n")

@@ -363,6 +363,40 @@ class TestSampleStream:
         assert stream.kernel is None
 
 
+class TestSampleRecorder:
+    @pytest.mark.parametrize("members", [None, 2], ids=["field", "stack"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    def test_rows_are_the_norms_and_energy_bit_for_bit(self, members, forced):
+        # record forms |u_hat|^2 once, in the density kernel's buffers, for
+        # the mass, H^1 and gradient sums; each must keep the bits of
+        # sobolev_norm and energy_functional on the same state.  Dense
+        # samples of four data on a small box: forming the H^1 weight as
+        # p + p |xi|^2 instead of p (1 + |xi|^2) moves about one norm in 15
+        grid = GridSpec(32, 2.0 * np.pi)
+        f = make_rough_data(RoughDataSpec(3.0, 0.05, 4), grid) if forced else None
+        cfg = cubic_config(
+            c2=0.7, t_end=0.5, dealias=True, delta=0.1 if forced else 0.0, forcing=f
+        )
+        for seed in range(4):
+            u0 = make_rough_data(RoughDataSpec(1.0, 0.3, seed), grid)
+            if members is None:
+                stream = sample_stream(u0, cfg)
+            else:
+                stream = ensemble_stream([u0] * members, cfg)
+            recorder = stream.recorder()
+            for _, t, u_hat in stream:
+                state = u_hat if members is None else u_hat[0]
+                field = SpectralField(grid, state.copy(), FOURIER)
+                recorder.record(t, state)
+                expected = (
+                    t,
+                    sobolev_norm(field, 0.0),
+                    sobolev_norm(field, 1.0),
+                    energy_functional(field, f, cfg.c1, cfg.c2),
+                )
+                assert recorder.rows[-1][:4] == expected
+
+
 class TestEnsembleStream:
     """A stacked stream steps each member to the bits it gets alone."""
 

@@ -6,21 +6,23 @@ import numpy as np
 import pytest
 
 from dslab.xsb_analysis import blocks, multipliers
-from dslab.xsb_analysis import (
+from dslab.xsb_analysis.blocks import (
     COHERENT,
     GENERIC,
     HIGH_PARALLEL,
     PLUS_PLUS_PLUS,
     BlockLattice,
     DyadicBlockSpec,
-    Gamma3Multiplier,
     SupportCapExceeded,
     block_bound,
     block_multiplier,
     check_block_bounds,
+    sample_block_specs,
+)
+from dslab.xsb_analysis.multipliers import (
+    Gamma3Multiplier,
     estimate_3Z_norm,
     norm_2Z,
-    sample_block_specs,
     ttstar_pair,
     upper_3Z_bound,
 )
@@ -326,6 +328,12 @@ class TestBlockLattice:
     def test_steps_must_be_positive_and_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             BlockLattice(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_support_cap_must_be_at_least_one(self, value):
+        # no support fits under it, so the sampler probed to its stall
+        with pytest.raises(ValueError, match=f"max_support must be >= 1, got {value}"):
+            BlockLattice(max_support=value)
 
 
 class TestDyadicBlockSpec:

@@ -6,25 +6,25 @@ import numpy as np
 import pytest
 
 from dslab.spectral_core import FOURIER, GridSpec
-from dslab.xsb_analysis import (
+from dslab.xsb_analysis.knapp import (
+    BoxFactors,
     KnappConfig,
-    SpaceTimeField,
-    SpaceTimeGrid,
+    _block_norm,
     knapp_factors,
     knapp_grid,
     knapp_sweep,
     knapp_triple,
-    to_fourier3,
-    to_physical3,
-    trilinear_ratio,
-    xsb_norm,
-)
-from dslab.xsb_analysis.knapp import (
-    BoxFactors,
-    _block_norm,
     output_ratio,
     separable_output_spectrum,
     trilinear_output_spectrum,
+    trilinear_ratio,
+)
+from dslab.xsb_analysis.spacetime import (
+    SpaceTimeField,
+    SpaceTimeGrid,
+    to_fourier3,
+    to_physical3,
+    xsb_norm,
 )
 
 
