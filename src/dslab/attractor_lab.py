@@ -18,9 +18,8 @@ ensemble_stream, in one pass, and read each sample as it comes: the norms of
 all members in one reduction, and member 0's SampleRecorder series for the
 balance audit.  The stack is one buffer that the stream steps in place, and
 member 0's recorder borrows the stack kernel's density buffers.  Memory grows
-with K x M^2 (about three and a half fields per member in the absorbing
-experiment, seven and a half in the compactness probe), not with the number
-of samples.
+with K x M^2 (about three and a half fields per member in both experiments),
+not with the number of samples.
 """
 from __future__ import annotations
 
@@ -46,7 +45,7 @@ from .ds_solver import (
     evolve,
     sample_steps,
 )
-from .smoothing_diagnostics import RoughDataSpec, duhamel_remainder, make_forcing, make_rough_data
+from .smoothing_diagnostics import RoughDataSpec, make_forcing, make_rough_data, remainders
 
 __all__ = [
     "EnsembleConfig",
@@ -310,7 +309,7 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
     """Split v = u + g into damped free flow plus a smoother remainder.
 
     With g = (1 - Lap)^{-1} f and w the solution of i w_t + Lap w + i delta w
-    = 0 from v(0), the remainder n = v - w (duhamel_remainder of v against
+    = 0 from v(0), the remainder n = v - w (remainders of v against
     v(0) at damping delta) is measured in H^{1+a}.  Under refinement
     sup_t ||n||_{H^{1+a}} is expected to stabilize while the free part keeps
     the datum's roughness and grows.  Also records pairwise H^1 distances of
@@ -319,39 +318,31 @@ def compactness_probe(ens: EnsembleConfig) -> dict:
 
     Every probe time is checked against the sample schedule before the first
     step (ValueError otherwise).  The members are stepped as one stack in
-    one pass that keeps v(0), the running sup of each remainder, the states
-    at the probe times and member 0's recorded series, nothing else.
+    one pass that keeps v(0), the running sup of each remainder, the
+    distances at the probe samples and member 0's recorded series.
     """
     cfg = ens.solver_config()
     probe_steps = _probe_steps(ens, cfg)
-    wanted = set(probe_steps.values())
     g = _forcing_shift(ens)
-    g_hat = g.values
     s_up = 1.0 + ens.a
 
     stream = _member_stream(ens, cfg)
-    member0, kept = stream.recorder(), {}
+    member0 = stream.recorder()
     sup_n = np.zeros(len(ens.members))
+    pairwise = dict.fromkeys(probe_steps)  # in probe order, filled at each probe's sample
     for step, t, stack in stream:
         member0.record(t, stack[0])
         if step == 0:
-            v0 = SpectralField(ens.grid, stack + g_hat, FOURIER)
-            free_part = sobolev_norms(ens.grid, v0.values, s_up)
-        n = duhamel_remainder(stack + g_hat, v0, float(t), ens.delta)
-        sup_n = np.maximum(sup_n, sobolev_norms(ens.grid, n.values, s_up))
-        if step in wanted:
-            kept[step] = stack.copy()  # the stream steps stack in place
+            v0 = stack + g.values  # the stream steps stack in place
+            free_part = np.array([sobolev_norms(ens.grid, v0_j, s_up) for v0_j in v0])
+        n = remainders(ens.grid, stack, v0, float(t), ens.delta, shift=g.values)
+        sup_n = np.maximum(sup_n, [sobolev_norm(n_j, s_up) for n_j in n])
+        for probe in [p for p, at in probe_steps.items() if at == step]:
+            pairwise[probe] = np.array([
+                sobolev_norm(SpectralField(ens.grid, stack[i] - stack[j], FOURIER), 1.0)
+                for i in range(len(stack)) for j in range(i + 1, len(stack))
+            ])
     balance = energy_balance_residual(member0.series(), cfg)
-
-    pairwise = {}
-    for t in ens.probe_times:
-        fields = kept[probe_steps[t]]
-        dists = [
-            sobolev_norm(SpectralField(ens.grid, fields[i] - fields[j], FOURIER), 1.0)
-            for i in range(len(fields))
-            for j in range(i + 1, len(fields))
-        ]
-        pairwise[float(t)] = np.array(dists)
 
     return {
         "a": ens.a,

@@ -14,8 +14,8 @@ of the inputs, and step/wall-clock counts.  Each file is written under a
 temporary name and renamed into place once the command has succeeded, so a
 failed run leaves no outputs in --out.  Runs with the same content hash
 produce byte-identical CSVs.  Exit codes: 0 on success, 2 for configuration
-errors, 3 when the integrator or the energy-balance audit hits non-finite
-values.
+errors, 3 when the integrator, a recorded simulate row or the
+energy-balance audit hits non-finite values.
 
 At import the module loads only what every command uses: spectral_core,
 _rng and the standard library.  main imports the modules the chosen command
@@ -248,10 +248,18 @@ def cmd_simulate(get: _Reader, seed: int):
     # keeps neither the datum nor any sampled field
     stream = sample_stream(make_rough_data(spec, grid), cfg)
     recorder = stream.recorder()
-    for _, t, u_hat in stream:
-        recorder.record(t, u_hat)
+    # an overflow here ends in the stream's IntegrationAbort or in the row
+    # check below, each one line, so numpy's own warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, t, u_hat in stream:
+            recorder.record(t, u_hat)
     series = recorder.series()
-    rows = list(zip(series.times, series.mass, series.h1_norm, series.energy))
+    columns = (series.times, series.mass, series.h1_norm, series.energy)
+    finite = np.isfinite(columns).all(axis=0)
+    if not finite.all():
+        bad = series.times[np.argmin(finite)]
+        raise FloatingPointError(f"non-finite recorded values at t = {bad:.6g}")
+    rows = list(zip(*columns))
     tables = {"simulate.csv": (["t", "mass", "h1", "energy"], rows)}
     grid_info = {"modes": modes, "domain_length": length}
     return grid_info, tables, None, {}, sample_steps(cfg)[-1]

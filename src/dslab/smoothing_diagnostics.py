@@ -1,10 +1,10 @@
 """Duhamel-split smoothing diagnostics on rough data.
 
-The flow is split as u(t) = e^{it Lap} u0 + N(t).  duhamel_remainder is the
-one place that computes N(t), against the free flow with optional damping
-and resonant gauge phase.  Two instruments call it: the refinement study
-here and the compactness probe in attractor_lab (which passes the shifted
-state).  For data whose spectrum decays like <xi>^{-s-1} (so u0 sits in
+The flow is split as u(t) = e^{it Lap} u0 + N(t).  remainders is the one
+place that computes N(t): member by member, in one buffer, against the free
+flow with optional shift, damping and resonant gauge phase.  The refinement
+study and nonlinear_part here and the compactness probe in attractor_lab
+call it.  For data whose spectrum decays like <xi>^{-s-1} (so u0 sits in
 H^{s'} exactly for s' < s), the linear part keeps the data's roughness
 while N(t) is measurably smoother.  On the periodic box each tail mode of
 the plain remainder carries the resonant lattice dressing
@@ -13,14 +13,14 @@ the linear part; it is the gauged remainder (see resonant_gauge_phase) whose
 H^{s+a} norm converges under grid refinement although the linear part's
 diverges like M^a.
 
-Both instruments stream the run through sample_stream and split against
-its step-0 sample, the datum actually integrated; they hold that datum and
-the current state, never the run.
+Both instruments stream the run and split against its step-0 sample, the
+datum actually integrated; they hold the data and the current state, never
+the run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .spectral_core import (
     GridSpec,
     SpectralField,
     free_evolve,
+    free_phase,
     loglog_slope,
     sobolev_norm,
     to_fourier,
@@ -90,28 +91,34 @@ def make_forcing(
     return make_rough_data(RoughDataSpec(smoothness, amplitude, seed), grid)
 
 
-def duhamel_remainder(
-    u_hat: np.ndarray, datum: SpectralField, t: float, delta: float = 0.0, sigma=0.0
-) -> SpectralField:
-    """Duhamel remainder u_hat - e^{-i sigma t} e^{-delta t} e^{it Lap} datum.
-
-    u_hat holds the Fourier coefficients of the state at time t; u_hat and
-    datum may hold a stack of K states and their K data, which share one
-    free-flow phase.  delta > 0 compares against the damped free flow.
-    sigma = 0 gives the plain remainder; sigma = resonant_gauge_phase(datum,
-    c1, c2) gives the gauged one, whose comparison flow carries the lattice
-    dressing of the datum tail and so leaves the grid-convergent remainder.
+def remainders(
+    grid: GridSpec, u_hat: np.ndarray, v0: np.ndarray, t: float, delta=0.0, sigma=0.0, shift=None
+) -> Iterator[SpectralField]:
+    """Yield (u_j + g) - e^{-i sigma t} e^{-delta t} e^{it Lap} v0_j for each
+    member j of u_hat (one state at time t, or a stack) and its datum v0_j, in
+    one Fourier buffer that the next member overwrites.  g is the optional
+    shift, delta > 0 damps the free flow, and sigma is 0 (plain) or
+    resonant_gauge_phase(datum, c1, c2) (gauged).  v0_j stays the left operand
+    of the complex product: on AVX-512 builds its bits depend on the order.
     """
-    linear = free_evolve(to_fourier(datum), t, delta).values
-    linear *= np.exp(-1j * sigma * t)  # free_evolve returned a fresh array
-    return SpectralField(datum.grid, u_hat - linear, FOURIER)
+    m = grid.modes_per_axis
+    phase = free_phase(grid, t, delta)
+    gauge = np.exp(-1j * sigma * t)
+    out = np.empty((m, m), dtype=np.complex128)
+    shifted = None if shift is None else np.empty_like(out)
+    for u_j, v_j in zip(u_hat.reshape(-1, m, m), v0.reshape(-1, m, m)):
+        np.multiply(v_j, phase, out=out)
+        out *= gauge
+        if shift is not None:
+            u_j = np.add(u_j, shift, out=shifted)
+        yield SpectralField(grid, np.subtract(u_j, out, out=out), FOURIER)
 
 
 def nonlinear_part(traj: Trajectory, u0: SpectralField, t: float) -> SpectralField:
     """u(t) - e^{it Lap} u0 at a sampled time: the undamped, ungauged
-    duhamel_remainder of a stored trajectory's state.  No dslab instrument
-    calls it; it stays because benchmarks/layers.py times it."""
-    return duhamel_remainder(to_fourier(traj.field_at(t)).values, u0, t)
+    remainder of a stored trajectory's state.  No dslab instrument calls it;
+    it stays because benchmarks/layers.py times it."""
+    return next(remainders(u0.grid, to_fourier(traj.field_at(t)).values, to_fourier(u0).values, t))
 
 
 def resonant_gauge_phase(datum: SpectralField, c1: float, c2: float) -> np.ndarray:
@@ -174,8 +181,10 @@ def refinement_study(
             pass
         linear = sobolev_norm(free_evolve(datum, cfg.t_end), s + a)
         sigma = resonant_gauge_phase(datum, cfg.c1, cfg.c2)
-        nonlinear = sobolev_norm(duhamel_remainder(u_hat, datum, cfg.t_end), s + a)
-        gauged = sobolev_norm(duhamel_remainder(u_hat, datum, cfg.t_end, sigma=sigma), s + a)
+        nonlinear, gauged = (
+            sobolev_norm(n, s + a)
+            for g in (0.0, sigma) for n in remainders(grid, u_hat, datum.values, cfg.t_end, sigma=g)
+        )
         rows.append(
             {
                 "M": m,

@@ -217,16 +217,23 @@ def apply_K(field: SpectralField) -> SpectralField:
     return result if field.representation == FOURIER else to_physical(result)
 
 
-def free_evolve(field: SpectralField, t: float, delta: float = 0.0) -> SpectralField:
-    """Propagate by the free (optionally damped) linear group for time t.
-
-    Each mode is multiplied by exp(-i t |xi|^2); delta > 0 adds the scalar
-    decay exp(-delta t).  Undamped, this is an isometry of every H^s norm.
-    """
-    hat = to_fourier(field)
-    phase = np.exp(-1j * t * field.grid.xi_squared)
+def free_phase(grid: GridSpec, t: float, delta: float) -> np.ndarray:
+    """Multiplier of the free (optionally damped) linear group at time t:
+    exp(-i t |xi|^2) on each mode, times the scalar decay exp(-delta t) when
+    delta is not zero.  A fresh M x M array."""
+    phase = np.exp(-1j * t * grid.xi_squared)
     if delta != 0.0:
         phase = phase * np.exp(-delta * t)
+    return phase
+
+
+def free_evolve(field: SpectralField, t: float, delta: float = 0.0) -> SpectralField:
+    """Propagate by the free (optionally damped) linear group for time t:
+    each mode is multiplied by free_phase.  Undamped, this is an isometry of
+    every H^s norm.
+    """
+    hat = to_fourier(field)
+    phase = free_phase(field.grid, t, delta)
     result = SpectralField(field.grid, hat.values * phase, FOURIER)
     return result if field.representation == FOURIER else to_physical(result)
 

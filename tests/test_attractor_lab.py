@@ -600,3 +600,25 @@ class TestAbsorbingCost:
         # gauge phase had its own buffer and member 0's recorder its own
         # density kernel
         assert peak < 0.22 * one_member
+
+    def test_compactness_peak_per_member_below_four_fields(self, traced_peak):
+        # the slope of the traced peak between 4 and 8 members at M = 128:
+        # the stack, its shifted data and the stack kernel, 3.5 fields per
+        # member as in the absorbing experiment; 8.5 while the probe formed
+        # each sample's remainders on the whole stack and copied the states
+        # at the probe times
+        grid = GridSpec(128, TWO_PI)
+        forcing = make_forcing(grid, 0.2, seed=21)
+        field = grid.modes_per_axis**2 * np.dtype(np.complex128).itemsize
+
+        def peak(count: int) -> int:
+            members = [RoughDataSpec(1.0, 0.3 / (j + 1), 7 + j) for j in range(count)]
+            ens = small_ensemble(
+                grid, members, forcing=forcing, horizon=0.04, sample_every=2,
+                probe_times=(0.02, 0.04),
+            )
+            return traced_peak(lambda: compactness_probe(ens))[1]
+
+        peak(4)  # first-call allocations (FFT plans, cached grid arrays)
+        per_member = (peak(8) - peak(4)) / 4 / field
+        assert per_member < 4.0

@@ -234,17 +234,30 @@ class TestSimulate:
             _, mass, h1, energy = row.split(",")
             assert float(mass) == 0.0 and float(h1) == 0.0 and float(energy) == 0.0
 
-    def test_non_finite_state_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "amplitude,message",
+        [
+            # a finite state whose energy overflows: every row used to be
+            # written with inf and the run exited 0
+            ("1e100", "non-finite recorded values at t = 0\n"),
+            ("1e150", "non-finite recorded values at t = 0\n"),
+            # the state itself overflows: the stream's IntegrationAbort
+            ("1e200", "non-finite values at step 1 (t = 0.1)\n"),
+        ],
+        ids=["1e100", "1e150", "1e200"],
+    )
+    def test_non_finite_state_exits_three(self, amplitude, message, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
-            "[simulate]\nmodes = 16\namplitude = 1e200\ndt = 0.1\nt_end = 0.5\n",
+            f"[simulate]\nmodes = 16\namplitude = {amplitude}\ndt = 0.1\nt_end = 0.5\n",
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the overflow on the way down is the point
+            # the abort is the one report: 1e200 used to print six numpy warnings first
+            warnings.simplefilter("error")
             code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
-        # IntegrationAbort reaches main's FloatingPointError clause
-        assert capsys.readouterr().err.startswith("numerical abort: non-finite values at step ")
+        # both reach main's FloatingPointError clause, as one line
+        assert capsys.readouterr().err == f"numerical abort: {message}"
         assert output_files(tmp_path / "o") == []
 
     @pytest.mark.parametrize(

@@ -16,10 +16,10 @@ from dslab.spectral_core import (
 from dslab.ds_solver import SolverConfig, evolve, sample_steps, sample_stream
 from dslab.smoothing_diagnostics import (
     RoughDataSpec,
-    duhamel_remainder,
     make_rough_data,
     nonlinear_part,
     refinement_study,
+    remainders,
     resonant_gauge_phase,
 )
 
@@ -184,7 +184,7 @@ class TestNonlinearPart:
         assert 20.0 <= gaps[0] / gaps[1] <= 45.0
 
 
-class TestDuhamelRemainder:
+class TestRemainders:
     def test_single_mode_closed_form(self):
         # the comparison flow of one mode is e^{-i (sigma + |xi|^2) t - delta t}
         # times its coefficient; every other mode of u_hat passes through
@@ -194,13 +194,39 @@ class TestDuhamelRemainder:
         u_hat = np.zeros((16, 16), dtype=np.complex128)
         u_hat[1, 1] = 0.25
         t, delta, sigma = 0.7, 0.3, 1.9
-        datum = to_physical(SpectralField(grid, hat, FOURIER))
-        got = duhamel_remainder(u_hat, datum, t, delta, sigma)
+        (got,) = remainders(grid, u_hat, hat, t, delta, sigma)
         expected = u_hat.copy()
         expected[2, 3] = -hat[2, 3] * np.exp(-1j * (sigma + 13.0) * t - delta * t)
-        assert got.representation == FOURIER
+        assert got.representation == FOURIER and got.grid == grid
         assert np.max(np.abs(got.values - expected)) <= 1e-15
         assert u_hat[2, 3] == 0.0
+
+    def test_shifted_damped_stack_closed_form(self):
+        # the compactness shape: member j's remainder is u_j + g minus the
+        # damped free flow of its own datum, each member in the one buffer
+        grid = GridSpec(16, TWO_PI)
+        data = np.zeros((2, 16, 16), dtype=np.complex128)
+        data[0, 2, 3] = 0.6 - 0.2j  # xi = (2, 3), |xi|^2 = 13
+        data[1, 15, 1] = -0.4j  # xi = (-1, 1), |xi|^2 = 2
+        states = np.zeros((2, 16, 16), dtype=np.complex128)
+        states[0, 1, 1] = 0.25
+        states[1, 2, 3] = 0.5
+        shift = np.zeros((16, 16), dtype=np.complex128)
+        shift[0, 1] = 0.1 + 0.3j
+        kept = (data.copy(), states.copy(), shift.copy())
+        t, delta = 0.7, 0.3
+        got = []
+        for n in remainders(grid, states, data, t, delta, shift=shift):
+            assert n.representation == FOURIER and n.values.shape == (16, 16)
+            got.append(n.values.copy())
+        flow = {13.0: np.exp(-1j * 13.0 * t - delta * t), 2.0: np.exp(-1j * 2.0 * t - delta * t)}
+        expected = states + shift
+        expected[0, 2, 3] -= data[0, 2, 3] * flow[13.0]
+        expected[1, 15, 1] -= data[1, 15, 1] * flow[2.0]
+        assert len(got) == 2
+        assert np.max(np.abs(np.array(got) - expected)) <= 1e-15
+        for before, after in zip(kept, (data, states, shift)):
+            assert np.array_equal(before, after)
 
 
 class TestResonantGauge:
@@ -244,8 +270,9 @@ class TestResonantGauge:
             - free_evolve(to_fourier(traj.fields[0]), 0.1).values
         )
         u_hat = to_fourier(traj.field_at(0.1)).values
+        datum = to_fourier(traj.fields[0]).values
         for sig in (0.0, sigma):
-            got = duhamel_remainder(u_hat, traj.fields[0], 0.1, sigma=sig)
+            (got,) = remainders(grid, u_hat, datum, 0.1, sigma=sig)
             assert np.array_equal(got.values, plain)
 
 
@@ -301,13 +328,16 @@ class TestRefinementStudy:
             datum = traj.fields[0]
             sigma = resonant_gauge_phase(datum, cfg.c1, cfg.c2)
             u_hat = to_fourier(traj.field_at(0.5)).values
+            # the gauged comparison flow is phased in place, as the study does
+            gauged = free_evolve(to_fourier(datum), 0.5).values
+            gauged *= np.exp(-1j * sigma * 0.5)
             order = 0.6 + 0.3  # as the study forms s + a, to the last bit
             assert row == {
                 "M": row["M"],
                 "norm_linear": sobolev_norm(free_evolve(datum, 0.5), order),
                 "norm_nonlinear": sobolev_norm(nonlinear_part(traj, datum, 0.5), order),
                 "norm_nonlinear_gauged": sobolev_norm(
-                    duhamel_remainder(u_hat, datum, 0.5, sigma=sigma), order
+                    SpectralField(datum.grid, u_hat - gauged, FOURIER), order
                 ),
             }
 
